@@ -7,39 +7,98 @@ floating point. Matrices are lists of row lists; vectors are sequences.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Row = list[Fraction]
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a sparse integer row by the gcd of its entries, in place."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    for k in row:
+        row[k] //= g
+    return row
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive integer combination of `row` and `pivot` that is 0 in column c."""
+    g = gcd(pivot[c], row[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in pivot.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _primitive(out)
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form with pivots normalized to 1.
 
-    Returns (reduced rows, pivot column indices). Deterministic: pivots are
-    chosen as the first nonzero entry scanning columns left to right.
+    Returns (reduced rows, pivot column indices). The reduced rows come
+    first, in pivot order, then one zero row for each input row that
+    reduced to zero, so the output has as many rows as the input.
+
+    Elimination is fraction-free on sparse rows: each row is a dict of
+    nonzero integer entries scaled to be primitive (gcd 1), so the work
+    tracks the nonzeros and no rational arithmetic happens until the last
+    step divides each row by its pivot. Columns are eliminated left to
+    right, taking as pivot the sparsest remaining row with a nonzero in
+    the column, then earlier pivot rows are cleared from the right. The
+    RREF of a matrix is unique, so the pivot choice does not change the
+    result.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    dense = [list(r) for r in rows]
+    if not dense:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
+    ncols = len(dense[0])
+    pending: list[dict[int, int]] = []
+    for r in dense:
+        nz = {c: v for c, v in enumerate(r) if v}
+        if nz:
+            d = lcm(*(v.denominator for v in nz.values()))
+            pending.append(
+                _primitive({c: v.numerator * (d // v.denominator) for c, v in nz.items()})
+            )
+    done: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not pending:
             break
-    return m, pivots
+        pivot = min((r for r in pending if c in r), key=len, default=None)
+        if pivot is None:
+            continue
+        rest = []
+        for r in pending:
+            if r is pivot:
+                continue
+            if c in r:
+                r = _eliminate(r, pivot, c)
+            if r:
+                rest.append(r)
+        pending = rest
+        done.append((c, pivot))
+    for t in range(len(done) - 1, 0, -1):
+        c, pivot = done[t]
+        for s in range(t):
+            col, r = done[s]
+            if c in r:
+                done[s] = (col, _eliminate(r, pivot, c))
+    zero = Fraction(0)
+    reduced = []
+    for c, r in done:
+        row = [zero] * ncols
+        for k, v in r.items():
+            row[k] = Fraction(v, r[c])
+        reduced.append(row)
+    reduced += [[zero] * ncols for _ in range(len(dense) - len(done))]
+    return reduced, [c for c, _ in done]
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:

@@ -55,12 +55,12 @@ class CliError(Exception):
 def _parse_rational(text: str) -> Fraction:
     """Exact scalar from 'p/q' or integer text; decimals convert with a warning."""
     text = text.strip()
-    if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
-        return Fraction(text)
     try:
         value = Fraction(text)  # accepts decimal strings exactly
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse scalar {text!r}") from exc
+    if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+        return value
     print(
         f"warning: decimal input {text!r} converted exactly to {value}; "
         "pass p/q to silence this",
@@ -82,20 +82,24 @@ _PI_FORM = re.compile(
 
 
 def parse_period(text: str) -> float:
-    """Accepts 'pi', '2pi', '3pi/4', 'p/q', or a decimal."""
+    """Accepts 'pi', '2pi', '3pi/4', 'p/q', or a decimal; positive and finite."""
     text = text.strip()
     m = _PI_FORM.match(text)
-    if m:
-        num = Fraction(m.group("num")) if m.group("num") else Fraction(1)
-        den = int(m.group("den")) if m.group("den") else 1
-        return float(num) * math.pi / den
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise CliError(f"cannot parse period {text!r}") from exc
+        if m:
+            num = Fraction(m.group("num")) if m.group("num") else Fraction(1)
+            den = int(m.group("den")) if m.group("den") else 1
+            period = float(num) * math.pi / den
+        else:
+            try:
+                period = float(Fraction(text))
+            except ValueError:
+                period = float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise CliError(f"cannot parse period {text!r}") from exc
+    if not 0 < period < math.inf:
+        raise CliError(f"period {text!r} must be positive and finite")
+    return period
 
 
 def _config_from_args(args) -> ToleranceConfig:
@@ -117,6 +121,8 @@ def _config_from_args(args) -> ToleranceConfig:
         overrides["samples"] = args.samples
     if any(v <= 0 for v in overrides.values()):
         raise CliError("tolerances, horizon and samples must be positive")
+    if overrides.get("samples", 2) < 2:
+        raise CliError("--samples needs at least two samples")
     return cfg.override(**overrides)
 
 

@@ -24,7 +24,6 @@ from .liealg import (
     ad,
     as_scalar,
     as_vector,
-    bracket,
 )
 
 
@@ -82,30 +81,30 @@ def coerce_matrix(entries, dim: int | None = None) -> Matrix:
     return mat
 
 
-def _apply(mat: Matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat
-    )
-
-
 def leibniz_residual(
     sc: StructureConstants, mat
 ) -> tuple[Fraction, tuple[int, int] | None]:
     """Max-norm Leibniz violation over basis pairs, with the offending pair."""
     m = coerce_matrix(mat, sc.dim)
+    n = sc.dim
+    table = sc._table
+    cols = [[(r, m[r][j]) for r in range(n) if m[r][j]] for j in range(n)]
     worst = Fraction(0)
     worst_pair: tuple[int, int] | None = None
-    for i in range(sc.dim):
-        ei = tuple(Fraction(1 if t == i else 0) for t in range(sc.dim))
-        di = _apply(m, ei)
-        for j in range(i + 1, sc.dim):
-            ej = tuple(Fraction(1 if t == j else 0) for t in range(sc.dim))
-            dj = _apply(m, ej)
-            lhs = _apply(m, sc.bracket_basis(i, j))
-            rhs = [a + b for a, b in zip(bracket(sc, di, ej), bracket(sc, ei, dj))]
-            res = max(
-                (abs(a - b) for a, b in zip(lhs, rhs)), default=Fraction(0)
-            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            # D[E_i,E_j] - [D E_i, E_j] - [E_i, D E_j], sparse in both factors
+            diff: dict[int, Fraction] = {}
+            for k, c in table.get((i, j), ()):
+                for r, v in cols[k]:
+                    diff[r] = diff.get(r, 0) + c * v
+            for a, v in cols[i]:
+                for k, c in table.get((a, j), ()):
+                    diff[k] = diff.get(k, 0) - v * c
+            for b, v in cols[j]:
+                for k, c in table.get((i, b), ()):
+                    diff[k] = diff.get(k, 0) - v * c
+            res = max((abs(v) for v in diff.values()), default=Fraction(0))
             if res > worst:
                 worst = res
                 worst_pair = (i, j)
@@ -132,28 +131,24 @@ def constraint_rows(sc: StructureConstants) -> list[list[Fraction]]:
     (D [E_i,E_j])_k - [D E_i, E_j]_k - [E_i, D E_j]_k = 0.
     """
     n = sc.dim
+    table = sc._table
+    zero = Fraction(0)
     rows: list[list[Fraction]] = []
-    struct = [[sc.bracket_basis(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            cij = struct[i][j]
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                # D applied to [E_i, E_j]: unknowns D[k][m]
-                for m in range(n):
-                    if cij[m] != 0:
-                        row[k * n + m] += cij[m]
+            block = [[zero] * (n * n) for _ in range(n)]
+            # D applied to [E_i, E_j]: unknowns D[k][m]
+            for m, c in table.get((i, j), ()):
+                for k in range(n):
+                    block[k][k * n + m] += c
+            for m in range(n):
                 # -[D E_i, E_j]: D E_i has coordinates D[m][i]
-                for m in range(n):
-                    coef = struct[m][j][k]
-                    if coef != 0:
-                        row[m * n + i] -= coef
+                for k, c in table.get((m, j), ()):
+                    block[k][m * n + i] -= c
                 # -[E_i, D E_j]
-                for m in range(n):
-                    coef = struct[i][m][k]
-                    if coef != 0:
-                        row[m * n + j] -= coef
-                rows.append(row)
+                for k, c in table.get((i, m), ()):
+                    block[k][m * n + j] -= c
+            rows.extend(block)
     return rows
 
 

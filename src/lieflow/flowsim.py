@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import DerivationMatrix
 from .periodicity import FlowVerdict
+
+
+# scipy.linalg.expm, imported on the first expm call: SciPy takes most of
+# lieflow's import time and only the evidence layer needs it.
+_scipy_expm = None
 
 
 class ExpmOverflowError(Exception):
@@ -62,6 +66,7 @@ def expm(mat, t: float = 1.0, cfg: ToleranceConfig | None = None) -> np.ndarray:
     Relative error is within 1e-12 for ||tM|| <= 100 (tested against a
     truncated series oracle). Raises ExpmOverflowError beyond the norm guard.
     """
+    global _scipy_expm
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
     if not np.all(np.isfinite(arr)):
@@ -72,7 +77,9 @@ def expm(mat, t: float = 1.0, cfg: ToleranceConfig | None = None) -> np.ndarray:
         raise ExpmOverflowError(
             f"||tM|| = {norm:.3g} exceeds the guard {cfg.expm_norm_guard:.3g}"
         )
-    return scipy.linalg.expm(scaled)
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(scaled)
 
 
 def _safe_horizon(arr: np.ndarray, wanted: float, cfg: ToleranceConfig) -> float:

@@ -32,7 +32,10 @@ def as_scalar(value: Scalar) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text.lower():
             raise ValueError(f"decimal scalar {value!r} not accepted; use p/q")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"scalar {value!r} has a zero denominator") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -73,6 +76,14 @@ class StructureConstants:
             if value != 0:
                 entries[(i, j, k)] = value
         self._entries = entries
+        # Sparse bracket table over ordered pairs: (i, j) -> ((k, c_ij^k), ...)
+        # for every i != j with [E_i, E_j] != 0, antisymmetry spelled out.
+        # The object is immutable, so the table never goes stale.
+        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        for (i, j, k), c in sorted(entries.items()):
+            table[(i, j)] = table.get((i, j), ()) + ((k, c),)
+            table[(j, i)] = table.get((j, i), ()) + ((k, -c),)
+        self._table = table
 
     @property
     def entries(self) -> dict[tuple[int, int, int], Fraction]:
@@ -82,14 +93,10 @@ class StructureConstants:
         """[E_i, E_j] as a coordinate vector, for any i, j."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise ValueError(f"basis index out of range for dim {self.dim}")
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        return tuple(
-            sign * self._entries.get((i, j, k), Fraction(0)) for k in range(self.dim)
-        )
+        out = [Fraction(0)] * self.dim
+        for k, c in self._table.get((i, j), ()):
+            out[k] = c
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim}, basis={list(self.basis_labels)})"
@@ -102,26 +109,34 @@ class ValidationReport:
     residual: Fraction
 
 
+def _nonzero(vec: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(i, v) for i, v in enumerate(vec) if v]
+
+
 def bracket(sc: StructureConstants, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
     """Bilinear antisymmetric expansion of [x, y] in the fixed basis."""
     xv = as_vector(x, sc.dim)
     yv = as_vector(y, sc.dim)
+    table = sc._table
     out = [Fraction(0)] * sc.dim
-    for (i, j, k), c in sc.entries.items():
-        coef = xv[i] * yv[j] - xv[j] * yv[i]
-        if coef != 0:
-            out[k] += c * coef
+    ys = _nonzero(yv)
+    for i, a in _nonzero(xv):
+        for j, b in ys:
+            for k, c in table.get((i, j), ()):
+                out[k] += c * a * b
     return tuple(out)
 
 
 def ad(sc: StructureConstants, x: Sequence[Scalar]) -> Matrix:
     """Matrix of ad(x) = [x, .]; column j holds the coordinates of [x, E_j]."""
     xv = as_vector(x, sc.dim)
-    cols = []
-    for j in range(sc.dim):
-        ej = tuple(Fraction(1 if t == j else 0) for t in range(sc.dim))
-        cols.append(bracket(sc, xv, ej))
-    return tuple(tuple(cols[j][i] for j in range(sc.dim)) for i in range(sc.dim))
+    table = sc._table
+    out = [[Fraction(0)] * sc.dim for _ in range(sc.dim)]
+    for i, a in _nonzero(xv):
+        for j in range(sc.dim):
+            for k, c in table.get((i, j), ()):
+                out[k][j] += a * c
+    return tuple(tuple(row) for row in out)
 
 
 def validate_algebra(sc: StructureConstants) -> ValidationReport:
@@ -130,23 +145,19 @@ def validate_algebra(sc: StructureConstants) -> ValidationReport:
     A failing algebra yields a report (jacobi_ok=False, worst offending triple
     by max-norm residual), never an exception.
     """
+    table = sc._table
     worst: tuple[int, int, int] | None = None
     worst_res = Fraction(0)
     for i in range(sc.dim):
-        ei = tuple(Fraction(1 if t == i else 0) for t in range(sc.dim))
         for j in range(i + 1, sc.dim):
-            ej = tuple(Fraction(1 if t == j else 0) for t in range(sc.dim))
             for k in range(j + 1, sc.dim):
-                ek = tuple(Fraction(1 if t == k else 0) for t in range(sc.dim))
-                total = [
-                    a + b + c
-                    for a, b, c in zip(
-                        bracket(sc, ei, bracket(sc, ej, ek)),
-                        bracket(sc, ej, bracket(sc, ek, ei)),
-                        bracket(sc, ek, bracket(sc, ei, ej)),
-                    )
-                ]
-                res = max((abs(v) for v in total), default=Fraction(0))
+                # [E_i,[E_j,E_k]] + [E_j,[E_k,E_i]] + [E_k,[E_i,E_j]]
+                total: dict[int, Fraction] = {}
+                for a, bc in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                    for m, c in table.get(bc, ()):
+                        for t, d in table.get((a, m), ()):
+                            total[t] = total.get(t, 0) + c * d
+                res = max((abs(v) for v in total.values()), default=Fraction(0))
                 if res > worst_res:
                     worst_res = res
                     worst = (i, j, k)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import lieflow
 from lieflow.cli import main, parse_period
 
 
@@ -295,11 +297,41 @@ def test_param_flag_for_parametric_entries(capsys):
     assert code == 2
 
 
-def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lieflow.cli", "catalog", "list"],
-        capture_output=True,
-        text=True,
+def checkout_env():
+    """Environment for a child interpreter that imports this lieflow."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieflow.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def cli_subprocess(*argv):
+    """Run `python -m lieflow.cli` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "lieflow.cli", *argv],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
     )
+
+
+def test_console_entry_point_runs():
+    proc = cli_subprocess("catalog", "list")
     assert proc.returncode == 0
     assert "sl2" in proc.stdout
+
+
+ZERO_DENOMINATOR_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--catalog", "sl2", "--inner", "1/0,0,0"],
+    ["derivations", "--file", "{algebra}"],
+    ["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--samples", "1"],
+    ["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--check-period", "0"],
+], ids=["inner-zero-denominator", "file-zero-denominator", "samples-1", "check-period-0"])
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(json.dumps(ZERO_DENOMINATOR_ALGEBRA))
+    proc = cli_subprocess(*(a.format(algebra=path) for a in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -12,6 +12,7 @@ from lieflow import (
     in_derivation_span,
     inner_derivation,
     is_derivation,
+    validate_algebra,
 )
 from lieflow.catalog import get_entry
 from lieflow.dersolve import coerce_matrix, constraint_rows
@@ -155,3 +156,66 @@ def test_matrix_dimension_mismatch():
     sc = get_entry("aff2").structure
     with pytest.raises(ValueError):
         is_derivation(sc, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+# --- closed-form dim Der of generated families ------------------------------------
+
+
+def heisenberg_algebra(k):
+    """h_{2k+1}: [X_i, Y_i] = Z with X_i = E_i, Y_i = E_{k+i}, Z = E_{2k+1}."""
+    return StructureConstants(2 * k + 1, {(i, k + i, 2 * k): 1 for i in range(k)})
+
+
+def filiform_algebra(n):
+    """Model filiform L_n: [E_1, E_i] = E_{i+1} for i = 2..n-1."""
+    return StructureConstants(n, {(0, i, i + 1): 1 for i in range(1, n - 1)})
+
+
+def sl2_plus_abelian(m):
+    """sl(2,R) + R^m, with the catalog's sl2 brackets on E_1..E_3."""
+    sl2 = get_entry("sl2").structure
+    return StructureConstants(3 + m, sl2.entries)
+
+
+def dense_change_of_basis(sc):
+    """The algebra in the basis F_a = sum_i P[i][a] E_i, P[i][j] = min(i, j) + 1.
+
+    P = L U with U unit upper triangular of ones and L = U^T, so P is
+    unimodular with P^{-1} = U^{-1} L^{-1}, both bidiagonal with -1 off the
+    diagonal.
+    """
+    n = sc.dim
+    p_cols = [[F(min(i, a) + 1) for i in range(n)] for a in range(n)]
+
+    def p_inverse(v):
+        w = [v[i] - (v[i - 1] if i else 0) for i in range(n)]  # L^{-1} v
+        return [w[i] - (w[i + 1] if i + 1 < n else 0) for i in range(n)]  # U^{-1} w
+
+    entries = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k, c in enumerate(p_inverse(bracket(sc, p_cols[a], p_cols[b]))):
+                if c:
+                    entries[(a, b, k)] = c
+    return StructureConstants(n, entries)
+
+
+DIM_DER_FAMILIES = (
+    [(f"h_{2 * k + 1}", heisenberg_algebra(k), 2 * k * k + 3 * k + 1) for k in range(1, 5)]
+    + [(f"L_{n}", filiform_algebra(n), 2 * n - 1) for n in range(4, 10)]
+    + [(f"sl2+R^{m}", sl2_plus_abelian(m), 3 + m * m) for m in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["standard", "dense"])
+@pytest.mark.parametrize(
+    "name,sc,dim_der", DIM_DER_FAMILIES, ids=[f[0] for f in DIM_DER_FAMILIES]
+)
+def test_dim_der_matches_closed_form(name, sc, dim_der, dense):
+    if dense:
+        sc = dense_change_of_basis(sc)
+    assert validate_algebra(sc).jacobi_ok
+    space = derivation_space(sc)
+    assert space.dim == dim_der
+    for b in space.basis:
+        assert is_derivation(sc, b.entries).is_derivation

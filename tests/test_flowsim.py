@@ -1,6 +1,8 @@
 """Matrix exponentials and orbit machinery against series and closed forms."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +23,8 @@ from lieflow import (
 from lieflow.catalog import get_entry
 from lieflow.config import DEFAULT_CONFIG
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
+
+from test_cli import checkout_env
 
 
 def series_expm(m, t, terms=40):
@@ -66,6 +70,18 @@ def test_expm_contract_holds_at_norm_100():
     got = np.diag(expm(diag, t))
     expected = np.array([math.exp(100.0), math.exp(-100.0)])
     assert np.max(np.abs(got - expected) / expected) < 1e-12
+
+
+def test_import_lieflow_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lieflow, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # The first expm call loads SciPy on demand.
+    rot = expm(np.array([[0.0, -1.0], [1.0, 0.0]]), math.pi / 2)
+    assert np.allclose(rot, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_expm_rotation_closed_form():
