@@ -59,6 +59,10 @@ def _parse_rational(text: str) -> Fraction:
         value = Fraction(text)  # accepts decimal strings exactly
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse scalar {text!r}") from exc
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise CliError(f"scalar {text!r} is too large for a float") from exc
     if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
         return value
     print(
@@ -119,8 +123,8 @@ def _config_from_args(args) -> ToleranceConfig:
         overrides["horizon"] = args.horizon
     if args.samples is not None:
         overrides["samples"] = args.samples
-    if any(v <= 0 for v in overrides.values()):
-        raise CliError("tolerances, horizon and samples must be positive")
+    if not all(0 < v < math.inf for v in overrides.values()):
+        raise CliError("tolerances, horizon and samples must be positive and finite")
     if overrides.get("samples", 2) < 2:
         raise CliError("--samples needs at least two samples")
     return cfg.override(**overrides)
@@ -128,8 +132,6 @@ def _config_from_args(args) -> ToleranceConfig:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks")
     parser.add_argument("--tol-ratio", type=float, default=None)
     parser.add_argument("--tol-rank", type=float, default=None)
     parser.add_argument("--tol-period", type=float, default=None)
@@ -400,8 +402,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
     lines = [f"algebra: {source}"]
 
     if args.csv:
-        horizon = cfg.horizon if args.horizon is None else args.horizon
-        ts = np.linspace(0.0, horizon, cfg.samples)
+        ts = np.linspace(0.0, cfg.horizon, cfg.samples)
         if entry is not None and entry.representation is not None and coeffs is not None:
             samples = flowsim.invariant_orbit(
                 [[[float(v) for v in row] for row in m] for m in entry.representation],
@@ -412,11 +413,8 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
             )
             doc["orbit"] = "group-level invariant orbit exp(tX)"
         else:
-            arr = np.array([[float(v) for v in row] for row in mat])
-            samples = [
-                flowsim.FlowSample(t=float(t), matrix=flowsim.expm(arr, float(t), cfg))
-                for t in ts
-            ]
+            flows = flowsim.expm(mat, ts, cfg)
+            samples = [flowsim.FlowSample(float(t), m) for t, m in zip(ts, flows)]
             doc["orbit"] = "algebra-level flow e^{tD}"
             if coeffs is not None:
                 notes.append(
@@ -431,7 +429,9 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         report = flowsim.flow_period_residual(mat, period, cfg=cfg)
         passed = report.max_residual <= cfg.period_tol
         doc["period_checked"] = period
-        doc["max_residual"] = report.max_residual
+        doc["max_residual"], nonfinite = _nulled(report.max_residual)
+        if nonfinite:
+            doc["nonfinite"] = True
         doc["passed"] = passed
         lines.append(
             f"period check T = {period:.12g}: max residual "
@@ -442,11 +442,14 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         verdict = classify_linear_flow(sc, mat, cfg)
         evidence = flowsim.verify_verdict(sc, mat, verdict, cfg)
         doc["verdict"] = verdict_to_dict(verdict)
+        details, nonfinite = _nulled(evidence.details)
         doc["evidence"] = {
             "passed": evidence.passed,
             "inconclusive": evidence.inconclusive,
-            "details": evidence.details,
+            "details": details,
         }
+        if nonfinite:
+            doc["evidence"]["nonfinite"] = True
         lines.append(f"verdict: {verdict.tag}")
         lines.append(
             f"evidence: {'pass' if evidence.passed else 'fail'}"
@@ -455,6 +458,17 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         code = EXIT_OK if evidence.passed else EXIT_FAIL
     doc["notes"] = notes
     return code, doc, "\n".join(lines)
+
+
+def _nulled(value):
+    """`value` with each non-finite float replaced by None (strict JSON has no
+    NaN or Infinity), and whether there was one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None, True
+    if isinstance(value, dict):
+        pairs = {k: _nulled(v) for k, v in value.items()}
+        return {k: v for k, (v, _) in pairs.items()}, any(f for _, f in pairs.values())
+    return value, False
 
 
 # --- entry point ----------------------------------------------------------------
@@ -522,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(text)
     return code

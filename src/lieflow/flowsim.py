@@ -60,26 +60,37 @@ def _as_float_matrix(mat) -> np.ndarray:
     return arr
 
 
-def expm(mat, t: float = 1.0, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def _check_norm(arr: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
+    norm = np.linalg.norm(t * arr, 1)
+    if norm > cfg.expm_norm_guard:
+        raise ExpmOverflowError(
+            f"||tM|| = {norm:.3g} exceeds the guard {cfg.expm_norm_guard:.3g}"
+        )
+
+
+def expm(
+    mat, t: float | np.ndarray = 1.0, cfg: ToleranceConfig | None = None
+) -> np.ndarray:
     """e^{tM} by scaling-and-squaring with a Pade approximant.
 
-    Relative error is within 1e-12 for ||tM|| <= 100 (tested against a
-    truncated series oracle). Raises ExpmOverflowError beyond the norm guard.
+    `t` is a scalar, giving one matrix, or a 1-D array of times, giving the
+    stack of e^{t_k M} from one SciPy call; the finiteness check and the norm
+    guard then run once, against the largest |t_k|. Relative error is within
+    1e-12 for ||tM|| <= 100 (tested against a truncated series oracle).
+    Raises ExpmOverflowError beyond the norm guard.
     """
     global _scipy_expm
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    scaled = t * arr
-    norm = np.linalg.norm(scaled, 1)
-    if norm > cfg.expm_norm_guard:
-        raise ExpmOverflowError(
-            f"||tM|| = {norm:.3g} exceeds the guard {cfg.expm_norm_guard:.3g}"
-        )
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    _check_norm(arr, float(np.max(np.abs(ts), initial=0.0)), cfg)
     if _scipy_expm is None:
         from scipy.linalg import expm as _scipy_expm
-    return _scipy_expm(scaled)
+    return _scipy_expm(ts[..., None, None] * arr)
 
 
 def _safe_horizon(arr: np.ndarray, wanted: float, cfg: ToleranceConfig) -> float:
@@ -90,6 +101,27 @@ def _safe_horizon(arr: np.ndarray, wanted: float, cfg: ToleranceConfig) -> float
     return min(wanted, 0.5 * cfg.expm_norm_guard / norm)
 
 
+def _closure_residuals(
+    arr: np.ndarray, periods: Sequence[float], horizon: float, samples: int,
+    cfg: ToleranceConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial period T_j, max over t in linspace(0, horizon, samples) of
+    ||e^{(t+T_j)D} - e^{tD}||_F and the first t where it occurs, computed as
+    ||(e^{T_j D} - I) e^{tD}||_F from one batch of exponentials over the grid
+    and the trial periods. An overflow shows as a non-finite residual."""
+    ts = np.linspace(0.0, horizon, samples)
+    exps = expm(arr, np.concatenate([ts, periods]), cfg)
+    flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
+    squares = np.empty((len(gaps), samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, gap in enumerate(gaps):  # one period at a time keeps peak memory flat
+            prod = gap @ flows
+            squares[j] = np.einsum("tab,tab->t", prod, prod)
+    res = np.sqrt(squares)
+    worst = np.argmax(res, axis=1)
+    return res[np.arange(len(gaps)), worst], ts[worst]
+
+
 def flow_period_residual(
     mat,
     period: float,
@@ -97,7 +129,9 @@ def flow_period_residual(
     samples: int | None = None,
     cfg: ToleranceConfig | None = None,
 ) -> ResidualReport:
-    """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F."""
+    """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F; raises
+    ExpmOverflowError when (horizon + T)||D||_1, the literal form's largest
+    exponent, exceeds the norm guard."""
     cfg = cfg or DEFAULT_CONFIG
     if period <= 0:
         raise ValueError("period must be positive")
@@ -105,41 +139,10 @@ def flow_period_residual(
     if samples < 2:
         raise ValueError("need at least two samples")
     arr = _as_float_matrix(mat)
-    if horizon is None:
-        horizon = 4.0 * period
-    horizon = _safe_horizon(arr, horizon, cfg)
-    ts = np.linspace(0.0, horizon, samples)
-    worst = -1.0
-    worst_t = 0.0
-    for t in ts:
-        diff = expm(arr, t + period, cfg) - expm(arr, t, cfg)
-        res = float(np.linalg.norm(diff, "fro"))
-        if res > worst:
-            worst = res
-            worst_t = float(t)
-    return ResidualReport(
-        max_residual=worst, argmax_t=worst_t, samples=samples, horizon=horizon
-    )
-
-
-def _residual_sweep(
-    arr: np.ndarray, periods: np.ndarray, horizon: float, samples: int,
-    cfg: ToleranceConfig,
-) -> np.ndarray:
-    """Residual per trial period, factorized as ||(e^{TD} - I) e^{tD}||_F.
-
-    e^{(t+T)D} = e^{TD} e^{tD} exactly, so this matches the literal residual
-    up to roundoff while reusing the t-grid exponentials.
-    """
-    n = arr.shape[0]
-    ts = np.linspace(0.0, horizon, samples)
-    flows = np.stack([expm(arr, t, cfg) for t in ts])
-    out = np.empty(len(periods))
-    eye = np.eye(n)
-    for idx, period in enumerate(periods):
-        gap = expm(arr, float(period), cfg) - eye
-        out[idx] = float(np.sqrt(np.max(np.einsum("tij,tij->t", gap @ flows, gap @ flows))))
-    return out
+    horizon = _safe_horizon(arr, 4.0 * period if horizon is None else horizon, cfg)
+    _check_norm(arr, horizon + period, cfg)
+    (worst,), (at,) = _closure_residuals(arr, [period], horizon, samples, cfg)
+    return ResidualReport(float(worst), float(at), samples, horizon)
 
 
 def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:
@@ -172,10 +175,10 @@ def conjugation_orbit(
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("g0 must be invertible")
     xh = rep_matrix(rep, x)
-    return [
-        FlowSample(t=float(t), matrix=expm(xh, -t, cfg) @ g @ expm(xh, t, cfg))
-        for t in ts
-    ]
+    ts = np.asarray(ts, dtype=float)
+    exps = expm(xh, np.concatenate([-ts, ts]), cfg)
+    mats = exps[: len(ts)] @ g @ exps[len(ts):]
+    return [FlowSample(t=float(t), matrix=m) for t, m in zip(ts, mats)]
 
 
 def invariant_orbit(
@@ -191,7 +194,8 @@ def invariant_orbit(
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("g0 must be invertible")
     xh = rep_matrix(rep, x)
-    return [FlowSample(t=float(t), matrix=expm(xh, t, cfg) @ g) for t in ts]
+    mats = expm(xh, np.asarray(ts, dtype=float), cfg) @ g
+    return [FlowSample(t=float(t), matrix=m) for t, m in zip(ts, mats)]
 
 
 def orbit_closure_residual(samples: list[FlowSample], period: float) -> float:
@@ -231,63 +235,55 @@ def verify_verdict(
 
     PeriodicFlow passes when the closure residual at T stays within
     period_tol while T/2, T/3 and 2T/3 all miss by at least the separation
-    threshold (minimality evidence). IdentityFlow requires e^{tD} = I on the
-    sample grid. NoPeriodicOrbits is falsification evidence only: the
-    residual must stay above the separation floor for every trial period on
-    the grid; a dip below it makes the grid inconclusive, not the verdict
-    wrong.
+    threshold (minimality evidence), all four on the grid of [0, 4T].
+    IdentityFlow requires e^{tD} = I on the sample grid. NoPeriodicOrbits is
+    falsification evidence only: the residual must stay above the separation
+    floor for every trial period on the grid; a dip below it makes the grid
+    inconclusive, not the verdict wrong, and so does a safe horizon shorter
+    than the smallest trial period. Each check exponentiates one batch, and a
+    non-finite residual makes any of them inconclusive.
     """
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
+    horizon = _safe_horizon(arr, cfg.horizon, cfg)
     if verdict.tag == "PeriodicFlow":
         assert verdict.period is not None
-        closure = flow_period_residual(arr, verdict.period, cfg=cfg)
-        fractions_checked = {}
-        for num, den in ((1, 2), (1, 3), (2, 3)):
-            trial = verdict.period * num / den
-            fractions_checked[f"{num}T/{den}"] = flow_period_residual(
-                arr, trial, cfg=cfg
-            ).max_residual
-        passed = closure.max_residual <= cfg.period_tol and all(
-            r >= cfg.separation for r in fractions_checked.values()
+        period = verdict.period
+        horizon = _safe_horizon(arr, 4.0 * period, cfg)
+        _check_norm(arr, horizon + period, cfg)
+        trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
+        residuals, _ = _closure_residuals(
+            arr, [period, *trials.values()], horizon, cfg.samples, cfg
         )
-        return VerdictEvidence(
-            verdict_tag=verdict.tag,
-            passed=passed,
-            inconclusive=False,
-            details={
-                "closure_residual": closure.max_residual,
-                "subperiod_residuals": fractions_checked,
-            },
-        )
-    if verdict.tag == "IdentityFlow":
-        horizon = _safe_horizon(arr, cfg.horizon, cfg)
-        ts = np.linspace(0.0, horizon, cfg.samples)
-        eye = np.eye(arr.shape[0])
-        worst = max(
-            float(np.linalg.norm(expm(arr, float(t), cfg) - eye, "fro")) for t in ts
-        )
-        return VerdictEvidence(
-            verdict_tag=verdict.tag,
-            passed=worst <= cfg.period_tol,
-            inconclusive=False,
-            details={"identity_residual": worst, "horizon": horizon},
-        )
-    if verdict.tag == "NoPeriodicOrbits":
-        horizon = _safe_horizon(arr, cfg.horizon, cfg)
+        subperiods = dict(zip(trials, map(float, residuals[1:])))
+        passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
+        inconclusive = False
+        details = {"closure_residual": float(residuals[0]),
+                   "subperiod_residuals": subperiods}
+    elif verdict.tag == "IdentityFlow":
+        flows = expm(arr, np.linspace(0.0, horizon, cfg.samples), cfg)
+        residuals = np.linalg.norm(flows - np.eye(arr.shape[0]), axis=(1, 2))
+        passed, inconclusive = np.max(residuals) <= cfg.period_tol, False
+        details = {"identity_residual": float(np.max(residuals)), "horizon": horizon}
+    elif verdict.tag == "NoPeriodicOrbits":
+        note = "falsification evidence over a finite horizon, not proof"
+        if horizon < cfg.evidence_min_period:
+            note += "; the safe horizon is shorter than the smallest trial period"
+            return VerdictEvidence(verdict.tag, False, True,
+                                   {"horizon": horizon, "note": note})
         periods = np.linspace(cfg.evidence_min_period, horizon, cfg.samples)
-        residuals = _residual_sweep(arr, periods, horizon, cfg.samples, cfg)
-        min_res = float(np.min(residuals))
-        ok = min_res >= cfg.separation
-        return VerdictEvidence(
-            verdict_tag=verdict.tag,
-            passed=ok,
-            inconclusive=not ok,
-            details={
-                "min_residual": min_res,
-                "argmin_period": float(periods[int(np.argmin(residuals))]),
-                "horizon": horizon,
-                "note": "falsification evidence over a finite horizon, not proof",
-            },
-        )
-    raise ValueError(f"verify_verdict cannot check verdict tag {verdict.tag!r}")
+        residuals, _ = _closure_residuals(arr, periods, horizon, cfg.samples, cfg)
+        best = int(np.argmin(residuals))
+        passed = residuals[best] >= cfg.separation
+        inconclusive = not passed
+        details = {
+            "min_residual": float(residuals[best]),
+            "argmin_period": float(periods[best]),
+            "horizon": horizon,
+            "note": note,
+        }
+    else:
+        raise ValueError(f"verify_verdict cannot check verdict tag {verdict.tag!r}")
+    if not np.all(np.isfinite(residuals)):  # an overflow shows nothing
+        passed, inconclusive = False, True
+    return VerdictEvidence(verdict.tag, bool(passed), bool(inconclusive), details)

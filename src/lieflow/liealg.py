@@ -206,7 +206,12 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
         raise ValueError("algebra file needs an integer 'dim'") from exc
     basis = data.get("basis")
     entries: dict[tuple[int, int, int], Fraction] = {}
-    for item in data.get("brackets", []):
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ValueError("'brackets' must be a list of bracket entries")
+    for item in brackets:
+        if not isinstance(item, Mapping):
+            raise ValueError(f"bracket entry {item!r} is not an object")
         i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
         if i >= j:
             raise ValueError(

@@ -335,3 +335,72 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, nonfinite", [
+    (["--catalog", "sl2", "--inner", "1,0,0"], False),
+    (["--catalog", "g31_heisenberg", "--inner", "0,0,1"], False),
+    (["--catalog", "aff2", "--matrix", "0,0,0,0"], False),
+    (["--catalog", "aff2", "--matrix", "0,0,0,1000"], False),
+    (["--catalog", "aff2", "--matrix", "0,0,0,300"], True),
+    (["--catalog", "sl2", "--inner", "1,0,0", "--check-period", "pi"], False),
+    (["--catalog", "aff2", "--matrix", "0,0,0,300", "--check-period", "1"], True),
+], ids=["periodic", "heisenberg", "identity", "short-horizon", "overflow",
+        "check-period", "check-period-overflow"])
+def test_simulate_output_is_strict_json(capsys, argv, nonfinite):
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    doc = strict_json(out)
+    section = doc.get("evidence", doc)
+    assert section.get("nonfinite", False) == nonfinite
+    if nonfinite:
+        assert code == 1
+        if "evidence" in doc:
+            assert doc["evidence"]["details"]["min_residual"] is None
+            assert doc["evidence"]["inconclusive"] and not doc["evidence"]["passed"]
+        else:
+            assert doc["max_residual"] is None and not doc["passed"]
+
+
+def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
+    # The safe horizon 350/1000 is shorter than the smallest trial period.
+    code, doc, _ = run_json(
+        capsys, "simulate", "--catalog", "aff2", "--matrix", "0,0,0,1000"
+    )
+    assert code == 1
+    assert doc["evidence"]["inconclusive"] and not doc["evidence"]["passed"]
+    assert "min_residual" not in doc["evidence"]["details"]
+
+
+@pytest.mark.parametrize("argv, algebra", [
+    (["classify", "--catalog", "aff2", "--matrix", "0,0,0,1e400"], None),
+    (["derivations", "--file", "{algebra}"], {"dim": 2, "brackets": {"i": 1}}),
+    (["derivations", "--file", "{algebra}"], {"dim": 2, "brackets": [[1, 2, 2, "1"]]}),
+], ids=["matrix-overflows-float", "brackets-object", "bracket-entry-list"])
+def test_more_bad_input_exits_2_without_traceback(argv, algebra, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    proc = cli_subprocess(*(a.format(algebra=path) for a in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    (flag, value)
+    for flag in ("--tol-ratio", "--tol-rank", "--tol-period", "--tol-separation",
+                 "--horizon")
+    for value in ("nan", "inf", "0")
+] + [("--seed", "0")])
+def test_bad_knob_exits_2(flag, value):
+    proc = cli_subprocess("classify", "--catalog", "sl2", "--inner", "1,0,0",
+                          f"{flag}={value}")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -20,7 +20,8 @@ from lieflow import (
     verify_verdict,
     write_orbit_csv,
 )
-from lieflow.catalog import get_entry
+from lieflow import flowsim
+from lieflow.catalog import get_entry, verdict_table
 from lieflow.config import DEFAULT_CONFIG
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
 
@@ -316,3 +317,164 @@ def test_orbit_csv_roundtrip(tmp_path):
     cells = lines[2].split(",")
     assert float(cells[0]) == 0.5
     assert float(cells[2]) == 0.25
+
+
+# --- batched exponential grid --------------------------------------------------------
+
+
+def seeded_matrices(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        yield rng.normal(size=(n, n)) / np.sqrt(n)
+
+
+def literal_residual(m, period, horizon, samples):
+    """max_t ||expm(t + T) - expm(t)||_F with one scalar call per exponential,
+    and the size of the largest exponential involved."""
+    worst, scale = 0.0, 1.0
+    for t in np.linspace(0.0, horizon, samples):
+        later, now = expm(m, t + period), expm(m, t)
+        worst = max(worst, float(np.linalg.norm(later - now)))
+        scale = max(scale, float(np.linalg.norm(later)), float(np.linalg.norm(now)))
+    return worst, scale
+
+
+def test_batched_expm_matches_scalar_calls():
+    for m in seeded_matrices(41, 12):
+        ts = np.concatenate([np.linspace(0.0, 3.0, 9), [-1.5, 0.25]])
+        batch = expm(m, ts)
+        assert batch.shape == (len(ts),) + m.shape
+        for t, got in zip(ts, batch):
+            want = expm(m, float(t))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_batched_expm_guards_the_largest_time():
+    m = np.eye(2)
+    expm(m, np.array([-700.0, 3.0]))
+    with pytest.raises(ExpmOverflowError):
+        expm(m, np.array([0.0, -700.5, 3.0]))
+    with pytest.raises(ValueError):
+        expm([[float("inf"), 0], [0, 1]], np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        expm(m, np.zeros((2, 2)))
+
+
+def test_kernel_matches_literal_residual_on_seeded_matrices():
+    rng = np.random.default_rng(43)
+    for m in seeded_matrices(42, 10):
+        periods = rng.uniform(0.1, 2.0, size=3)
+        horizon, samples = float(rng.uniform(0.5, 3.0)), 9
+        got, _ = flowsim._closure_residuals(
+            m, periods, horizon, samples, DEFAULT_CONFIG
+        )
+        for period, residual in zip(periods, got):
+            want, scale = literal_residual(m, period, horizon, samples)
+            assert abs(residual - want) <= 1e-10 * max(want, scale)
+
+
+def test_kernel_matches_literal_residual_on_verdict_table():
+    # The evidence grid of each row, thinned to keep the literal form cheap.
+    cfg = DEFAULT_CONFIG
+    for row in verdict_table():
+        m = np.array([[float(v) for v in r] for r in row.matrix])
+        if row.verdict.tag == "PeriodicFlow":
+            period = row.verdict.period
+            horizon = flowsim._safe_horizon(m, 4 * period, cfg)
+            periods = [period, period / 2, period / 3, period * 2 / 3]
+        else:
+            horizon = flowsim._safe_horizon(m, cfg.horizon, cfg)
+            periods = np.linspace(cfg.evidence_min_period, horizon, cfg.samples)[::21]
+        got, _ = flowsim._closure_residuals(m, periods, horizon, 9, cfg)
+        for period, residual in zip(periods, got):
+            want, scale = literal_residual(m, period, horizon, 9)
+            assert abs(residual - want) <= 1e-10 * max(want, scale), (
+                row.entry, row.label, period)
+
+
+def test_flow_period_residual_reports_the_worst_grid_time():
+    m = np.array([[0.0, 0.0], [0.0, 0.3]])  # residual grows with t
+    report = flow_period_residual(m, 1.0, horizon=2.0, samples=5)
+    assert report.argmax_t == 2.0 and report.horizon == 2.0
+    want, _ = literal_residual(m, 1.0, 2.0, 5)
+    assert abs(report.max_residual - want) <= 1e-12 * want
+
+
+def test_period_guard_trips_on_horizon_plus_period():
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # ||D||_1 = 1, bounded flow
+    flow_period_residual(rot, 350.0 - 1e-9, horizon=350.0, samples=2)
+    with pytest.raises(ExpmOverflowError):
+        flow_period_residual(rot, 350.0 + 1e-9, horizon=350.0, samples=2)
+
+
+def test_periodic_evidence_guard_trips_above_t_norm_350():
+    # D = [[0, -a], [1/a, 0]] has period 2 pi and ||D||_1 = a, so the
+    # evidence grid ends at 350/a and the guard reads (350/a + 2 pi) a.
+    sc = get_entry("abelian2").structure
+    below, above = ((0, -55), (F(1, 55), 0)), ((0, -56), (F(1, 56), 0))
+    evidence = verify_verdict(sc, below, classify_linear_flow(sc, below))
+    assert evidence.passed
+    with pytest.raises(ExpmOverflowError):
+        verify_verdict(sc, above, classify_linear_flow(sc, above))
+
+
+@pytest.fixture
+def expm_batches(monkeypatch):
+    """Sizes of the batches passed to flowsim.expm, one entry per call."""
+    sizes = []
+    inner = flowsim.expm
+
+    def counting(mat, t=1.0, cfg=None):
+        sizes.append(np.size(t))
+        return inner(mat, t, cfg)
+
+    monkeypatch.setattr(flowsim, "expm", counting)
+    return sizes
+
+
+def test_evidence_exponentiates_one_batch_per_check(expm_batches):
+    sl2 = get_entry("sl2").structure
+    aff2 = get_entry("aff2").structure
+    cases = [
+        (sl2, inner_derivation(sl2, (1, 0, 0)), [4 + 64]),
+        (aff2, ((0, 0), (1, 0)), [64 + 64]),
+        (aff2, ((0, 0), (0, 0)), [64]),
+    ]
+    for sc, mat, sizes in cases:
+        expm_batches.clear()
+        verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+        assert expm_batches == sizes
+
+
+def test_short_horizon_evidence_is_inconclusive_without_exponentials(expm_batches):
+    sc = get_entry("aff2").structure
+    mat = ((0, 0), (0, 1000))  # safe horizon 0.35 < evidence_min_period 0.5
+    evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+    assert not evidence.passed and evidence.inconclusive
+    assert expm_batches == []
+    assert evidence.details["horizon"] < DEFAULT_CONFIG.evidence_min_period
+
+
+def test_nonfinite_residual_makes_evidence_inconclusive():
+    sc = get_entry("aff2").structure
+    mat = ((0, 0), (0, 300))  # e^{tD} reaches e^{350}; its residual overflows
+    evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+    assert not math.isfinite(evidence.details["min_residual"])
+    assert not evidence.passed and evidence.inconclusive
+
+
+# Recorded before the batched grid: every row of the default verdict table,
+# 18 PeriodicFlow and 80 NoPeriodicOrbits, passed and was conclusive.
+VERDICT_TABLE_EVIDENCE = {"PeriodicFlow": 18, "NoPeriodicOrbits": 80}
+
+
+def test_verdict_table_evidence_flags_unchanged():
+    counts = {}
+    for row in verdict_table():
+        entry = get_entry(row.entry, row.param)
+        evidence = verify_verdict(entry.structure, row.matrix, row.verdict)
+        assert (evidence.passed, evidence.inconclusive) == (True, False), (
+            row.entry, row.label, evidence.details)
+        counts[row.verdict.tag] = counts.get(row.verdict.tag, 0) + 1
+    assert counts == VERDICT_TABLE_EVIDENCE
