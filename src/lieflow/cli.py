@@ -80,6 +80,12 @@ def _parse_scalar_list(text: str, expected: int, what: str) -> list[Fraction]:
     return [_parse_rational(p) for p in parts]
 
 
+def _parse_matrix(text: str, dim: int) -> tuple[tuple[Fraction, ...], ...]:
+    """A dim x dim matrix from row-major --matrix entries."""
+    entries = _parse_scalar_list(text, dim * dim, "--matrix")
+    return tuple(tuple(entries[r * dim:(r + 1) * dim]) for r in range(dim))
+
+
 _PI_FORM = re.compile(
     r"^(?P<num>\d+(?:/\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+))?$", re.IGNORECASE
 )
@@ -109,16 +115,12 @@ def parse_period(text: str) -> float:
 def _config_from_args(args) -> ToleranceConfig:
     cfg = DEFAULT_CONFIG
     overrides = {}
-    if args.tol_ratio is not None:
-        overrides["ratio_tol"] = args.tol_ratio
     if args.tol_rank is not None:
         overrides["rank_tol"] = args.tol_rank
     if args.tol_period is not None:
         overrides["period_tol"] = args.tol_period
     if args.tol_separation is not None:
         overrides["separation"] = args.tol_separation
-    if args.max_denominator is not None:
-        overrides["max_denominator"] = args.max_denominator
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
     if args.samples is not None:
@@ -132,11 +134,9 @@ def _config_from_args(args) -> ToleranceConfig:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--tol-ratio", type=float, default=None)
     parser.add_argument("--tol-rank", type=float, default=None)
     parser.add_argument("--tol-period", type=float, default=None)
     parser.add_argument("--tol-separation", type=float, default=None)
-    parser.add_argument("--max-denominator", type=int, default=None)
     parser.add_argument("--horizon", type=float, default=None)
     parser.add_argument("--samples", type=int, default=None)
 
@@ -162,17 +162,18 @@ def _add_field_flags(parser: argparse.ArgumentParser, with_flow_kind: bool) -> N
                             "for --inner, linear for --matrix)")
 
 
+def _catalog_entry(name: str, param: str | None) -> cat.CatalogEntry:
+    """Catalog entry `name` at the --param text, if given; both catalog errors
+    become input errors (exit 2)."""
+    try:
+        return cat.get_entry(name, _parse_rational(param) if param is not None else None)
+    except (cat.UnknownEntryError, cat.ParamOutOfRangeError) as exc:
+        raise CliError(str(exc))
+
+
 def _resolve_algebra(args) -> tuple[StructureConstants, cat.CatalogEntry | None, str]:
     if args.catalog:
-        try:
-            entry = cat.get_entry(
-                args.catalog,
-                _parse_rational(args.param) if args.param is not None else None,
-            )
-        except cat.UnknownEntryError as exc:
-            raise CliError(str(exc))
-        except cat.ParamOutOfRangeError as exc:
-            raise CliError(str(exc))
+        entry = _catalog_entry(args.catalog, args.param)
         return entry.structure, entry, args.catalog
     try:
         sc = load_algebra(args.file)
@@ -205,15 +206,10 @@ def _cmd_classify(args) -> tuple[int, dict, str]:
         else:
             verdict = classify_linear_flow(sc, inner_derivation(sc, coeffs), cfg)
     else:
-        entries = _parse_scalar_list(args.matrix, sc.dim * sc.dim, "--matrix")
-        mat = tuple(
-            tuple(entries[r * sc.dim + c] for c in range(sc.dim))
-            for r in range(sc.dim)
-        )
         flow_kind = args.flow or "linear"
         if flow_kind == "invariant":
             raise CliError("--flow invariant requires --inner coefficients")
-        verdict = classify_linear_flow(sc, mat, cfg)
+        verdict = classify_linear_flow(sc, _parse_matrix(args.matrix, sc.dim), cfg)
     doc = {
         "algebra": source,
         "flow": flow_kind,
@@ -277,9 +273,7 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
         doc = [
             {
                 "name": name,
-                "display_name": cat.get_entry(
-                    name, 2 if name in cat.PARAMETRIC_NAMES else None
-                ).display_name,
+                "display_name": cat.get_entry(name).display_name,
                 "parametric": name in cat.PARAMETRIC_NAMES,
             }
             for name in cat.CATALOG_NAMES
@@ -293,20 +287,17 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
     if action == "export":
         if not args.name:
             raise CliError("catalog export needs an entry name")
-        entry = _get_entry_cli(args.name, args.param)
+        entry = _catalog_entry(args.name, args.param)
         doc = algebra_to_dict(entry.structure)
         return EXIT_OK, doc, json.dumps(doc, indent=2)
     if action == "cross-check":
         names = list(cat.CATALOG_NAMES) if args.name in (None, "all") else [args.name]
-        reports = []
-        for name in names:
-            if name in cat.PARAMETRIC_NAMES:
-                a = _parse_rational(args.param) if args.param else Fraction(2)
-                reports.append(cat.cross_check(cat.get_entry(name, a), cfg))
-            else:
-                if name not in cat.CATALOG_NAMES:
-                    raise CliError(f"unknown catalog entry {name!r}")
-                reports.append(cat.cross_check(cat.get_entry(name), cfg))
+        # --param reaches the parametric families only; the others ignore it.
+        reports = [
+            cat.cross_check(_catalog_entry(
+                name, args.param if name in cat.PARAMETRIC_NAMES else None), cfg)
+            for name in names
+        ]
         doc = [_report_to_dict(r) for r in reports]
         return EXIT_OK, doc, "\n".join(_render_report_text(r) for r in reports)
     if action == "verdict-table":
@@ -333,16 +324,6 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
             lines.append(f"{mark}{r.entry}{param:8s} {r.label:22s} {tag}")
         return EXIT_OK, doc, "\n".join(lines)
     raise CliError(f"unknown catalog action {action!r}")
-
-
-def _get_entry_cli(name: str, param: str | None) -> cat.CatalogEntry:
-    try:
-        a = _parse_rational(param) if param is not None else None
-        if a is None and name in cat.PARAMETRIC_NAMES:
-            a = Fraction(2)
-        return cat.get_entry(name, a)
-    except (cat.UnknownEntryError, cat.ParamOutOfRangeError) as exc:
-        raise CliError(str(exc))
 
 
 def _report_to_dict(r: cat.CrossCheckReport) -> dict:
@@ -390,11 +371,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         der = inner_derivation(sc, coeffs)
         mat = der.entries
     else:
-        entries = _parse_scalar_list(args.matrix, sc.dim * sc.dim, "--matrix")
-        mat = tuple(
-            tuple(entries[r * sc.dim + c] for c in range(sc.dim))
-            for r in range(sc.dim)
-        )
+        mat = _parse_matrix(args.matrix, sc.dim)
         coeffs = None
 
     doc: dict = {"algebra": source}

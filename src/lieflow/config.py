@@ -10,11 +10,13 @@ class ToleranceConfig:
     """Numeric knobs for the spectral / periodicity / flow-verification layers.
 
     All exact-arithmetic decisions ignore these; they only govern the
-    floating-point fallback paths and the numerical evidence checks.
+    floating-point fallback paths and the numerical evidence checks. For a
+    rational D the verdict reads two of them: rank_tol (clustering of numeric
+    roots, which flags an ill-conditioned spectrum, and SVD ranks where no
+    exact rank decides) and zero_tol (reason labels among numeric classes).
+    Frequency ratios and periods are always exact.
     """
 
-    ratio_tol: float = 1e-9          # acceptance threshold for rational ratio fits
-    max_denominator: int = 64        # denominator bound Q for ratio approximants
     rank_tol: float = 1e-9           # relative SVD threshold for numeric ranks
     zero_tol: float = 1e-9           # relative threshold for "numerically zero"
     period_tol: float = 1e-8         # flow-closure residual bound for periods

@@ -153,66 +153,40 @@ def rational_ratio_profile(
     cfg: ToleranceConfig | None = None,
     exact_sq: Sequence[Fraction | None] | None = None,
 ) -> RationalProfile:
-    """Best rational fits p_i/q_i (q_i <= Q) for alpha_i / alpha_1.
+    """Exact rational ratios p_i/q_i = alpha_i / alpha_1.
 
-    Frequencies are sorted ascending internally, so the base alpha_1 is the
-    smallest; the minimal period is order-independent. `exact_sq[i]`, when
-    given, certifies alpha_i = sqrt(exact_sq[i]) exactly; pairs of certified
-    values bypass approximation entirely: their ratio is rational iff
-    sq_i/sq_1 is a perfect rational square, which is decidable. Raises
-    IrrationalRatioError when any ratio has no acceptable approximant (or is
-    provably irrational).
+    `exact_sq[i]` certifies alpha_i = sqrt(exact_sq[i]); the ratio is rational
+    iff sq_i/sq_1 is a perfect rational square, which is decidable, so no
+    tolerance is read (`cfg` is accepted for compatibility). Frequencies are
+    sorted ascending internally, so the base alpha_1 is the smallest; the
+    minimal period is order-independent. Raises ValueError when a frequency
+    is not positive or lacks its exact square, and IrrationalRatioError when
+    a ratio is irrational.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not alphas:
         raise ValueError("need at least one frequency")
     if any(a <= 0 for a in alphas):
         raise ValueError("frequencies must be positive")
-    if exact_sq is None:
-        exact_sq = [None] * len(alphas)
-    if len(exact_sq) != len(alphas):
-        raise ValueError("exact_sq must parallel alphas")
-    pairs = sorted(zip(alphas, exact_sq), key=lambda p: float(p[0]))
-    alphas = [p[0] for p in pairs]
-    exact_sq = [p[1] for p in pairs]
-
-    base = float(alphas[0])
-    base_sq = exact_sq[0]
-    base_exact = _is_rational_square(base_sq) if base_sq is not None else None
+    if exact_sq is None or len(exact_sq) != len(alphas) or None in exact_sq:
+        raise ValueError("every frequency needs its exact square in exact_sq")
+    pairs = sorted(zip(alphas, exact_sq), key=lambda p: p[1])
+    base, base_sq = float(pairs[0][0]), pairs[0][1]
 
     ratios: list[tuple[int, int]] = []
-    residuals: list[float] = []
-    for i, a in enumerate(alphas):
-        sq = exact_sq[i]
-        if sq is not None and base_sq is not None:
-            ratio_sq = sq / base_sq
-            root = _is_rational_square(ratio_sq)
-            if root is None:
-                raise IrrationalRatioError(
-                    i,
-                    float(a) / base,
-                    f"ratio alpha_{i + 1}/alpha_1 = sqrt({ratio_sq}) is irrational",
-                )
-            ratios.append((root.numerator, root.denominator))
-            residuals.append(0.0)
-            continue
-        r = float(a) / base
-        approx = Fraction(r).limit_denominator(cfg.max_denominator)
-        err = abs(r - float(approx))
-        if err > cfg.ratio_tol:
+    for i, (a, sq) in enumerate(pairs):
+        root = _is_rational_square(sq / base_sq)
+        if root is None:
             raise IrrationalRatioError(
                 i,
-                r,
-                f"ratio alpha_{i + 1}/alpha_1 = {r!r} has no rational approximant "
-                f"with denominator <= {cfg.max_denominator} within {cfg.ratio_tol}",
+                float(a) / base,
+                f"ratio alpha_{i + 1}/alpha_1 = sqrt({sq / base_sq}) is irrational",
             )
-        ratios.append((approx.numerator, approx.denominator))
-        residuals.append(err)
+        ratios.append((root.numerator, root.denominator))
     return RationalProfile(
         base_alpha=base,
         ratios=tuple(ratios),
-        residuals=tuple(residuals),
-        base_alpha_exact=base_exact,
+        residuals=(0.0,) * len(ratios),
+        base_alpha_exact=_is_rational_square(base_sq),
     )
 
 
@@ -279,11 +253,13 @@ def classify_flow(spec: Spectrum, cfg: ToleranceConfig | None = None) -> FlowVer
     imaginary = [c for c in spec.classes if not _is_real(c, ztol) and c.value.imag > 0]
     if not imaginary:
         return identity_flow()
-    imaginary.sort(key=lambda c: c.value.imag)
+    # Extraction is complete: a periodic rational D has only exact classes,
+    # 0 and +-i*sqrt(q) with q rational, so a numeric one rules it out.
+    if not all(c.exact for c in imaginary):
+        return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
     alphas = [c.value.imag for c in imaginary]
-    exact_sq = [c.exact_im_sq if c.exact_re == 0 else None for c in imaginary]
     try:
-        profile = rational_ratio_profile(alphas, cfg, exact_sq)
+        profile = rational_ratio_profile(alphas, cfg, [c.exact_im_sq for c in imaginary])
     except IrrationalRatioError:
         return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
     period = minimal_period(profile, cfg)

@@ -1,13 +1,17 @@
 """Characteristic polynomials and per-eigenvalue semisimplicity analysis.
 
 Two-tier arithmetic: the characteristic polynomial is always exact (trace
-recursion over rationals; float entries are converted losslessly). Roots are
-extracted exactly wherever the factorization stays rational or quadratic
-(rational roots with multiplicity, rational quadratic factors, even
-polynomials via the mu = lambda^2 substitution) and numerically otherwise.
-Geometric multiplicities come from exact ranks on the exact paths and from
-SVD thresholding on the numeric path; conjugate pairs always use the rank of
-the real quadratic factor q(D) = D^2 - 2*Re*D + |mu|^2 I.
+recursion over rationals; float entries are converted losslessly). Yun's
+square-free decomposition splits it into coprime factors s_k^k first, so
+algebraic multiplicities are exact and each factor has simple roots. Roots
+are extracted exactly wherever the factorization stays rational or quadratic
+(every rational root, found by Sturm bisection onto the rational-root
+lattice; irreducible quadratic factors; rational roots of mu = lambda^2 for
+even factors) and numerically otherwise. A simple root is semisimple. For a
+repeated factor, geometric multiplicities come from exact ranks; conjugate
+pairs use the rank of the real quadratic factor q(D) = D^2 - 2*Re*D + |mu|^2 I,
+and numeric roots the exact test rank s(D) = n - k*deg s, with SVD
+thresholding only where that test fails and for merged numeric clusters.
 """
 
 from __future__ import annotations
@@ -104,88 +108,132 @@ def poly_eval_matrix(p: CharPoly, mat) -> Matrix:
     return tuple(tuple(row) for row in acc)
 
 
-# --- exact root extraction ---------------------------------------------------
+# --- exact polynomial algebra ------------------------------------------------
+# Polynomials are lists of integer coefficients, lowest degree first, without
+# trailing zeros ([] is the zero polynomial). Over Q they stand for their
+# rational multiples, so a primitive integer form is the exact Q-polynomial up
+# to a unit, and all arithmetic stays in integers.
 
 
-def _deflate_linear(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Divide by (lambda - root); returns (quotient coeffs, remainder)."""
-    n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = coeffs[n]
-    for i in range(n - 1, 0, -1):
-        q[i - 1] = coeffs[i] + root * q[i]
-    rem = coeffs[0] + root * q[0]
-    return q, rem
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _numeric_roots(coeffs: list[Fraction]) -> np.ndarray:
-    desc = [float(c) for c in reversed(coeffs)]
-    if len(desc) <= 1:
-        return np.array([], dtype=complex)
-    return np.atleast_1d(np.roots(desc)).astype(complex)
+def _primitive(p: list[int]) -> list[int]:
+    """p over its (positive) content, trimmed; signs are kept."""
+    _trim(p)
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _rational_candidates(roots: np.ndarray, scale: float) -> list[Fraction]:
-    """Candidate rational roots from numeric discovery; verification is exact."""
-    reals = [complex(r).real for r in roots if abs(complex(r).imag) <= 1e-5 * scale]
-    # Cluster means sharpen multiple roots, whose individual estimates wobble.
-    centers = []
-    for r in sorted(reals):
-        if centers and abs(r - centers[-1][0] / centers[-1][1]) <= 5e-3 * scale:
-            centers[-1] = (centers[-1][0] + r, centers[-1][1] + 1)
-        else:
-            centers.append((r, 1))
-    candidates: list[Fraction] = []
-    seen = set()
-    for total, count in centers:
-        mean = total / count
-        for cand in (
-            Fraction(round(mean)),
-            Fraction(mean),
-            Fraction(mean).limit_denominator(64),
-            Fraction(mean).limit_denominator(10**4),
-            Fraction(mean).limit_denominator(10**9),
-        ):
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
-    return candidates
+def _deriv(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
 
 
-def _extract_rational_roots(
-    coeffs: list[Fraction],
-) -> tuple[dict[Fraction, int], list[Fraction]]:
-    """All rational roots with multiplicity, each verified in exact arithmetic."""
-    found: dict[Fraction, int] = {}
-    # Zero roots are just trailing structure; peel them first.
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        found[Fraction(0)] = found.get(Fraction(0), 0) + 1
-        coeffs = coeffs[1:]
-    while len(coeffs) > 1:
-        if len(coeffs) == 2:
-            root = -coeffs[0] / coeffs[1]
-            found[root] = found.get(root, 0) + 1
-            coeffs = coeffs[1:]
-            break
-        roots = _numeric_roots(coeffs)
-        scale = max(1.0, max((abs(r) for r in roots), default=1.0))
-        hit = None
-        for cand in _rational_candidates(roots, scale):
-            q, rem = _deflate_linear(coeffs, cand)
-            if rem == 0:
-                hit = cand
-                coeffs = q
-                break
-        if hit is None:
-            break
-        found[hit] = found.get(hit, 0) + 1
-        while len(coeffs) > 1:
-            q, rem = _deflate_linear(coeffs, hit)
-            if rem != 0:
-                break
-            coeffs = q
-            found[hit] += 1
-    return found, coeffs
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, made primitive; the
+    sign is kept for Sturm sequences."""
+    r, lead, sign = list(a), abs(b[-1]), 1 if b[-1] > 0 else -1
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        t = r.pop() * sign  # r <- |lc(b)| r - sign(lc(b)) r_i x^(i-deg b) b
+        r = [lead * c for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[i - len(b) + 1 + j] -= t * c
+    return _primitive(r)
+
+
+def _quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a; the quotient of integer polynomials by a
+    primitive divisor has integer coefficients (Gauss's lemma)."""
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive greatest common divisor with a positive leading coefficient."""
+    while b:
+        a, b = b, _rem(a, b)
+    return _primitive([-c for c in a] if a[-1] < 0 else list(a))
+
+
+def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition p = prod s_k^k, up to a constant.
+
+    Returns the nonconstant s_k with their k; they are square-free and
+    pairwise coprime (D. Y. Y. Yun, SYMSAC '76).
+    """
+    dp = _deriv(p)
+    g = _gcd(p, dp)
+    b, c = _quo(p, g), _quo(dp, g)
+    factors = []
+    k = 1
+    while len(b) > 1:
+        db = _deriv(b)
+        d = _trim([(c[i] if i < len(c) else 0) - (db[i] if i < len(db) else 0)
+                   for i in range(max(len(c), len(db)))])
+        s = _gcd(b, d)
+        if len(s) > 1:
+            factors.append((s, k))
+        b, c = _quo(b, s), _quo(d, s)
+        k += 1
+    return factors
+
+
+def _sign_at(ints: list[int], x: Fraction) -> int:
+    """Sign of an integer polynomial at x, in integer arithmetic."""
+    u, v = x.numerator, x.denominator
+    acc, vp = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        vp *= v
+        acc = acc * u + c * vp  # v^deg * p(u/v), which has the sign of p(x)
+    return (acc > 0) - (acc < 0)
+
+
+def _rational_roots(s: list[int]) -> list[Fraction]:
+    """Every rational root of the primitive square-free polynomial s, ascending.
+
+    By the rational root theorem they lie on the lattice (1/a)Z, where a is the
+    leading coefficient of s. Sturm counts bisect (-B, B], B the
+    Cauchy bound, down to intervals (lo, hi] narrower than 1/a around the real
+    roots; the one lattice point of each such interval is tested exactly.
+    """
+    seq = [s, _primitive(_deriv(s))]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _rem(seq[-2], seq[-1])])
+    lead = abs(s[-1])
+
+    def variations(x: Fraction) -> int:
+        count, prev = 0, 0
+        for q in seq:
+            sign = _sign_at(q, x)
+            if sign:
+                count += prev == -sign
+                prev = sign
+        return count
+
+    bound = Fraction(1 - (-max(abs(c) for c in s[:-1]) // lead))
+    roots = []
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:  # no root in (lo, hi]
+            continue
+        if (hi - lo) * lead <= 1:
+            x = Fraction(math.floor(hi * lead), lead)
+            if x > lo and _sign_at(s, x) == 0:
+                roots.append(x)
+            continue
+        mid = (lo + hi) / 2
+        vmid = variations(mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(roots)
 
 
 def _is_rational_square(x: Fraction) -> Fraction | None:
@@ -210,9 +258,11 @@ class _PendingClass:
     exact_im_sq: Fraction | None = None
     quad: tuple[Fraction, Fraction] | None = None  # monic lambda^2 + b*lambda + c
     rational: Fraction | None = None
+    geom: int | None = None  # set when decided without a rank
 
 
 def _quadratic_pending(b: Fraction, c: Fraction, mult: int) -> list[_PendingClass]:
+    """The two roots of lambda^2 + b*lambda + c, irreducible over Q."""
     disc = b * b - 4 * c
     re = -b / 2
     if disc < 0:
@@ -222,17 +272,6 @@ def _quadratic_pending(b: Fraction, c: Fraction, mult: int) -> list[_PendingClas
             _PendingClass(complex(float(re), s * im), mult, re, im_sq, (b, c))
             for s in (+1, -1)
         ]
-    root = _is_rational_square(disc)
-    if root is not None:
-        # Rational roots; reachable only if upstream extraction was skipped.
-        if root == 0:
-            return [_PendingClass(complex(float(re)), 2 * mult, re, Fraction(0),
-                                  None, re)]
-        return [
-            _PendingClass(complex(float(re + s * root / 2)), mult,
-                          re + s * root / 2, Fraction(0), None, re + s * root / 2)
-            for s in (+1, -1)
-        ]
     sq = math.sqrt(float(disc))
     return [
         _PendingClass(complex(float(re) + s * sq / 2), mult, None, Fraction(0), (b, c))
@@ -240,46 +279,50 @@ def _quadratic_pending(b: Fraction, c: Fraction, mult: int) -> list[_PendingClas
     ]
 
 
-def _even_poly_pending(
-    coeffs: list[Fraction],
-) -> tuple[list[_PendingClass], list[Fraction]]:
-    """Exact classes from the mu = lambda^2 substitution of an even polynomial.
+def _factor_pending(
+    s: list[int], k: int, mq: Matrix, cfg: ToleranceConfig
+) -> tuple[list[_PendingClass], bool, list[str]]:
+    """Classes of the roots of one square-free factor s of multiplicity k.
 
-    Returns (pending classes for rational mu roots, residual lambda-polynomial
-    for everything the substitution could not resolve exactly).
+    Rational roots first, then an irreducible quadratic rest, or for an even
+    rest the rational roots mu of s(lambda) = h(lambda^2); whatever is left
+    goes to the numeric path.
     """
-    mu_coeffs = list(coeffs[0::2])
-    mu_roots, mu_rest = _extract_rational_roots(mu_coeffs)
-    pending: list[_PendingClass] = []
-    for mu, mult in sorted(mu_roots.items()):
-        if mu < 0:
-            im = math.sqrt(float(-mu))
-            for s in (+1, -1):
-                pending.append(
-                    _PendingClass(complex(0.0, s * im), mult, Fraction(0), -mu,
-                                  (Fraction(0), -mu)))
-        else:
-            # mu > 0 with rational sqrt would have been a rational lambda root.
-            sq = math.sqrt(float(mu))
-            for s in (+1, -1):
-                pending.append(
-                    _PendingClass(complex(s * sq), mult, None, Fraction(0),
-                                  (Fraction(0), -mu)))
-    residual = [Fraction(0)] * (2 * len(mu_rest) - 1)
-    for i, c in enumerate(mu_rest):
-        residual[2 * i] = c
-    return pending, residual
+    pending = []
+    for r in _rational_roots(s):
+        s = _quo(s, [-r.numerator, r.denominator])
+        pending.append(_PendingClass(complex(float(r)), k, r, Fraction(0), None, r))
+    if len(s) == 3:
+        b, c = Fraction(s[1], s[2]), Fraction(s[0], s[2])
+        return pending + _quadratic_pending(b, c, k), False, []
+    if len(s) > 3 and not any(s[1::2]):
+        h = s[0::2]
+        for mu in _rational_roots(h):
+            h = _quo(h, [-mu.numerator, mu.denominator])
+            pending += _quadratic_pending(Fraction(0), -mu, k)
+        s = [0] * (2 * len(h) - 1)
+        s[0::2] = h
+    if len(s) == 1:
+        return pending, False, []
+    numeric, ill, notes = _numeric_pending(s, k, cfg)
+    if k > 1:
+        # All roots of s are semisimple iff dim ker s(D) = k * deg s, exactly.
+        monic = CharPoly(tuple(Fraction(c, s[-1]) for c in s))
+        kernel = len(mq) - _linalg.rank(poly_eval_matrix(monic, mq))
+        for q in numeric:
+            if q.alg == k and kernel == k * (len(s) - 1):
+                q.geom = k
+    return pending + numeric, ill, notes
 
 
 # --- numeric classing --------------------------------------------------------
 
 
 def _numeric_pending(
-    coeffs: list[Fraction], cfg: ToleranceConfig
+    coeffs: list[int], k: int, cfg: ToleranceConfig
 ) -> tuple[list[_PendingClass], bool, list[str]]:
-    roots = _numeric_roots(coeffs)
-    if roots.size == 0:
-        return [], False, []
+    desc = [float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)]
+    roots = np.atleast_1d(np.roots(desc)).astype(complex)
     scale = max(1.0, float(np.max(np.abs(roots))))
     guard = max(cfg.rank_tol, 1e-6) * scale
     clusters: list[list[complex]] = []
@@ -340,32 +383,12 @@ def _numeric_pending(
         sym.append(_PendingClass(val, alg))
         sym.append(_PendingClass(val.conjugate(), alg))
         used[idx] = used[mate] = True
+    for q in sym:
+        q.alg *= k
     return sym, ill, notes
 
 
 # --- geometric multiplicity --------------------------------------------------
-
-
-def _exact_shifted_rank(mq: Matrix, shift: Fraction) -> int:
-    n = len(mq)
-    rows = [
-        [mq[i][j] - (shift if i == j else Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return _linalg.rank(rows)
-
-
-def _exact_quadratic_rank(mq: Matrix, b: Fraction, c: Fraction) -> int:
-    n = len(mq)
-    m2 = _linalg.mat_mul(mq, mq)
-    rows = [
-        [
-            m2[i][j] + b * mq[i][j] + (c if i == j else Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _linalg.rank(rows)
 
 
 def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
@@ -379,17 +402,31 @@ def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
 
 
 def _geom_mult(
-    p: _PendingClass, mq: Matrix, mf: np.ndarray, cfg: ToleranceConfig
+    p: _PendingClass, mq: Matrix, d2: Matrix | None, cfg: ToleranceConfig
 ) -> int:
+    """Geometric multiplicity; d2 is D^2, needed for a repeated exact pair."""
     n = len(mq)
+    if p.alg == 1:
+        return 1
+    if p.geom is not None:
+        return p.geom
     if p.rational is not None:
-        return n - _exact_shifted_rank(mq, p.rational)
+        rows = [
+            [mq[i][j] - (p.rational if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        return n - _linalg.rank(rows)
     if p.quad is not None:
         b, c = p.quad
-        deficiency = n - _exact_quadratic_rank(mq, b, c)
+        rows = [
+            [d2[i][j] + b * mq[i][j] + (c if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        deficiency = n - _linalg.rank(rows)
         if deficiency % 2 != 0:
             raise AssertionError("odd kernel for a conjugate/surd pair; solver bug")
         return deficiency // 2
+    mf = np.array(mq, dtype=float)
     if p.value.imag == 0:
         shifted = mf - p.value.real * np.eye(n)
         return n - _numeric_rank(shifted, cfg.rank_tol)
@@ -406,8 +443,9 @@ def spectrum(mat, tol: float | None = None, cfg: ToleranceConfig | None = None) 
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
     Exact classes carry their rational certificates; numeric classes report
-    ill-conditioning whenever root clusters could not be told apart at the
-    configured tolerance instead of silently committing to a multiplicity.
+    ill-conditioning whenever root clusters of one square-free factor could
+    not be told apart at the configured tolerance instead of silently
+    committing to a multiplicity.
     """
     cfg = cfg or DEFAULT_CONFIG
     if tol is not None:
@@ -416,61 +454,24 @@ def spectrum(mat, tol: float | None = None, cfg: ToleranceConfig | None = None) 
         cfg = cfg.override(rank_tol=tol)
     mq = coerce_matrix(mat)
     n = len(mq)
-    mf = np.array([[float(v) for v in row] for row in mq], dtype=float)
 
-    p = char_poly(mq)
-    coeffs = list(p.coeffs)
-    rational_roots, rest = _extract_rational_roots(coeffs)
-
-    pending: list[_PendingClass] = [
-        _PendingClass(complex(float(r)), mult, r, Fraction(0), None, r)
-        for r, mult in sorted(rational_roots.items())
-    ]
+    pending: list[_PendingClass] = []
     ill = False
     notes: list[str] = []
-    deg = len(rest) - 1
-    if deg == 2:
-        b, c = rest[1] / rest[2], rest[0] / rest[2]
-        pending.extend(_quadratic_pending(b, c, 1))
-    elif deg > 2:
-        if all(c == 0 for c in rest[1::2]):
-            even_pending, residual = _even_poly_pending(rest)
-            pending.extend(even_pending)
-            if len(residual) - 1 == 2:
-                b, c = residual[1] / residual[2], residual[0] / residual[2]
-                pending.extend(_quadratic_pending(b, c, 1))
-            elif len(residual) - 1 > 2:
-                num, num_ill, num_notes = _numeric_pending(residual, cfg)
-                pending.extend(num)
-                ill |= num_ill
-                notes.extend(num_notes)
-        else:
-            num, num_ill, num_notes = _numeric_pending(rest, cfg)
-            pending.extend(num)
-            ill |= num_ill
-            notes.extend(num_notes)
-    elif deg == 1:
-        raise AssertionError("a linear factor always has a rational root")
+    coeffs = char_poly(mq).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    for s, k in _square_free(_primitive([int(c * den) for c in coeffs])):
+        got, got_ill, got_notes = _factor_pending(s, k, mq, cfg)
+        pending.extend(got)
+        ill |= got_ill
+        notes.extend(got_notes)
 
-    # Exact values are certified distinct; ambiguity can only involve numeric
-    # classes, including a numeric class shadowing an exact one.
-    is_numeric = [q.rational is None and q.quad is None for q in pending]
-    numeric = [q for q, flag in zip(pending, is_numeric) if flag]
-    exactish = [q for q, flag in zip(pending, is_numeric) if not flag]
-    for q in numeric:
-        for e in exactish:
-            if abs(q.value - e.value) <= max(cfg.rank_tol, 1e-6) * max(
-                1.0, abs(e.value)
-            ):
-                ill = True
-                notes.append(
-                    f"numeric root {q.value:.6g} is indistinguishable from the "
-                    f"exact eigenvalue {e.value:.6g}"
-                )
-
+    d2 = None
+    if any(q.quad is not None and q.alg > 1 for q in pending):
+        d2 = _linalg.mat_mul(mq, mq)
     classes = []
     for q in pending:
-        geom = _geom_mult(q, mq, mf, cfg)
+        geom = _geom_mult(q, mq, d2, cfg)
         geom = min(max(geom, 1), q.alg)
         classes.append(
             EigenClass(

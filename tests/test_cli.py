@@ -404,3 +404,24 @@ def test_bad_knob_exits_2(flag, value):
                           f"{flag}={value}")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_classify_repeated_off_axis_pair_exits_0(capsys, tmp_path):
+    # C + C with C = [[0, -1], [1, -1]]: (l^2 + l + 1)^2 is decided exactly.
+    path = tmp_path / "abelian4.json"
+    path.write_text(json.dumps({"dim": 4, "brackets": []}))
+    code, doc, _ = run_json(
+        capsys, "classify", "--file", str(path),
+        "--matrix", "0,-1,0,0,1,-1,0,0,0,0,0,-1,0,0,1,-1",
+    )
+    assert code == 0
+    assert doc["verdict"]["tag"] == "NoPeriodicOrbits"
+    assert doc["verdict"]["reason"] == "NonzeroRealPart"
+
+
+@pytest.mark.parametrize("name", ["g35_a", "all"])
+def test_cross_check_param_out_of_range_exits_2(name):
+    proc = cli_subprocess("catalog", "cross-check", name, "--param", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -191,21 +191,6 @@ def test_profile_two_frequencies_exact():
     assert p.base_alpha_exact == 2
 
 
-def test_profile_sqrt2_is_flagged_irrational():
-    # Best denominator-<=64 approximant to sqrt(2) is 41/29, off by ~4e-4.
-    with pytest.raises(IrrationalRatioError) as err:
-        rational_ratio_profile([1.0, math.sqrt(2)])
-    assert abs(err.value.ratio - math.sqrt(2)) < 1e-12
-    best = F(math.sqrt(2)).limit_denominator(64)
-    assert abs(math.sqrt(2) - best) > 1e-5
-
-
-def test_profile_accepts_floats_within_tolerance():
-    p = rational_ratio_profile([1.0, 1.5 + 1e-12])
-    assert p.ratios == ((1, 1), (3, 2))
-    assert p.residuals[1] <= 1e-9
-
-
 def test_profile_rejects_nonpositive():
     with pytest.raises(ValueError):
         rational_ratio_profile([0.0, 1.0])
@@ -360,3 +345,62 @@ def test_verdict_dict_no_periodic():
     assert doc["tag"] == "NoPeriodicOrbits"
     assert doc["reason"] == "RealNonzeroEigenvalue"
     assert doc["period"] is None
+
+
+# --- exact verdicts from the square-free core ----------------------------------
+
+
+def test_repeated_off_axis_pair_is_classified_not_refused():
+    c = [[0, -1], [1, -1]]
+    v = classify_flow(spectrum(blkdiag(c, c)))
+    assert v.tag == "NoPeriodicOrbits"
+    assert v.reason == "NonzeroRealPart"
+
+
+def test_near_commensurable_quartic_is_irrational():
+    # R(1) + companion(l^4 + 25/4 l^2 + (9 - 1e-12)): the mu-quadratic is
+    # irreducible over Q, so no float fit may call the ratios 3/2 and 2.
+    c0, c2 = 9 - F(1, 10**12), F(25, 4)
+    quartic = [[0, 0, 0, -c0], [1, 0, 0, 0], [0, 1, 0, -c2], [0, 0, 1, 0]]
+    v = classify_linear_flow(abelian(6), blkdiag(rot_block(1), quartic))
+    assert v.tag == "NoPeriodicOrbits"
+    assert v.reason == "IrrationalRatio"
+
+
+def test_tiny_rational_rotations_are_periodic():
+    v = classify_flow(spectrum(blkdiag(rot_block(F(1, 123457)), rot_block(F(2, 123457)))))
+    assert v.tag == "PeriodicFlow"
+    assert v.period_over_pi == 246914
+
+
+def test_float_rotations_get_exact_periods():
+    v = classify_flow(spectrum(blkdiag(rot_block(0.1), rot_block(0.2), rot_block(0.4))))
+    assert v.tag == "PeriodicFlow"
+    assert v.period_over_pi == 2 / F(0.1)
+    assert v.profile.ratios == ((1, 1), (2, 1), (4, 1))
+
+
+def test_float_rotations_with_huge_exact_ratio_denominator():
+    # float(0.3) / float(0.1) = 3 - 1/3602879701896397 exactly.
+    with pytest.raises(PeriodTooLargeError) as err:
+        classify_flow(spectrum(blkdiag(rot_block(0.1), rot_block(0.3))))
+    assert err.value.lcm == 3602879701896397
+
+
+def test_numeric_imaginary_class_is_irrational_ratio():
+    # A numeric class can only come from an irrational mu-root.
+    classes = (
+        EigenClass(complex(0, -1), 1, 1, True, F(0), F(1)),
+        EigenClass(complex(0, 1), 1, 1, True, F(0), F(1)),
+        EigenClass(complex(0, -1.5), 1, 1, True),
+        EigenClass(complex(0, 1.5), 1, 1, True),
+    )
+    v = classify_flow(Spectrum(classes=classes, dim=4, tolerance_used=1e-9))
+    assert v.reason == "IrrationalRatio"
+
+
+def test_profile_needs_exact_squares():
+    with pytest.raises(ValueError):
+        rational_ratio_profile([1.0, 1.5])
+    with pytest.raises(ValueError):
+        rational_ratio_profile([1.0, 1.5], exact_sq=[F(1), None])

@@ -352,3 +352,102 @@ def test_spectrum_tolerance_must_be_positive():
 def test_default_rank_tolerance_recorded():
     s = spectrum(((1, 0), (0, 2)))
     assert s.tolerance_used == DEFAULT_CONFIG.rank_tol
+
+
+# --- square-free core: exact multiplicities and complete rational roots -------
+
+
+C = ((0, -1), (1, -1))  # companion of l^2 + l + 1
+
+
+def rot(beta):
+    return ((0, -beta), (beta, 0))
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[F(0)] * n for _ in range(n)]
+    pos = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                out[pos + i][pos + j] = F(v)
+        pos += len(b)
+    return out
+
+
+def test_repeated_irreducible_quadratic_is_one_exact_pair():
+    for copies in (2, 3):
+        s = spectrum(block_diag(*[C] * copies))
+        assert not s.ill_conditioned
+        assert len(s.classes) == 2
+        for c in s.classes:
+            assert c.exact_re == F(-1, 2) and c.exact_im_sq == F(3, 4)
+            assert c.alg_mult == copies and c.geom_mult == copies and c.semisimple
+
+
+def test_coupled_irreducible_quadratic_is_not_semisimple():
+    m = block_diag(C, C)
+    m[0][2] = m[1][3] = F(1)  # [[C, I], [0, C]]
+    s = spectrum(m)
+    assert not s.ill_conditioned
+    assert [(c.alg_mult, c.geom_mult, c.semisimple) for c in s.classes] == [(2, 1, False)] * 2
+
+
+def int_poly_mul(*polys):
+    out = [1]
+    for q in polys:
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(q):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_rational_roots_are_found_not_guessed():
+    # Roots 1/123457 and 2/123457 are far below any float clustering scale.
+    from lieflow.spectral import _rational_roots
+
+    p = int_poly_mul([-1, 123457], [-2, 123457], [-2, 0, 1])
+    assert _rational_roots(p) == [F(1, 123457), F(2, 123457)]
+    assert _rational_roots([-2, 0, 1]) == []  # x^2 - 2
+    assert _rational_roots([0, 1]) == [F(0)]
+
+
+def test_square_free_decomposition_of_planted_powers():
+    from lieflow.spectral import _square_free
+
+    quad, lin, cub = [1, 1, 1], [-1, 3], [-2, 0, 0, 1]
+    p = int_poly_mul(quad, quad, quad, lin, cub, cub, cub, cub)
+    assert _square_free(p) == [(lin, 1), (quad, 3), (cub, 4)]
+
+
+def test_tiny_rational_rotations_are_exact():
+    s = spectrum(block_diag(rot(F(1, 123457)), rot(F(2, 123457))))
+    positives = sorted((c for c in s.classes if c.value.imag > 0), key=lambda c: c.value.imag)
+    assert [c.exact_im_sq for c in positives] == [F(1, 123457**2), F(4, 123457**2)]
+    assert all(c.exact_re == 0 and c.semisimple for c in positives)
+
+
+def test_float_rotations_have_exact_binary_mu_roots():
+    s = spectrum(block_diag(rot(0.1), rot(0.2), rot(0.4)))
+    positives = sorted((c for c in s.classes if c.value.imag > 0), key=lambda c: c.value.imag)
+    assert [c.exact_im_sq for c in positives] == [F(b) ** 2 for b in (0.1, 0.2, 0.4)]
+
+
+def test_repeated_numeric_factor_semisimplicity_is_exact():
+    # companion(l^3 - 3l - 1) has three irrational real roots; two copies are
+    # semisimple, a coupled pair [[K, I], [0, K]] is not.
+    k = ((0, 0, 1), (1, 0, 3), (0, 1, 0))
+    s = spectrum(block_diag(k, k))
+    assert not s.ill_conditioned
+    assert len(s.classes) == 3
+    assert all(c.alg_mult == 2 and c.geom_mult == 2 and c.semisimple for c in s.classes)
+    assert all(c.exact_re is None for c in s.classes)
+    m = block_diag(k, k)
+    for i in range(3):
+        m[i][i + 3] = F(1)
+    s = spectrum(m)
+    assert not s.ill_conditioned
+    assert all(c.alg_mult == 2 and c.geom_mult == 1 and not c.semisimple for c in s.classes)
