@@ -38,7 +38,6 @@ from .dersolve import (
 from .spectral import (
     CharPoly,
     EigenClass,
-    IllConditionedSpectrumError,
     Spectrum,
     char_poly,
     poly_eval_matrix,
@@ -110,7 +109,6 @@ __all__ = [
     "leibniz_residual",
     "CharPoly",
     "EigenClass",
-    "IllConditionedSpectrumError",
     "Spectrum",
     "char_poly",
     "poly_eval_matrix",

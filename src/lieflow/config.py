@@ -7,18 +7,17 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric knobs for the spectral / periodicity / flow-verification layers.
+    """Numeric knobs for spectrum() and the flow-verification layer.
 
-    All exact-arithmetic decisions ignore these; they only govern the
-    floating-point fallback paths and the numerical evidence checks. For a
-    rational D the verdict reads two of them: rank_tol (clustering of numeric
-    roots, which flags an ill-conditioned spectrum, and SVD ranks where no
-    exact rank decides) and zero_tol (reason labels among numeric classes).
-    Frequency ratios and periods are always exact.
+    Flow verdicts read none of these tolerances: for a rational D the
+    verdict is decided exactly from the integer characteristic polynomial,
+    and lcm_bound only caps the size of an exact period. rank_tol serves
+    spectrum()'s numeric classes (root clustering, which flags an
+    ill-conditioned spectrum, and SVD ranks where no exact rank decides);
+    the rest govern the numerical evidence checks.
     """
 
     rank_tol: float = 1e-9           # relative SVD threshold for numeric ranks
-    zero_tol: float = 1e-9           # relative threshold for "numerically zero"
     period_tol: float = 1e-8         # flow-closure residual bound for periods
     separation: float = 1e-3         # residual floor certifying "not closed"
     horizon: float = 50.0            # time horizon for non-periodic evidence

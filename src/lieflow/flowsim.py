@@ -108,16 +108,21 @@ def _closure_residuals(
     """Per trial period T_j, max over t in linspace(0, horizon, samples) of
     ||e^{(t+T_j)D} - e^{tD}||_F and the first t where it occurs, computed as
     ||(e^{T_j D} - I) e^{tD}||_F from one batch of exponentials over the grid
-    and the trial periods. An overflow shows as a non-finite residual."""
+    and the trial periods. Each e^{tD} is divided by the power of two at its
+    largest entry and the norm multiplied back, which changes no bit of a
+    residual that fits but keeps the sum of squares from overflowing past
+    ~1e154; a residual that still overflows shows as non-finite."""
     ts = np.linspace(0.0, horizon, samples)
     exps = expm(arr, np.concatenate([ts, periods]), cfg)
     flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
+    scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
+    flows = flows / scale[:, None, None]
     squares = np.empty((len(gaps), samples))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, gap in enumerate(gaps):  # one period at a time keeps peak memory flat
             prod = gap @ flows
             squares[j] = np.einsum("tab,tab->t", prod, prod)
-    res = np.sqrt(squares)
+        res = np.sqrt(squares) * scale
     worst = np.argmax(res, axis=1)
     return res[np.arange(len(gaps)), worst], ts[worst]
 

@@ -3,7 +3,11 @@
 The matrix flow e^{tD} is periodic exactly when every nonzero eigenvalue of D
 is purely imaginary and semisimple with pairwise rational ratios of the
 imaginary parts, and the zero eigenvalue (if present) is semisimple as well;
-a nilpotent block would contribute a polynomial-in-t term. Verdicts:
+a nilpotent block would contribute a polynomial-in-t term. classify_flow
+decides all of it exactly from the integer characteristic polynomial, with
+no eigenvalue computed and no tolerance read (Basu, Pollack & Roy,
+Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2 and 9, for the
+Sturm counts). Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
 * PeriodicFlow{T}       - every non-fixed orbit on the simply connected group
@@ -21,7 +25,7 @@ a nilpotent block would contribute a polynomial-in-t term. Verdicts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,11 +33,17 @@ from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import coerce_matrix, inner_derivation, leibniz_residual
 from .liealg import Scalar, StructureConstants
 from .spectral import (
-    EigenClass,
-    IllConditionedSpectrumError,
-    Spectrum,
+    CharPoly,
+    _deriv,
+    _gcd,
+    _imaginary_axis_gcd,
+    _integer_char_poly,
     _is_rational_square,
-    spectrum,
+    _quo,
+    _rational_roots,
+    _real_root_count,
+    _square_free,
+    poly_eval_matrix,
 )
 
 REASON_NONZERO_REAL_PART = "NonzeroRealPart"
@@ -79,7 +89,6 @@ class RationalProfile:
 
     base_alpha: float
     ratios: tuple[tuple[int, int], ...]
-    residuals: tuple[float, ...]
     base_alpha_exact: Fraction | None = None
 
 
@@ -94,15 +103,7 @@ class FlowVerdict:
     note: str | None = None
 
     def with_caveat(self, caveat: str) -> "FlowVerdict":
-        return FlowVerdict(
-            tag=self.tag,
-            period=self.period,
-            period_over_pi=self.period_over_pi,
-            reason=self.reason,
-            profile=self.profile,
-            caveats=self.caveats + (caveat,),
-            note=self.note,
-        )
+        return replace(self, caveats=self.caveats + (caveat,))
 
 
 def identity_flow() -> FlowVerdict:
@@ -117,75 +118,38 @@ def inconclusive(note: str) -> FlowVerdict:
     return FlowVerdict(tag="SpectralPeriodicInconclusive", note=note)
 
 
-# --- eigenvalue predicates ---------------------------------------------------
-
-
-def _scale(spec: Spectrum) -> float:
-    return max(1.0, max((abs(c.value) for c in spec.classes), default=1.0))
-
-
-def _is_real(c: EigenClass, ztol: float) -> bool:
-    if c.exact_im_sq is not None:
-        return c.exact_im_sq == 0
-    return abs(c.value.imag) <= ztol
-
-
-def _is_zero(c: EigenClass, ztol: float) -> bool:
-    if c.exact_re is not None and c.exact_im_sq is not None:
-        return c.exact_re == 0 and c.exact_im_sq == 0
-    if c.exact_im_sq == 0 and c.exact_re is None:
-        # Real quadratic surd: irrational, hence provably nonzero.
-        return False
-    return abs(c.value) <= ztol
-
-
-def _has_zero_real_part(c: EigenClass, ztol: float) -> bool:
-    if c.exact_re is not None:
-        return c.exact_re == 0
-    return abs(c.value.real) <= ztol
-
-
 # --- rational ratio machinery ------------------------------------------------
 
 
-def rational_ratio_profile(
-    alphas: Sequence[float],
-    cfg: ToleranceConfig | None = None,
-    exact_sq: Sequence[Fraction | None] | None = None,
-) -> RationalProfile:
-    """Exact rational ratios p_i/q_i = alpha_i / alpha_1.
+def rational_ratio_profile(squares: Sequence[Fraction]) -> RationalProfile:
+    """Exact rational ratios p_i/q_i = alpha_i / alpha_1 of the frequencies
+    alpha_i = sqrt(squares[i]).
 
-    `exact_sq[i]` certifies alpha_i = sqrt(exact_sq[i]); the ratio is rational
-    iff sq_i/sq_1 is a perfect rational square, which is decidable, so no
-    tolerance is read (`cfg` is accepted for compatibility). Frequencies are
-    sorted ascending internally, so the base alpha_1 is the smallest; the
-    minimal period is order-independent. Raises ValueError when a frequency
-    is not positive or lacks its exact square, and IrrationalRatioError when
-    a ratio is irrational.
+    The ratio is rational iff alpha_i^2 / alpha_1^2 is a perfect rational
+    square, which is decidable, so no tolerance is read. Frequencies are
+    sorted ascending, so the base alpha_1 is the smallest; the minimal period
+    is order-independent. Raises ValueError when a square is not positive and
+    IrrationalRatioError when a ratio is irrational.
     """
-    if not alphas:
+    if not squares:
         raise ValueError("need at least one frequency")
-    if any(a <= 0 for a in alphas):
+    if any(sq <= 0 for sq in squares):
         raise ValueError("frequencies must be positive")
-    if exact_sq is None or len(exact_sq) != len(alphas) or None in exact_sq:
-        raise ValueError("every frequency needs its exact square in exact_sq")
-    pairs = sorted(zip(alphas, exact_sq), key=lambda p: p[1])
-    base, base_sq = float(pairs[0][0]), pairs[0][1]
-
+    squares = sorted(squares)
+    base_sq = squares[0]
     ratios: list[tuple[int, int]] = []
-    for i, (a, sq) in enumerate(pairs):
+    for i, sq in enumerate(squares):
         root = _is_rational_square(sq / base_sq)
         if root is None:
             raise IrrationalRatioError(
                 i,
-                float(a) / base,
+                math.sqrt(sq / base_sq),
                 f"ratio alpha_{i + 1}/alpha_1 = sqrt({sq / base_sq}) is irrational",
             )
         ratios.append((root.numerator, root.denominator))
     return RationalProfile(
-        base_alpha=base,
+        base_alpha=math.sqrt(base_sq),
         ratios=tuple(ratios),
-        residuals=(0.0,) * len(ratios),
         base_alpha_exact=_is_rational_square(base_sq),
     )
 
@@ -222,50 +186,50 @@ def minimal_period_over_pi(
 # --- classification ----------------------------------------------------------
 
 
-def classify_flow(spec: Spectrum, cfg: ToleranceConfig | None = None) -> FlowVerdict:
-    """Verdict for the matrix flow e^{tD} from its spectrum.
+def classify_flow(mat, cfg: ToleranceConfig | None = None) -> FlowVerdict:
+    """Verdict for the matrix flow e^{tD} from p = char_poly(D) in primitive
+    integer form and its square-free factors s_k^k (cfg gives only lcm_bound).
 
-    Failing reasons are checked in a fixed order for stable output:
-    NonzeroRealPart (non-real eigenvalue off the imaginary axis), then
-    RealNonzeroEigenvalue, then NonSemisimpleEigenvalue (including the zero
-    eigenvalue), then IrrationalRatio.
+    Failing reasons in a fixed order: NonzeroRealPart (the Sturm counts of
+    real roots and nonzero roots on the imaginary axis fall short of n with
+    multiplicity), RealNonzeroEigenvalue, NonSemisimpleEigenvalue (rad(p) =
+    prod s_k does not annihilate D), IrrationalRatio (rad(p) without its root
+    0 is h(lambda^2); h must split over Q with rational-square root ratios).
     """
     cfg = cfg or DEFAULT_CONFIG
-    if spec.ill_conditioned:
-        raise IllConditionedSpectrumError(
-            "spectrum is ill-conditioned; refusing to classify: "
-            + "; ".join(spec.notes)
-        )
-    if sum(c.alg_mult for c in spec.classes) != spec.dim:
-        raise ValueError("malformed spectrum: multiplicities do not sum to dim")
-    ztol = cfg.zero_tol * _scale(spec)
+    m = coerce_matrix(mat)
+    p = _integer_char_poly(m)
+    factors = _square_free(p)
+    real = [_real_root_count(s) for s, _ in factors]
+    on_axes = sum(
+        k * (r + _real_root_count(_imaginary_axis_gcd(s)) - (s[0] == 0))
+        for (s, k), r in zip(factors, real)
+    )
+    if on_axes < len(m):
+        return no_periodic_orbits(REASON_NONZERO_REAL_PART)
+    if any(r > (s[0] == 0) for (s, _), r in zip(factors, real)):
+        return no_periodic_orbits(REASON_REAL_NONZERO)
+    rad = _quo(p, _gcd(p, _deriv(p)))  # prod s_k
+    if any(k > 1 for _, k in factors) and any(
+        any(row) for row in poly_eval_matrix(CharPoly(tuple(map(Fraction, rad))), m)
+    ):
+        return no_periodic_orbits(REASON_NON_SEMISIMPLE)
 
-    for c in spec.classes:
-        if not _is_real(c, ztol) and not _has_zero_real_part(c, ztol):
-            return no_periodic_orbits(REASON_NONZERO_REAL_PART)
-    for c in spec.classes:
-        if _is_real(c, ztol) and not _is_zero(c, ztol):
-            return no_periodic_orbits(REASON_REAL_NONZERO)
-    for c in spec.classes:
-        if not c.semisimple:
-            return no_periodic_orbits(REASON_NON_SEMISIMPLE)
-
-    imaginary = [c for c in spec.classes if not _is_real(c, ztol) and c.value.imag > 0]
-    if not imaginary:
+    rest = rad[1:] if rad[0] == 0 else rad
+    if len(rest) == 1:
         return identity_flow()
-    # Extraction is complete: a periodic rational D has only exact classes,
-    # 0 and +-i*sqrt(q) with q rational, so a numeric one rules it out.
-    if not all(c.exact for c in imaginary):
+    # Every root is now +-i*alpha, so the rest is even: rest = h(lambda^2).
+    h = rest[0::2]
+    mus = _rational_roots(h)
+    if len(mus) < len(h) - 1:
         return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
-    alphas = [c.value.imag for c in imaginary]
     try:
-        profile = rational_ratio_profile(alphas, cfg, [c.exact_im_sq for c in imaginary])
+        profile = rational_ratio_profile([-mu for mu in mus])
     except IrrationalRatioError:
         return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
-    period = minimal_period(profile, cfg)
     return FlowVerdict(
         tag="PeriodicFlow",
-        period=period,
+        period=minimal_period(profile, cfg),
         period_over_pi=minimal_period_over_pi(profile, cfg),
         profile=profile,
     )
@@ -285,7 +249,7 @@ def classify_linear_flow(
     residual, worst = leibniz_residual(sc, m)
     if residual != 0:
         raise NotADerivationError(residual, worst)
-    return classify_flow(spectrum(m, cfg=cfg), cfg)
+    return classify_flow(m, cfg)
 
 
 def classify_invariant_flow(
@@ -308,7 +272,7 @@ def classify_invariant_flow(
             "algebra); e^{tD} is constant but exp(tX) itself may be a "
             "non-periodic one-parameter subgroup"
         )
-    verdict = classify_flow(spectrum(der, cfg=cfg), cfg)
+    verdict = classify_flow(der, cfg)
     if verdict.tag == "PeriodicFlow":
         return verdict.with_caveat(INVARIANT_FLOW_CAVEAT)
     return verdict
@@ -328,7 +292,6 @@ def profile_to_dict(profile: RationalProfile | None) -> dict | None:
             else None
         ),
         "ratios": [[p, q] for p, q in profile.ratios],
-        "residuals": list(profile.residuals),
     }
 
 

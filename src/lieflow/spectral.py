@@ -12,11 +12,15 @@ repeated factor, geometric multiplicities come from exact ranks; conjugate
 pairs use the rank of the real quadratic factor q(D) = D^2 - 2*Re*D + |mu|^2 I,
 and numeric roots the exact test rank s(D) = n - k*deg s, with SVD
 thresholding only where that test fails and for merged numeric clusters.
+spectrum() serves display and cross-checks; flow verdicts read only the
+integer polynomial, through the Sturm root counts below.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +30,6 @@ from . import _linalg
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import coerce_matrix
 from .liealg import Matrix
-
-
-class IllConditionedSpectrumError(Exception):
-    """Raised when a periodicity verdict is requested from an ambiguous spectrum."""
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,28 @@ def char_poly(mat) -> CharPoly:
     return CharPoly(coeffs=tuple(reversed(coeffs_desc)))
 
 
+def _integer_char_poly(mat) -> list[int]:
+    """char_poly(mat) as a primitive integer polynomial, lowest degree first."""
+    coeffs = char_poly(mat).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([int(c * den) for c in coeffs])
+
+
 def poly_eval_matrix(p: CharPoly, mat) -> Matrix:
-    """p(M) in exact arithmetic (Cayley-Hamilton gives zero for p = char_poly)."""
-    m = [list(row) for row in coerce_matrix(mat)]
-    n = len(m)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
-        acc = _linalg.mat_mul(acc, m)
-        for i in range(n):
-            acc[i][i] += c
-    return tuple(tuple(row) for row in acc)
+    """p(M) in exact arithmetic (Cayley-Hamilton gives zero for p = char_poly),
+    by Horner on the integer matrix dM, d the lcm of M's denominators:
+    p(M) = sum_j L p_j d^(N-j) (dM)^j / (L d^N), N = deg p, L the lcm of the
+    denominators of p."""
+    m = coerce_matrix(mat)
+    d = math.lcm(*(v.denominator for row in m for v in row))
+    cols = list(zip(*([int(v * d) for v in row] for row in m)))
+    deg, lcd = len(p.coeffs) - 1, math.lcm(*(c.denominator for c in p.coeffs))
+    acc = [[0] * len(m) for _ in m]
+    for j in range(deg, -1, -1):
+        acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in acc]
+        for i in range(len(m)):
+            acc[i][i] += int(p.coeffs[j] * lcd) * d ** (deg - j)
+    return tuple(tuple(Fraction(v, lcd * d**deg) for v in row) for row in acc)
 
 
 # --- exact polynomial algebra ------------------------------------------------
@@ -196,6 +208,43 @@ def _sign_at(ints: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sturm(s: list[int]) -> list[list[int]]:
+    """Sturm sequence of the square-free polynomial s."""
+    seq = [s, _primitive(_deriv(s))]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _rem(seq[-2], seq[-1])])
+    return seq
+
+
+def _variations(signs) -> int:
+    """Sign changes in a sequence of signs, zeros skipped."""
+    count, prev = 0, 0
+    for sign in signs:
+        if sign:
+            count += prev == -sign
+            prev = sign
+    return count
+
+
+def _real_root_count(s: list[int]) -> int:
+    """Number of real roots of the square-free s: the Sturm variations at -oo
+    minus those at +oo, read off the leading coefficients alone."""
+    if len(s) < 2:
+        return 0
+    seq = _sturm(s)
+    lead = [1 if q[-1] > 0 else -1 for q in seq]
+    return _variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]) - _variations(lead)
+
+
+def _imaginary_axis_gcd(s: list[int]) -> list[int]:
+    """g(y) = gcd(Re s(iy), Im s(iy)); its real roots y are exactly the points
+    iy of the imaginary axis where s vanishes (i^j has signs +, +, -, -)."""
+    turned = [c if j % 4 < 2 else -c for j, c in enumerate(s)]
+    re = _trim([0 if j % 2 else c for j, c in enumerate(turned)])
+    im = _trim([c if j % 2 else 0 for j, c in enumerate(turned)])
+    return _gcd(re, im)
+
+
 def _rational_roots(s: list[int]) -> list[Fraction]:
     """Every rational root of the primitive square-free polynomial s, ascending.
 
@@ -204,19 +253,11 @@ def _rational_roots(s: list[int]) -> list[Fraction]:
     Cauchy bound, down to intervals (lo, hi] narrower than 1/a around the real
     roots; the one lattice point of each such interval is tested exactly.
     """
-    seq = [s, _primitive(_deriv(s))]
-    while len(seq[-1]) > 1:
-        seq.append([-c for c in _rem(seq[-2], seq[-1])])
+    seq = _sturm(s)
     lead = abs(s[-1])
 
     def variations(x: Fraction) -> int:
-        count, prev = 0, 0
-        for q in seq:
-            sign = _sign_at(q, x)
-            if sign:
-                count += prev == -sign
-                prev = sign
-        return count
+        return _variations(_sign_at(q, x) for q in seq)
 
     bound = Fraction(1 - (-max(abs(c) for c in s[:-1]) // lead))
     roots = []
@@ -401,10 +442,9 @@ def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(sv > rel_tol * top))
 
 
-def _geom_mult(
-    p: _PendingClass, mq: Matrix, d2: Matrix | None, cfg: ToleranceConfig
-) -> int:
-    """Geometric multiplicity; d2 is D^2, needed for a repeated exact pair."""
+def _geom_mult(p: _PendingClass, mq: Matrix, quad_rank, cfg: ToleranceConfig) -> int:
+    """Geometric multiplicity; quad_rank(b, c) is the rank of D^2 + bD + cI,
+    needed for a repeated exact pair."""
     n = len(mq)
     if p.alg == 1:
         return 1
@@ -417,12 +457,7 @@ def _geom_mult(
         ]
         return n - _linalg.rank(rows)
     if p.quad is not None:
-        b, c = p.quad
-        rows = [
-            [d2[i][j] + b * mq[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        deficiency = n - _linalg.rank(rows)
+        deficiency = n - quad_rank(*p.quad)
         if deficiency % 2 != 0:
             raise AssertionError("odd kernel for a conjugate/surd pair; solver bug")
         return deficiency // 2
@@ -458,20 +493,19 @@ def spectrum(mat, tol: float | None = None, cfg: ToleranceConfig | None = None) 
     pending: list[_PendingClass] = []
     ill = False
     notes: list[str] = []
-    coeffs = char_poly(mq).coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    for s, k in _square_free(_primitive([int(c * den) for c in coeffs])):
+    for s, k in _square_free(_integer_char_poly(mq)):
         got, got_ill, got_notes = _factor_pending(s, k, mq, cfg)
         pending.extend(got)
         ill |= got_ill
         notes.extend(got_notes)
 
-    d2 = None
-    if any(q.quad is not None and q.alg > 1 for q in pending):
-        d2 = _linalg.mat_mul(mq, mq)
+    @functools.cache  # both classes of a pair share one rank
+    def quad_rank(b: Fraction, c: Fraction) -> int:
+        return _linalg.rank(poly_eval_matrix(CharPoly((c, b, Fraction(1))), mq))
+
     classes = []
     for q in pending:
-        geom = _geom_mult(q, mq, d2, cfg)
+        geom = _geom_mult(q, mq, quad_rank, cfg)
         geom = min(max(geom, 1), q.alg)
         classes.append(
             EigenClass(

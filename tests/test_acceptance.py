@@ -412,7 +412,7 @@ def test_criterion_7_minimal_periods():
     failures = []
     for betas, expected in cases:
         mat = _rotation_sum(betas)
-        verdict = classify_flow(spectrum(mat))
+        verdict = classify_flow(mat)
         if verdict.tag != "PeriodicFlow":
             failures.append(f"{betas}: verdict {verdict.tag}")
             continue

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import lieflow
-from lieflow.cli import main, parse_period
+from lieflow import flowsim
+from lieflow.cli import _nulled, main, parse_period
 
 
 def run_cli(capsys, *argv):
@@ -91,7 +92,7 @@ def test_classify_decimal_input_warns(capsys):
 
 
 def test_classify_ill_conditioned_exits_3(capsys, tmp_path):
-    # Abelian 6D accepts any matrix as a derivation; feed unresolvable pairs.
+    # Abelian 6D accepts any matrix as a derivation; feed pairs 1e-13 apart.
     algebra = {"dim": 6, "brackets": []}
     path = tmp_path / "abelian6.json"
     path.write_text(json.dumps(algebra))
@@ -103,11 +104,14 @@ def test_classify_ill_conditioned_exits_3(capsys, tmp_path):
         mat[2 * i + 1][2 * i] = be
         mat[2 * i + 1][2 * i + 1] = al
     entries = ",".join(repr(v) for row in mat for v in row)
-    code, _, err = run_cli(
+    # The pairs are decided exactly from the integer characteristic
+    # polynomial, so the input is classified, not refused.
+    code, doc, _ = run_json(
         capsys, "classify", "--file", str(path), "--matrix", entries
     )
-    assert code == 3
-    assert "ill-conditioned" in err
+    assert code == 0
+    assert doc["verdict"]["tag"] == "NoPeriodicOrbits"
+    assert doc["verdict"]["reason"] == "NonzeroRealPart"
 
 
 def test_derivations_heisenberg(capsys):
@@ -350,9 +354,10 @@ def strict_json(text):
     (["--catalog", "g31_heisenberg", "--inner", "0,0,1"], False),
     (["--catalog", "aff2", "--matrix", "0,0,0,0"], False),
     (["--catalog", "aff2", "--matrix", "0,0,0,1000"], False),
-    (["--catalog", "aff2", "--matrix", "0,0,0,300"], True),
+    # Residuals near 1e217 and 1e282: finite since the scaled norm.
+    (["--catalog", "aff2", "--matrix", "0,0,0,300"], False),
     (["--catalog", "sl2", "--inner", "1,0,0", "--check-period", "pi"], False),
-    (["--catalog", "aff2", "--matrix", "0,0,0,300", "--check-period", "1"], True),
+    (["--catalog", "aff2", "--matrix", "0,0,0,300", "--check-period", "1"], False),
 ], ids=["periodic", "heisenberg", "identity", "short-horizon", "overflow",
         "check-period", "check-period-overflow"])
 def test_simulate_output_is_strict_json(capsys, argv, nonfinite):
@@ -369,6 +374,28 @@ def test_simulate_output_is_strict_json(capsys, argv, nonfinite):
             assert doc["max_residual"] is None and not doc["passed"]
 
 
+def test_nulled_replaces_nonfinite_floats():
+    assert _nulled(1.5) == (1.5, False)
+    assert _nulled(math.inf) == (None, True)
+    assert _nulled({"a": 1.0, "b": {"c": math.nan}, "d": "x"}) == (
+        {"a": 1.0, "b": {"c": None}, "d": "x"}, True)
+    assert _nulled({"a": 1.0}) == ({"a": 1.0}, False)
+
+
+def test_simulate_nonfinite_evidence_is_strict_json(capsys, monkeypatch):
+    def overflowing(sc, mat, verdict, cfg=None):
+        return flowsim.VerdictEvidence(verdict.tag, False, True,
+                                       {"min_residual": math.inf, "horizon": 1.0})
+
+    monkeypatch.setattr(flowsim, "verify_verdict", overflowing)
+    code, out, _ = run_cli(capsys, "simulate", "--catalog", "aff2", "--matrix", "0,0,0,1")
+    doc = strict_json(out)
+    assert code == 1
+    assert doc["evidence"]["nonfinite"] is True
+    assert doc["evidence"]["details"] == {"min_residual": None, "horizon": 1.0}
+    assert doc["evidence"]["inconclusive"] and not doc["evidence"]["passed"]
+
+
 def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
     # The safe horizon 350/1000 is shorter than the smallest trial period.
     code, doc, _ = run_json(
@@ -383,7 +410,12 @@ def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
     (["classify", "--catalog", "aff2", "--matrix", "0,0,0,1e400"], None),
     (["derivations", "--file", "{algebra}"], {"dim": 2, "brackets": {"i": 1}}),
     (["derivations", "--file", "{algebra}"], {"dim": 2, "brackets": [[1, 2, 2, "1"]]}),
-], ids=["matrix-overflows-float", "brackets-object", "bracket-entry-list"])
+    (["derivations", "--file", "{algebra}"],
+     {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": None}]}),
+    (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--samples", "100000000000"],
+     None),
+], ids=["matrix-overflows-float", "brackets-object", "bracket-entry-list",
+        "bracket-coefficient-null", "samples-too-many"])
 def test_more_bad_input_exits_2_without_traceback(argv, algebra, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(algebra))

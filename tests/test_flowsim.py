@@ -456,12 +456,32 @@ def test_short_horizon_evidence_is_inconclusive_without_exponentials(expm_batche
     assert evidence.details["horizon"] < DEFAULT_CONFIG.evidence_min_period
 
 
-def test_nonfinite_residual_makes_evidence_inconclusive():
+def test_nonfinite_residual_makes_evidence_inconclusive(monkeypatch):
+    # Since the scaled norm no default-config input overflows, so the
+    # residual kernel is made to report one.
     sc = get_entry("aff2").structure
-    mat = ((0, 0), (0, 300))  # e^{tD} reaches e^{350}; its residual overflows
-    evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+    mat = ((0, 0), (0, 300))
+    verdict = classify_linear_flow(sc, mat)
+
+    def overflowing(arr, periods, horizon, samples, cfg):
+        return np.full(len(periods), np.inf), np.zeros(len(periods))
+
+    monkeypatch.setattr(flowsim, "_closure_residuals", overflowing)
+    evidence = verify_verdict(sc, mat, verdict)
     assert not math.isfinite(evidence.details["min_residual"])
     assert not evidence.passed and evidence.inconclusive
+
+
+def test_scaled_norm_keeps_large_residuals_finite():
+    # D = diag(0, 300): the residual at trial period T and time t is
+    # (e^{300T} - 1) e^{300t}, least at T = 0.5 and largest at the safe
+    # horizon 350/300, about e^{500} = 1.4e217, whose square overflows.
+    sc = get_entry("aff2").structure
+    mat = ((0, 0), (0, 300))
+    evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+    expected = math.expm1(150) * math.exp(350)
+    assert abs(evidence.details["min_residual"] - expected) <= 1e-9 * expected
+    assert evidence.passed and not evidence.inconclusive
 
 
 # Recorded before the batched grid: every row of the default verdict table,

@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from lieflow import (
-    IllConditionedSpectrumError,
     IrrationalRatioError,
     NotADerivationError,
     PeriodTooLargeError,
@@ -20,12 +19,10 @@ from lieflow import (
     minimal_period,
     minimal_period_over_pi,
     rational_ratio_profile,
-    spectrum,
     verdict_to_dict,
 )
 from lieflow.catalog import get_entry
 from lieflow.config import DEFAULT_CONFIG
-from lieflow.spectral import EigenClass, Spectrum
 
 
 def abelian(n):
@@ -108,26 +105,26 @@ def test_reason_order_prefers_nonzero_real_part():
     # Both an off-axis pair and a real nonzero eigenvalue: the fixed order
     # reports NonzeroRealPart.
     mat = blkdiag([[5]], [[1, -1], [1, 1]])
-    v = classify_flow(spectrum(mat))
+    v = classify_flow(mat)
     assert v.reason == "NonzeroRealPart"
 
 
 def test_real_nonzero_wins_over_pure_imaginary_pair():
     mat = blkdiag([[3]], rot_block(2))
-    v = classify_flow(spectrum(mat))
+    v = classify_flow(mat)
     assert v.reason == "RealNonzeroEigenvalue"
 
 
 def test_zero_eigenvalue_must_be_semisimple():
     # Pure rotation plus a nilpotent 2x2 cell: eigenvalue 0 with a chain.
     mat = blkdiag(rot_block(1), [[0, 1], [0, 0]], [[0]])
-    v = classify_flow(spectrum(mat))
+    v = classify_flow(mat)
     assert v.tag == "NoPeriodicOrbits"
     assert v.reason == "NonSemisimpleEigenvalue"
 
 
 def test_two_rational_rotations_make_2pi():
-    v = classify_flow(spectrum(blkdiag(rot_block(2), rot_block(3))))
+    v = classify_flow(blkdiag(rot_block(2), rot_block(3)))
     assert v.tag == "PeriodicFlow"
     assert abs(v.period - 2 * math.pi) < 1e-15
     assert v.period_over_pi == 2
@@ -135,14 +132,8 @@ def test_two_rational_rotations_make_2pi():
 
 
 def test_irrational_ratio_verdict_from_numeric_spectrum():
-    classes = (
-        EigenClass(complex(0, 1), 1, 1, True),
-        EigenClass(complex(0, -1), 1, 1, True),
-        EigenClass(complex(0, math.sqrt(2)), 1, 1, True),
-        EigenClass(complex(0, -math.sqrt(2)), 1, 1, True),
-    )
-    spec = Spectrum(classes=classes, dim=4, tolerance_used=1e-9)
-    v = classify_flow(spec)
+    # R(1) + companion(l^2 + 2): frequencies 1 and sqrt(2).
+    v = classify_flow(blkdiag(rot_block(1), [[0, -2], [1, 0]]))
     assert v.tag == "NoPeriodicOrbits"
     assert v.reason == "IrrationalRatio"
 
@@ -151,10 +142,12 @@ def test_proven_irrational_ratio_from_exact_surds():
     # Exact frequencies 1 and sqrt(2): the ratio square 2 is not a rational
     # square, so irrationality is decided without tolerances.
     with pytest.raises(IrrationalRatioError):
-        rational_ratio_profile([1.0, math.sqrt(2)], exact_sq=[F(1), F(2)])
+        rational_ratio_profile([F(1), F(2)])
 
 
 def test_ill_conditioned_spectrum_refuses_classification():
+    # Two off-axis pairs 1e-13 apart, which spectrum() cannot tell apart, are
+    # decided exactly from the integer characteristic polynomial.
     import numpy as np
 
     rng = np.random.default_rng(9)
@@ -162,9 +155,9 @@ def test_ill_conditioned_spectrum_refuses_classification():
     for i, (al, be) in enumerate([(0.3, 1.1), (0.3 + 1e-13, 1.1), (1.5, 3.7)]):
         m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[al, -be], [be, al]]
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    spec = spectrum(q @ m @ q.T)
-    with pytest.raises(IllConditionedSpectrumError):
-        classify_flow(spec)
+    v = classify_flow(q @ m @ q.T)
+    assert v.tag == "NoPeriodicOrbits"
+    assert v.reason == "NonzeroRealPart"
 
 
 def test_not_a_derivation_raises():
@@ -179,25 +172,24 @@ def test_not_a_derivation_raises():
 
 
 def test_profile_single_frequency():
-    p = rational_ratio_profile([2.0], exact_sq=[F(4)])
+    p = rational_ratio_profile([F(4)])
     assert p.ratios == ((1, 1),)
-    assert p.residuals == (0.0,)
     assert p.base_alpha_exact == 2
 
 
 def test_profile_two_frequencies_exact():
-    p = rational_ratio_profile([2.0, 3.0], exact_sq=[F(4), F(9)])
+    p = rational_ratio_profile([F(4), F(9)])
     assert p.ratios == ((1, 1), (3, 2))
     assert p.base_alpha_exact == 2
 
 
 def test_profile_rejects_nonpositive():
     with pytest.raises(ValueError):
-        rational_ratio_profile([0.0, 1.0])
+        rational_ratio_profile([F(0), F(1)])
 
 
 def test_profile_surd_base_has_no_exact_base():
-    p = rational_ratio_profile([math.sqrt(3)], exact_sq=[F(3)])
+    p = rational_ratio_profile([F(3)])
     assert p.base_alpha_exact is None
     assert p.ratios == ((1, 1),)
 
@@ -206,31 +198,27 @@ def test_profile_surd_base_has_no_exact_base():
 
 
 def test_minimal_period_examples():
-    p2 = rational_ratio_profile([2.0], exact_sq=[F(4)])
+    p2 = rational_ratio_profile([F(4)])
     assert abs(minimal_period(p2) - math.pi) < 1e-15
-    p23 = rational_ratio_profile([2.0, 3.0], exact_sq=[F(4), F(9)])
+    p23 = rational_ratio_profile([F(4), F(9)])
     assert abs(minimal_period(p23) - 2 * math.pi) < 1e-15
-    p1 = rational_ratio_profile([1.0], exact_sq=[F(1)])
+    p1 = rational_ratio_profile([F(1)])
     assert abs(minimal_period(p1) - 2 * math.pi) < 1e-15
 
 
 def test_minimal_period_order_independent():
     rng = random.Random(31)
-    alphas = [1.0, 2.0, 3.0, 5.0]
     sqs = [F(1), F(4), F(9), F(25)]
-    reference = minimal_period(rational_ratio_profile(alphas, exact_sq=sqs))
+    reference = minimal_period(rational_ratio_profile(sqs))
     for _ in range(5):
         idx = list(range(4))
         rng.shuffle(idx)
-        shuffled = minimal_period(
-            rational_ratio_profile([alphas[i] for i in idx],
-                                   exact_sq=[sqs[i] for i in idx])
-        )
+        shuffled = minimal_period(rational_ratio_profile([sqs[i] for i in idx]))
         assert shuffled == reference
 
 
 def test_minimal_period_over_pi_symbolic():
-    p = rational_ratio_profile([2.0, 3.0], exact_sq=[F(4), F(9)])
+    p = rational_ratio_profile([F(4), F(9)])
     assert minimal_period_over_pi(p) == 2
 
 
@@ -238,7 +226,6 @@ def test_period_too_large_guard():
     profile = RationalProfile(
         base_alpha=1.0,
         ratios=((1, 1), (100001, 100000)),
-        residuals=(0.0, 0.0),
         base_alpha_exact=F(1),
     )
     cfg = DEFAULT_CONFIG.override(lcm_bound=10**4)
@@ -255,10 +242,10 @@ def test_scaling_covariance():
     for _ in range(6):
         x = tuple(F(rng.randint(-3, 3)) for _ in range(3))
         d = inner_derivation(sc, x)
-        base = classify_flow(spectrum(d))
+        base = classify_flow(d)
         for s in (F(2), F(1, 3), F(5, 2)):
             scaled = tuple(tuple(s * v for v in row) for row in d.entries)
-            v = classify_flow(spectrum(scaled))
+            v = classify_flow(scaled)
             assert v.tag == base.tag
             if base.tag == "PeriodicFlow":
                 assert abs(v.period - base.period / float(s)) < 1e-9 * base.period
@@ -352,7 +339,7 @@ def test_verdict_dict_no_periodic():
 
 def test_repeated_off_axis_pair_is_classified_not_refused():
     c = [[0, -1], [1, -1]]
-    v = classify_flow(spectrum(blkdiag(c, c)))
+    v = classify_flow(blkdiag(c, c))
     assert v.tag == "NoPeriodicOrbits"
     assert v.reason == "NonzeroRealPart"
 
@@ -368,13 +355,13 @@ def test_near_commensurable_quartic_is_irrational():
 
 
 def test_tiny_rational_rotations_are_periodic():
-    v = classify_flow(spectrum(blkdiag(rot_block(F(1, 123457)), rot_block(F(2, 123457)))))
+    v = classify_flow(blkdiag(rot_block(F(1, 123457)), rot_block(F(2, 123457))))
     assert v.tag == "PeriodicFlow"
     assert v.period_over_pi == 246914
 
 
 def test_float_rotations_get_exact_periods():
-    v = classify_flow(spectrum(blkdiag(rot_block(0.1), rot_block(0.2), rot_block(0.4))))
+    v = classify_flow(blkdiag(rot_block(0.1), rot_block(0.2), rot_block(0.4)))
     assert v.tag == "PeriodicFlow"
     assert v.period_over_pi == 2 / F(0.1)
     assert v.profile.ratios == ((1, 1), (2, 1), (4, 1))
@@ -383,24 +370,44 @@ def test_float_rotations_get_exact_periods():
 def test_float_rotations_with_huge_exact_ratio_denominator():
     # float(0.3) / float(0.1) = 3 - 1/3602879701896397 exactly.
     with pytest.raises(PeriodTooLargeError) as err:
-        classify_flow(spectrum(blkdiag(rot_block(0.1), rot_block(0.3))))
+        classify_flow(blkdiag(rot_block(0.1), rot_block(0.3)))
     assert err.value.lcm == 3602879701896397
 
 
 def test_numeric_imaginary_class_is_irrational_ratio():
-    # A numeric class can only come from an irrational mu-root.
-    classes = (
-        EigenClass(complex(0, -1), 1, 1, True, F(0), F(1)),
-        EigenClass(complex(0, 1), 1, 1, True, F(0), F(1)),
-        EigenClass(complex(0, -1.5), 1, 1, True),
-        EigenClass(complex(0, 1.5), 1, 1, True),
-    )
-    v = classify_flow(Spectrum(classes=classes, dim=4, tolerance_used=1e-9))
+    # R(1) + companion(l^4 + 3 l^2 + 1): the mu-roots (-3 +- sqrt(5))/2 are
+    # irrational, so h(mu) does not split over Q.
+    quartic = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -3], [0, 0, 1, 0]]
+    v = classify_flow(blkdiag(rot_block(1), quartic))
     assert v.reason == "IrrationalRatio"
 
 
-def test_profile_needs_exact_squares():
-    with pytest.raises(ValueError):
-        rational_ratio_profile([1.0, 1.5])
-    with pytest.raises(ValueError):
-        rational_ratio_profile([1.0, 1.5], exact_sq=[F(1), None])
+class RecordingConfig:
+    """DEFAULT_CONFIG that records the name of every field read from it."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(DEFAULT_CONFIG, name)
+
+
+def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
+    from lieflow import catalog, periodicity, spectral
+    from lieflow.catalog import verdict_table
+
+    expected = [verdict_to_dict(r.verdict) for r in verdict_table()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum() called on the verdict path")
+
+    for module in (spectral, periodicity, catalog):
+        monkeypatch.setattr(module, "spectrum", refuse, raising=False)
+    cfg = RecordingConfig()
+    rows = verdict_table(cfg)
+    assert [verdict_to_dict(r.verdict) for r in rows] == expected
+    assert len(rows) == 98
+    sc = get_entry("sl2").structure
+    assert classify_invariant_flow(sc, (1, 0, 0), cfg).tag == "PeriodicFlow"
+    assert cfg.read <= {"lcm_bound"}
