@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import _linalg
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .config import ToleranceConfig
 from .dersolve import DerivationSpace, derivation_space
 from .liealg import Matrix, Scalar, StructureConstants, as_scalar
 from .periodicity import FlowVerdict, classify_linear_flow
@@ -656,7 +656,7 @@ def _sorted_values(values: list[complex]) -> list[complex]:
     return sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
 
-def cross_check(entry: CatalogEntry, cfg: ToleranceConfig | None = None) -> CrossCheckReport:
+def cross_check(entry: CatalogEntry) -> CrossCheckReport:
     """Exact recomputation of the entry's printed derivation data.
 
     Checks (1) that the printed derivation family equals the exact nullspace
@@ -664,7 +664,6 @@ def cross_check(entry: CatalogEntry, cfg: ToleranceConfig | None = None) -> Cros
     the exact spectrum of the printed matrix at deterministic sample points.
     Mismatches are reported with both values.
     """
-    cfg = cfg or DEFAULT_CONFIG
     space = derivation_space(entry.structure)
     discrepancies: list[Discrepancy] = []
 
@@ -696,7 +695,7 @@ def cross_check(entry: CatalogEntry, cfg: ToleranceConfig | None = None) -> Cros
     efm = True
     for assign in _sample_assignments(entry.claimed_pattern):
         matrix = entry.claimed_pattern.instantiate(assign)
-        exact = _sorted_values([c.value for c in spectrum(matrix, cfg=cfg).classes
+        exact = _sorted_values([c.value for c in spectrum(matrix).classes
                                 for _ in range(c.alg_mult)])
         claimed = _sorted_values(entry.claimed_eigenvalues(assign))
         scale = max(1.0, max(abs(z) for z in exact + claimed))
@@ -733,15 +732,14 @@ def cross_check(entry: CatalogEntry, cfg: ToleranceConfig | None = None) -> Cros
 
 def cross_check_all(
     params: Sequence[Scalar] = (F(1, 2), F(2), F(3)),
-    cfg: ToleranceConfig | None = None,
 ) -> list[CrossCheckReport]:
     reports = []
     for name in CATALOG_NAMES:
         if name in PARAMETRIC_NAMES:
             for a in params:
-                reports.append(cross_check(get_entry(name, a), cfg))
+                reports.append(cross_check(get_entry(name, a)))
         else:
-            reports.append(cross_check(get_entry(name), cfg))
+            reports.append(cross_check(get_entry(name)))
     return reports
 
 
@@ -903,7 +901,6 @@ def verdict_table(
     with the published claim, so genuine contradictions surface as rows with
     agrees_with_published=False rather than being filtered out.
     """
-    cfg = cfg or DEFAULT_CONFIG
     rows: list[VerdictRow] = []
 
     def classify_row(entry: CatalogEntry, label: str, mat: Matrix) -> None:

@@ -2,7 +2,9 @@
 
 Subcommands: classify, derivations, catalog (list / export / cross-check /
 verdict-table), simulate. Output is JSON by default (override with --format
-or the LIEFLOW_FORMAT environment variable). Exit codes: 0 = document
+or the LIEFLOW_FORMAT environment variable). Only simulate, the numerical
+evidence layer, takes --tol-period, --tol-separation, --horizon and
+--samples; the exact commands read no tolerance. Exit codes: 0 = document
 produced (or simulate check passed), 1 = simulate check failed or runtime
 guard tripped, 2 = invalid input (bad matrix, failed Jacobi, non-derivation).
 Verdicts are exact and read no tolerance, so no input is refused.
@@ -112,7 +114,6 @@ def parse_period(text: str) -> float:
 
 
 def _config_from_args(args) -> ToleranceConfig:
-    cfg = DEFAULT_CONFIG
     overrides = {}
     if args.tol_period is not None:
         overrides["period_tol"] = args.tol_period
@@ -126,15 +127,7 @@ def _config_from_args(args) -> ToleranceConfig:
         raise CliError("tolerances, horizon and samples must be positive and finite")
     if not 2 <= overrides.get("samples", 2) <= MAX_SAMPLES:
         raise CliError(f"--samples must lie between 2 and {MAX_SAMPLES}")
-    return cfg.override(**overrides)
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--tol-period", type=float, default=None)
-    parser.add_argument("--tol-separation", type=float, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=None)
+    return DEFAULT_CONFIG.override(**overrides)
 
 
 def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
@@ -148,9 +141,11 @@ def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
 def _add_field_flags(parser: argparse.ArgumentParser, with_flow_kind: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--inner", metavar="COEFFS",
-                       help="right-invariant field coefficients c1,c2,...")
+                       help="right-invariant field coefficients c1,c2,...; "
+                       "write --inner=-1,0,0 when the first one is negative")
     group.add_argument("--matrix", metavar="ENTRIES",
-                       help="derivation matrix entries, row-major")
+                       help="derivation matrix entries, row-major; write "
+                       "--matrix=-1,... when the first one is negative")
     if with_flow_kind:
         parser.add_argument("--flow", choices=("linear", "invariant"),
                             default=None,
@@ -192,20 +187,19 @@ def _matrix_to_strings(mat) -> list[list[str]]:
 
 
 def _cmd_classify(args) -> tuple[int, dict, str]:
-    cfg = _config_from_args(args)
     sc, _entry, source = _resolve_algebra(args)
     if args.inner is not None:
         coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
         flow_kind = args.flow or "invariant"
         if flow_kind == "invariant":
-            verdict = classify_invariant_flow(sc, coeffs, cfg)
+            verdict = classify_invariant_flow(sc, coeffs)
         else:
-            verdict = classify_linear_flow(sc, inner_derivation(sc, coeffs), cfg)
+            verdict = classify_linear_flow(sc, inner_derivation(sc, coeffs))
     else:
         flow_kind = args.flow or "linear"
         if flow_kind == "invariant":
             raise CliError("--flow invariant requires --inner coefficients")
-        verdict = classify_linear_flow(sc, _parse_matrix(args.matrix, sc.dim), cfg)
+        verdict = classify_linear_flow(sc, _parse_matrix(args.matrix, sc.dim))
     doc = {
         "algebra": source,
         "flow": flow_kind,
@@ -263,7 +257,6 @@ def _cmd_derivations(args) -> tuple[int, dict, str]:
 
 
 def _cmd_catalog(args) -> tuple[int, object, str]:
-    cfg = _config_from_args(args)
     action = args.action
     if action == "list":
         doc = [
@@ -291,13 +284,13 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
         # --param reaches the parametric families only; the others ignore it.
         reports = [
             cat.cross_check(_catalog_entry(
-                name, args.param if name in cat.PARAMETRIC_NAMES else None), cfg)
+                name, args.param if name in cat.PARAMETRIC_NAMES else None))
             for name in names
         ]
         doc = [_report_to_dict(r) for r in reports]
         return EXIT_OK, doc, "\n".join(_render_report_text(r) for r in reports)
     if action == "verdict-table":
-        rows = cat.verdict_table(cfg)
+        rows = cat.verdict_table()
         doc = [
             {
                 "entry": r.entry,
@@ -458,18 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a flow")
     _add_algebra_flags(p_classify)
     _add_field_flags(p_classify, with_flow_kind=True)
-    _add_common_flags(p_classify)
 
     p_der = sub.add_parser("derivations", help="print the derivation space")
     _add_algebra_flags(p_der)
-    _add_common_flags(p_der)
 
     p_cat = sub.add_parser("catalog", help="catalog operations")
     p_cat.add_argument("action",
                        choices=("list", "export", "cross-check", "verdict-table"))
     p_cat.add_argument("name", nargs="?", default=None)
     p_cat.add_argument("--param", metavar="A", default=None)
-    _add_common_flags(p_cat)
 
     p_sim = sub.add_parser("simulate", help="numerical flow verification")
     _add_algebra_flags(p_sim)
@@ -478,7 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="period to verify ('pi', '2pi', '3pi/4', or a number)")
     p_sim.add_argument("--csv", metavar="PATH", default=None,
                        help="write orbit samples as CSV")
-    _add_common_flags(p_sim)
+    p_sim.add_argument("--tol-period", type=float, default=None)
+    p_sim.add_argument("--tol-separation", type=float, default=None)
+    p_sim.add_argument("--horizon", type=float, default=None)
+    p_sim.add_argument("--samples", type=int, default=None)
+    for p in (p_classify, p_der, p_cat, p_sim):
+        p.add_argument("--format", choices=("json", "text"), default=None)
     return parser
 
 

@@ -7,17 +7,15 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric knobs for spectrum() and the flow-verification layer.
+    """Numeric knobs of the flow-verification layer.
 
     Flow verdicts read none of these tolerances: for a rational D the
     verdict is decided exactly from the integer characteristic polynomial,
-    and lcm_bound only caps the size of an exact period. rank_tol serves
-    spectrum()'s numeric classes (root clustering, which flags an
-    ill-conditioned spectrum, and SVD ranks where no exact rank decides);
-    the rest govern the numerical evidence checks.
+    and lcm_bound only caps the size of an exact period. The rest govern the
+    numerical evidence checks (the CLI sets four of them on `simulate`).
+    spectrum() takes its one tolerance as an argument, spectrum(d, tol=1e-9).
     """
 
-    rank_tol: float = 1e-9           # relative SVD threshold for numeric ranks
     period_tol: float = 1e-8         # flow-closure residual bound for periods
     separation: float = 1e-3         # residual floor certifying "not closed"
     horizon: float = 50.0            # time horizon for non-periodic evidence

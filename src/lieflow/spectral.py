@@ -7,18 +7,19 @@ algebraic multiplicities are exact and each factor has simple roots. Roots
 are extracted exactly wherever the factorization stays rational or quadratic
 (every rational root, found by Sturm bisection onto the rational-root
 lattice; irreducible quadratic factors; rational roots of mu = lambda^2 for
-even factors) and numerically otherwise. A simple root is semisimple. For a
-repeated factor, geometric multiplicities come from exact ranks; conjugate
-pairs use the rank of the real quadratic factor q(D) = D^2 - 2*Re*D + |mu|^2 I,
-and numeric roots the exact test rank s(D) = n - k*deg s, with SVD
-thresholding only where that test fails and for merged numeric clusters.
-spectrum() serves display and cross-checks; flow verdicts read only the
-integer polynomial, through the Sturm root counts below.
+even factors) and numerically otherwise; each class is built where its root
+is found. A simple root is semisimple. For a repeated factor, geometric
+multiplicities come from one exact kernel dimension dim ker f(D), f being
+lambda - r, the real quadratic of a pair, or the numeric rest s (whose roots
+are all semisimple iff dim ker s(D) = k*deg s), with SVD thresholding only
+where that test fails and for merged numeric clusters. A merged cluster is
+the one kind of ill-conditioning spectrum() flags. It serves display and
+cross-checks; flow verdicts read only the integer polynomial, through the
+Sturm root counts below.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import coerce_matrix
 from .liealg import Matrix
 
@@ -41,12 +41,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -288,235 +282,130 @@ def _is_rational_square(x: Fraction) -> Fraction | None:
     return None
 
 
-# --- class descriptors -------------------------------------------------------
+# --- public spectrum ---------------------------------------------------------
 
 
-@dataclass
-class _PendingClass:
-    value: complex
-    alg: int
-    exact_re: Fraction | None = None
-    exact_im_sq: Fraction | None = None
-    quad: tuple[Fraction, Fraction] | None = None  # monic lambda^2 + b*lambda + c
-    rational: Fraction | None = None
-    geom: int | None = None  # set when decided without a rank
+def _kernel_dim(f: list[int], mq: Matrix) -> int:
+    """dim ker f(D), exactly, for an integer polynomial f, lowest degree first."""
+    return len(mq) - _linalg.rank(poly_eval_matrix(CharPoly(tuple(map(Fraction, f))), mq))
 
 
-def _quadratic_pending(b: Fraction, c: Fraction, mult: int) -> list[_PendingClass]:
-    """The two roots of lambda^2 + b*lambda + c, irreducible over Q."""
-    disc = b * b - 4 * c
-    re = -b / 2
-    if disc < 0:
-        im_sq = -disc / 4
-        im = math.sqrt(float(im_sq))
-        return [
-            _PendingClass(complex(float(re), s * im), mult, re, im_sq, (b, c))
-            for s in (+1, -1)
-        ]
-    sq = math.sqrt(float(disc))
-    return [
-        _PendingClass(complex(float(re) + s * sq / 2), mult, None, Fraction(0), (b, c))
-        for s in (+1, -1)
-    ]
-
-
-def _factor_pending(
-    s: list[int], k: int, mq: Matrix, cfg: ToleranceConfig
-) -> tuple[list[_PendingClass], bool, list[str]]:
-    """Classes of the roots of one square-free factor s of multiplicity k.
-
-    Rational roots first, then an irreducible quadratic rest, or for an even
-    rest the rational roots mu of s(lambda) = h(lambda^2); whatever is left
-    goes to the numeric path.
-    """
-    pending = []
-    for r in _rational_roots(s):
-        s = _quo(s, [-r.numerator, r.denominator])
-        pending.append(_PendingClass(complex(float(r)), k, r, Fraction(0), None, r))
-    if len(s) == 3:
-        b, c = Fraction(s[1], s[2]), Fraction(s[0], s[2])
-        return pending + _quadratic_pending(b, c, k), False, []
-    if len(s) > 3 and not any(s[1::2]):
-        h = s[0::2]
-        for mu in _rational_roots(h):
-            h = _quo(h, [-mu.numerator, mu.denominator])
-            pending += _quadratic_pending(Fraction(0), -mu, k)
-        s = [0] * (2 * len(h) - 1)
-        s[0::2] = h
-    if len(s) == 1:
-        return pending, False, []
-    numeric, ill, notes = _numeric_pending(s, k, cfg)
+def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:
+    """The two roots of the integer quadratic f, irreducible over Q, as a factor
+    of multiplicity k; ker f(D) holds both eigenspaces, so it has even
+    dimension."""
+    geom = 1
     if k > 1:
-        # All roots of s are semisimple iff dim ker s(D) = k * deg s, exactly.
-        monic = CharPoly(tuple(Fraction(c, s[-1]) for c in s))
-        kernel = len(mq) - _linalg.rank(poly_eval_matrix(monic, mq))
-        for q in numeric:
-            if q.alg == k and kernel == k * (len(s) - 1):
-                q.geom = k
-    return pending + numeric, ill, notes
-
-
-# --- numeric classing --------------------------------------------------------
-
-
-def _numeric_pending(
-    coeffs: list[int], k: int, cfg: ToleranceConfig
-) -> tuple[list[_PendingClass], bool, list[str]]:
-    desc = [float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)]
-    roots = np.atleast_1d(np.roots(desc)).astype(complex)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    guard = max(cfg.rank_tol, 1e-6) * scale
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        placed = False
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(r - center) <= guard:
-                cl.append(r)
-                placed = True
-                break
-        if not placed:
-            clusters.append([r])
-    ill = False
-    notes: list[str] = []
-    pending = []
-    for cl in clusters:
-        center = sum(cl) / len(cl)
-        if len(cl) > 1:
-            ill = True
-            notes.append(
-                f"numeric roots near {center:.6g} are closer than the cluster "
-                f"guard {guard:.1e}; multiplicity {len(cl)} assigned pessimistically"
-            )
-        if abs(center.imag) <= guard:
-            pending.append(_PendingClass(complex(center.real), len(cl)))
-        else:
-            pending.append(_PendingClass(center, len(cl)))
-    # Force conjugate symmetry: real coefficients guarantee it mathematically.
-    sym: list[_PendingClass] = []
-    used = [False] * len(pending)
-    for idx, p in enumerate(pending):
-        if used[idx]:
-            continue
-        if p.value.imag == 0:
-            sym.append(p)
-            used[idx] = True
-            continue
-        mate = None
-        for jdx in range(idx + 1, len(pending)):
-            if used[jdx]:
-                continue
-            if abs(pending[jdx].value - p.value.conjugate()) <= guard:
-                mate = jdx
-                break
-        if mate is None:
-            # Unpaired complex root: treat as ambiguous rather than invent one.
-            ill = True
-            notes.append(f"complex root {p.value:.6g} has no conjugate mate")
-            sym.append(p)
-            used[idx] = True
-            continue
-        alg = max(p.alg, pending[mate].alg)
-        if p.alg != pending[mate].alg:
-            ill = True
-            notes.append("conjugate clusters with unequal sizes; using the max")
-        val = complex(p.value.real, abs(p.value.imag))
-        sym.append(_PendingClass(val, alg))
-        sym.append(_PendingClass(val.conjugate(), alg))
-        used[idx] = used[mate] = True
-    for q in sym:
-        q.alg *= k
-    return sym, ill, notes
-
-
-# --- geometric multiplicity --------------------------------------------------
+        kernel = _kernel_dim(f, mq)
+        if kernel % 2:
+            raise AssertionError("odd kernel for a conjugate/surd pair; solver bug")
+        geom = kernel // 2
+    b, c = Fraction(f[1], f[2]), Fraction(f[0], f[2])
+    re, disc = -b / 2, b * b - 4 * c
+    if disc < 0:
+        im = math.sqrt(float(-disc / 4))
+        return [EigenClass(complex(float(re), s * im), k, geom, geom == k, re, -disc / 4)
+                for s in (+1, -1)]
+    sq = math.sqrt(float(disc))
+    return [EigenClass(complex(float(re) + s * sq / 2), k, geom, geom == k, None, Fraction(0))
+            for s in (+1, -1)]
 
 
 def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0:
+    if sv.size == 0 or sv[0] == 0:
         return 0
-    top = sv[0]
-    if top == 0:
-        return 0
-    return int(np.sum(sv > rel_tol * top))
+    return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _geom_mult(p: _PendingClass, mq: Matrix, quad_rank, cfg: ToleranceConfig) -> int:
-    """Geometric multiplicity; quad_rank(b, c) is the rank of D^2 + bD + cI,
-    needed for a repeated exact pair."""
+def _numeric_classes(
+    s: list[int], k: int, mq: Matrix, tol: float
+) -> tuple[list[EigenClass], list[str]]:
+    """Classes of the roots of the square-free factor s (multiplicity k) that
+    no exact path resolved, with a note per merged cluster.
+
+    np.roots runs LAPACK's xGEEV on the real companion matrix, which returns
+    complex roots in exact conjugate pairs, so only the real axis (clustered by
+    real part) and the upper half-plane are clustered; an upper cluster stands
+    for itself and its mirror image. Roots closer than the guard merge into one
+    class of pessimistic multiplicity. A single root is semisimple when the
+    exact test dim ker s(D) = k * deg s passes; otherwise SVD ranks decide.
+    """
     n = len(mq)
-    if p.alg == 1:
-        return 1
-    if p.geom is not None:
-        return p.geom
-    if p.rational is not None:
-        rows = [
-            [mq[i][j] - (p.rational if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return n - _linalg.rank(rows)
-    if p.quad is not None:
-        deficiency = n - quad_rank(*p.quad)
-        if deficiency % 2 != 0:
-            raise AssertionError("odd kernel for a conjugate/surd pair; solver bug")
-        return deficiency // 2
+    roots = np.roots([float(Fraction(c, s[-1])) for c in reversed(s)]).astype(complex)
+    guard = max(tol, 1e-6) * max(1.0, float(np.max(np.abs(roots))))
+    clusters: list[list[complex]] = []
+    for r in sorted(roots, key=lambda z: (z.real, -z.imag)):
+        if r.imag < -guard:
+            continue
+        if r.imag <= guard:
+            r = complex(r.real)
+        for cl in clusters:
+            if abs(r - sum(cl) / len(cl)) <= guard:
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    exact = k > 1 and _kernel_dim(s, mq) == k * (len(s) - 1)
     mf = np.array(mq, dtype=float)
-    if p.value.imag == 0:
-        shifted = mf - p.value.real * np.eye(n)
-        return n - _numeric_rank(shifted, cfg.rank_tol)
-    al, be = p.value.real, p.value.imag
-    quad = mf @ mf - 2 * al * mf + (al * al + be * be) * np.eye(n)
-    deficiency = n - _numeric_rank(quad, cfg.rank_tol)
-    return max(1, deficiency // 2)
+    classes, notes = [], []
+    for cl in clusters:
+        center, alg = sum(cl) / len(cl), k * len(cl)
+        if len(cl) > 1:
+            notes.append(
+                f"numeric roots near {center:.6g} are closer than the cluster "
+                f"guard {guard:.1e}; multiplicity {len(cl)} assigned pessimistically"
+            )
+        al, be = center.real, center.imag
+        if len(cl) == 1 and (k == 1 or exact):
+            geom = alg
+        elif be == 0:
+            geom = n - _numeric_rank(mf - al * np.eye(n), tol)
+        else:
+            quad = mf @ mf - 2 * al * mf + (al * al + be * be) * np.eye(n)
+            geom = (n - _numeric_rank(quad, tol)) // 2
+        geom, v = min(max(geom, 1), alg), complex(center)
+        classes += [EigenClass(z, alg, geom, geom == alg)
+                    for z in ([v] if be == 0 else [v, v.conjugate()])]
+    return classes, notes
 
 
-# --- public spectrum ---------------------------------------------------------
-
-
-def spectrum(mat, tol: float | None = None, cfg: ToleranceConfig | None = None) -> Spectrum:
+def spectrum(mat, tol: float = 1e-9) -> Spectrum:
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
-    Exact classes carry their rational certificates; numeric classes report
-    ill-conditioning whenever root clusters of one square-free factor could
-    not be told apart at the configured tolerance instead of silently
-    committing to a multiplicity.
+    Each Yun factor s_k gives up its rational roots, then an irreducible
+    quadratic rest, or for an even rest the rational roots mu of
+    s(lambda) = h(lambda^2); whatever is left goes to the numeric path. Exact
+    classes carry their rational certificates; numeric classes set
+    ill_conditioned, with a note, wherever roots of one factor could not be
+    told apart at the tolerance tol instead of silently committing to a
+    multiplicity.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if tol is not None:
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        cfg = cfg.override(rank_tol=tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     mq = coerce_matrix(mat)
     n = len(mq)
-
-    pending: list[_PendingClass] = []
-    ill = False
+    classes: list[EigenClass] = []
     notes: list[str] = []
     for s, k in _square_free(_integer_char_poly(mq)):
-        got, got_ill, got_notes = _factor_pending(s, k, mq, cfg)
-        pending.extend(got)
-        ill |= got_ill
-        notes.extend(got_notes)
-
-    @functools.cache  # both classes of a pair share one rank
-    def quad_rank(b: Fraction, c: Fraction) -> int:
-        return _linalg.rank(poly_eval_matrix(CharPoly((c, b, Fraction(1))), mq))
-
-    classes = []
-    for q in pending:
-        geom = _geom_mult(q, mq, quad_rank, cfg)
-        geom = min(max(geom, 1), q.alg)
-        classes.append(
-            EigenClass(
-                value=q.value,
-                alg_mult=q.alg,
-                geom_mult=geom,
-                semisimple=geom == q.alg,
-                exact_re=q.exact_re,
-                exact_im_sq=q.exact_im_sq,
-            )
-        )
+        for r in _rational_roots(s):
+            f = [-r.numerator, r.denominator]
+            s = _quo(s, f)
+            geom = _kernel_dim(f, mq) if k > 1 else 1
+            classes.append(EigenClass(complex(float(r)), k, geom, geom == k, r, Fraction(0)))
+        if len(s) > 3 and not any(s[1::2]):
+            h = s[0::2]
+            for mu in _rational_roots(h):
+                h = _quo(h, [-mu.numerator, mu.denominator])
+                classes += _pair_classes([-mu.numerator, 0, mu.denominator], k, mq)
+            s = [0] * (2 * len(h) - 1)
+            s[0::2] = h
+        if len(s) == 3:
+            classes += _pair_classes(s, k, mq)
+        elif len(s) > 1:
+            got, got_notes = _numeric_classes(s, k, mq, tol)
+            classes += got
+            notes += got_notes
     classes.sort(key=lambda c: (c.value.real, c.value.imag))
     total = sum(c.alg_mult for c in classes)
     if total != n:
@@ -524,7 +413,7 @@ def spectrum(mat, tol: float | None = None, cfg: ToleranceConfig | None = None) 
     return Spectrum(
         classes=tuple(classes),
         dim=n,
-        tolerance_used=cfg.rank_tol,
-        ill_conditioned=ill,
+        tolerance_used=tol,
+        ill_conditioned=bool(notes),
         notes=tuple(notes),
     )

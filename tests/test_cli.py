@@ -432,10 +432,34 @@ def test_more_bad_input_exits_2_without_traceback(argv, algebra, tmp_path):
     for value in ("nan", "inf", "0")
 ] + [("--seed", "0")])
 def test_bad_knob_exits_2(flag, value):
-    proc = cli_subprocess("classify", "--catalog", "sl2", "--inner", "1,0,0",
+    proc = cli_subprocess("simulate", "--catalog", "sl2", "--inner", "1,0,0",
                           f"{flag}={value}")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+EVIDENCE_FLAGS = ("--tol-period=1e-8", "--tol-separation=1e-3", "--horizon=50", "--samples=64")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag)
+    for argv in (["classify", "--catalog", "sl2", "--inner", "1,0,0"],
+                 ["derivations", "--catalog", "sl2"],
+                 ["catalog", "list"])
+    for flag in EVIDENCE_FLAGS
+] + [(["derivations", "--catalog", "sl2"], "--samples=0")])
+def test_evidence_flags_belong_to_simulate_only(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: ") and "unrecognized arguments: " + flag in err
+
+
+def test_inner_with_a_leading_minus_in_equals_form(capsys):
+    code, doc, _ = run_json(capsys, "classify", "--catalog", "sl2", "--inner=-1,0,0")
+    assert code == 0
+    assert doc["verdict"]["tag"] == "PeriodicFlow"
 
 
 def test_classify_repeated_off_axis_pair_exits_0(capsys, tmp_path):

@@ -3,12 +3,15 @@
 Each case is a valid invocation of a catalog algebra (or of its exported
 file), or one with a single part replaced by a fuzzed value: an unknown
 entry, a bad --param, a malformed algebra file, bad --inner/--matrix
-entries, a bad flow kind, period or knob. Every run must end in a
-documented exit code (0, 1 or 2, an exit 2 ending in an `error:` line) or in
-argparse's own SystemExit, never in another exception. Values are passed as
---flag=value, so that argparse does not read an entry list such as -1,0,0
-as an option. `--samples` is drawn only from values up to 64 and from values
-far above the CLI's cap, so that no case makes NumPy allocate a huge grid.
+entries, a bad flow kind, period or knob. `--format` is valid on every
+subcommand; the evidence knobs `--samples`, `--horizon`, `--tol-period` and
+`--tol-separation` on `simulate` only, so a fuzzed one elsewhere meets
+argparse's usage error. Every run must end in a documented exit code (0, 1
+or 2, an exit 2 ending in an `error:` line) or in argparse's own SystemExit,
+never in another exception. Values are passed as --flag=value, so that
+argparse does not read an entry list such as -1,0,0 as an option.
+`--samples` is drawn only from values up to 64 and from values far above the
+CLI's cap, so that no case makes NumPy allocate a huge grid.
 """
 
 import contextlib
@@ -51,12 +54,11 @@ fuzzed_algebra = st.fixed_dictionaries({}, optional={
 
 ENTRIES = {name: get_entry(name, 2 if name in PARAMETRIC_NAMES else None).structure
            for name in CATALOG_NAMES}
-KNOBS = {
+EVIDENCE_KNOBS = {
     "--samples": ["2", "17", "64"],
     "--horizon": ["1", "50"],
     "--tol-period": ["1e-8", "1e-3"],
     "--tol-separation": ["1e-3", "1"],
-    "--format": ["json", "text"],
 }
 # Per part of an invocation, the fuzzed values that replace a valid one.
 BAD = {
@@ -108,7 +110,8 @@ def invocations(draw):
     for flag, values, applies in (
         ("--flow", ["linear", "invariant"], command == "classify"),
         ("--check-period", ["pi", "2pi", "3pi/4", "1"], command == "simulate"),
-        *((knob, values, True) for knob, values in KNOBS.items()),
+        ("--format", ["json", "text"], True),
+        *((knob, values, command == "simulate") for knob, values in EVIDENCE_KNOBS.items()),
     ):
         if fuzz == flag:
             args.append(f"{flag}=" + draw(st.sampled_from(BAD[flag])))

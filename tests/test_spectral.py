@@ -10,7 +10,6 @@ import pytest
 from lieflow import char_poly, inner_derivation, poly_eval_matrix, spectrum
 from lieflow._linalg import mat_identity, mat_mul
 from lieflow.catalog import get_entry
-from lieflow.config import DEFAULT_CONFIG
 
 
 # --- independent char-poly oracle: Laplace expansion over a polynomial ring ----
@@ -351,7 +350,52 @@ def test_spectrum_tolerance_must_be_positive():
 
 def test_default_rank_tolerance_recorded():
     s = spectrum(((1, 0), (0, 2)))
-    assert s.tolerance_used == DEFAULT_CONFIG.rank_tol
+    assert s.tolerance_used == 1e-9
+
+
+# --- numeric real axis: clustered by real part ---------------------------------
+
+
+def orthogonal_conjugate(seed, *blocks):
+    """Q (blocks as one block-diagonal matrix) Q^T in floats, Q a seeded
+    orthogonal matrix, so that no exact path sees the planted structure."""
+    m = np.array(block_diag(*blocks), dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=m.shape))
+    return q @ m @ q.T
+
+
+def real_classes_near(s, value):
+    return [c for c in s.classes if c.value.imag == 0 and abs(c.value.real - value) < 1e-4]
+
+
+def test_float_jordan_block_is_one_flagged_real_class():
+    s = spectrum(orthogonal_conjugate(11, ((1, 1), (0, 1)), ((-2,),), ((0.5,),)))
+    assert s.ill_conditioned and s.notes
+    (c,) = real_classes_near(s, 1)
+    assert (c.alg_mult, c.geom_mult, c.semisimple) == (2, 1, False)
+    assert [len(real_classes_near(s, v)) for v in (-2, 0.5)] == [1, 1]
+    assert all(c.exact_re is None for c in s.classes)
+
+
+def test_near_equal_real_roots_merge_semisimple():
+    s = spectrum(orthogonal_conjugate(12, ((1,),), ((1 + 1e-10,),), ((-2,),), ((0.5,),)))
+    assert s.ill_conditioned
+    (c,) = real_classes_near(s, 1)
+    assert (c.alg_mult, c.geom_mult, c.semisimple) == (2, 2, True)
+
+
+def test_near_axis_pair_is_one_flagged_real_class():
+    # 1 +- 1.5e-6 i lies within the guard (1e-6 times the largest modulus,
+    # |0.3 + 2i|) of the real axis but more than one guard apart: it cannot be
+    # told from a double real root, so it is flagged, not split silently.
+    s = spectrum(orthogonal_conjugate(
+        13, ((1, -1.5e-6), (1.5e-6, 1)), ((0.3, -2), (2, 0.3))))
+    assert s.ill_conditioned and len(s.notes) == 1
+    (c,) = real_classes_near(s, 1)
+    assert c.alg_mult == 2
+    pair = [c for c in s.classes if c.value.imag != 0]
+    assert sorted(round(c.value.imag, 6) for c in pair) == [-2, 2]
+    assert all(c.alg_mult == 1 and abs(c.value.real - 0.3) < 1e-6 for c in pair)
 
 
 # --- square-free core: exact multiplicities and complete rational roots -------
