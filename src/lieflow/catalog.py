@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import _linalg
 from .config import ToleranceConfig
 from .dersolve import DerivationSpace, derivation_space
@@ -240,6 +238,8 @@ def _build_abelian3(_: Fraction | None) -> CatalogEntry:
     pattern = _pattern([[{names[i][j]: 1} for j in range(3)] for i in range(3)])
 
     def evals(v):
+        import numpy as np
+
         m = pattern.instantiate(v)
         tr = m[0][0] + m[1][1] + m[2][2]
         acoef = _abelian3_coefficient(m)

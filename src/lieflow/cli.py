@@ -20,8 +20,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import catalog as cat
 from . import flowsim
 from .config import DEFAULT_CONFIG, ToleranceConfig
@@ -353,6 +351,8 @@ def _render_report_text(r: cat.CrossCheckReport) -> str:
 
 
 def _cmd_simulate(args) -> tuple[int, dict, str]:
+    import numpy as np
+
     cfg = _config_from_args(args)
     sc, entry, source = _resolve_algebra(args)
     if args.inner is not None:
@@ -478,6 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before NumPy can load: the evidence multiplies small matrices, on which
+    # OpenBLAS's worker threads only spin. A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = args.format or os.environ.get("LIEFLOW_FORMAT", "json")

@@ -10,11 +10,10 @@ D(E_j).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import _linalg
 from .liealg import (
@@ -37,6 +36,8 @@ class DerivationMatrix:
         return len(self.entries)
 
     def as_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
@@ -60,11 +61,13 @@ def coerce_matrix(entries, dim: int | None = None) -> Matrix:
     """Accept nested sequences / numpy arrays / DerivationMatrix; exact output.
 
     Float entries are converted by `Fraction(float)`, which is exact for
-    binary floats.
+    binary floats. An ndarray can only exist once NumPy is loaded, so NumPy
+    is looked up, not imported.
     """
+    np = sys.modules.get("numpy")
     if isinstance(entries, DerivationMatrix):
         mat = entries.entries
-    elif isinstance(entries, np.ndarray):
+    elif np is not None and isinstance(entries, np.ndarray):
         mat = tuple(tuple(Fraction(float(v)) for v in row) for row in entries)
     else:
         mat = tuple(

@@ -1,8 +1,8 @@
 """Characteristic polynomials and per-eigenvalue semisimplicity analysis.
 
-Two-tier arithmetic: the characteristic polynomial is always exact (trace
-recursion over rationals; float entries are converted losslessly). Yun's
-square-free decomposition splits it into coprime factors s_k^k first, so
+Two-tier arithmetic: the characteristic polynomial is always exact
+(Berkowitz's recursion in integers; float entries are converted losslessly).
+Yun's square-free decomposition splits it into coprime factors s_k^k first, so
 algebraic multiplicities are exact and each factor has simple roots. Roots
 are extracted exactly wherever the factorization stays rational or quadratic
 (every rational root, found by Sturm bisection onto the rational-root
@@ -24,8 +24,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import _linalg
 from .dersolve import coerce_matrix
@@ -73,21 +71,29 @@ class Spectrum:
 
 
 def char_poly(mat) -> CharPoly:
-    """Exact monic characteristic polynomial via the trace recursion."""
+    """Exact monic characteristic polynomial by Berkowitz's division-free
+    recursion (S. J. Berkowitz, Inf. Process. Lett. 18(3), 1984) on the
+    integer matrix B = dD, d the lcm of D's denominators. With B_r the leading
+    r x r block, a, R and S the diagonal entry, row and column that extend it,
+    det(xI - B_{r+1}) is det(xI - B_r) times the lower-triangular Toeplitz
+    matrix with first column (1, -a, -RS, -RB_rS, ..., -RB_r^(r-1)S). Since
+    det(xI - B) = d^n p(x/d), coefficient k of p is B's over d^(n-k)."""
     m = coerce_matrix(mat)
     n = len(m)
-    a = [list(row) for row in m]
-    work = _linalg.mat_identity(n)
-    coeffs_desc = [Fraction(1)]
-    for k in range(1, n + 1):
-        am = _linalg.mat_mul(a, work)
-        trace = sum((am[i][i] for i in range(n)), Fraction(0))
-        ck = Fraction(-trace, k)
-        coeffs_desc.append(ck)
-        for i in range(n):
-            am[i][i] += ck
-        work = am
-    return CharPoly(coeffs=tuple(reversed(coeffs_desc)))
+    d = math.lcm(*(v.denominator for row in m for v in row))
+    b = [[int(v * d) for v in row] for row in m]
+    p = [1]  # det(xI - B_r), highest degree first
+    for r in range(n):
+        block = [b[i][:r] for i in range(r)]
+        row, col = b[r][:r], [b[i][r] for i in range(r)]
+        toeplitz = [1, -b[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(map(operator.mul, row, col)))
+            col = [sum(map(operator.mul, brow, col)) for brow in block]
+        p = [sum(toeplitz[i - j] * p[j] for j in range(min(i, r) + 1))
+             for i in range(r + 2)]
+    coeffs = [Fraction(c, d**i) for i, c in enumerate(p)]
+    return CharPoly(coeffs=tuple(reversed(coeffs)))
 
 
 def _integer_char_poly(mat) -> list[int]:
@@ -312,6 +318,8 @@ def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:
 
 
 def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
+    import numpy as np
+
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
@@ -331,6 +339,8 @@ def _numeric_classes(
     class of pessimistic multiplicity. A single root is semisimple when the
     exact test dim ker s(D) = k * deg s passes; otherwise SVD ranks decide.
     """
+    import numpy as np
+
     n = len(mq)
     roots = np.roots([float(Fraction(c, s[-1])) for c in reversed(s)]).astype(complex)
     guard = max(tol, 1e-6) * max(1.0, float(np.max(np.abs(roots))))

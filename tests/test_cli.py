@@ -323,6 +323,24 @@ def test_console_entry_point_runs():
     assert "sl2" in proc.stdout
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux's per-thread /proc entries")
+def test_simulate_runs_on_one_thread():
+    # main() pins OpenBLAS and OpenMP to one thread before NumPy loads, since
+    # their pools only spin on the evidence's small matrices.
+    env = checkout_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    script = ("import contextlib, io, os, sys\nfrom lieflow.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['simulate', '--catalog', 'sl2', '--inner=1,0,0'])\n"
+              "print(code, len(os.listdir('/proc/self/task')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 ZERO_DENOMINATOR_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]}
 
 

@@ -1,10 +1,12 @@
 """Matrix exponentials and orbit machinery against series and closed forms."""
 
+import json
 import math
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -73,16 +75,43 @@ def test_expm_contract_holds_at_norm_100():
     assert np.max(np.abs(got - expected) / expected) < 1e-12
 
 
-def test_import_lieflow_does_not_load_scipy():
+LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+import lieflow, lieflow.cli
+loaded = lambda: [m for m in ("numpy", "scipy") if m in sys.modules]
+seen = {"import": [0, loaded()]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[" ".join(argv[:2])] = [lieflow.cli.main(argv), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_import_lieflow_does_not_load_scipy(tmp_path):
+    # One interpreter runs the exact commands, then simulate: NumPy loads
+    # only for simulate's floating-point evidence, and SciPy never.
+    path = tmp_path / "aff2.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 2, "c": "1"}]}))
+    argvs = [
+        ["classify", "--catalog", "sl2", "--inner=1,0,0"],
+        ["classify", "--file", str(path), "--matrix=0,0,1,1"],
+        ["derivations", "--file", str(path)],
+        ["catalog", "verdict-table"],
+        ["simulate", "--catalog", "sl2", "--inner=1,0,0"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", "import lieflow, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", LAZY_IMPORT_SCRIPT, json.dumps(argvs)],
         capture_output=True, text=True, env=checkout_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    # The first expm call loads SciPy on demand.
-    rot = expm(np.array([[0.0, -1.0], [1.0, 0.0]]), math.pi / 2)
-    assert np.allclose(rot, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
+    assert json.loads(proc.stdout) == {
+        "import": [0, []],
+        "classify --catalog": [0, []],
+        "classify --file": [0, []],
+        "derivations --file": [0, []],
+        "catalog verdict-table": [0, []],
+        "simulate --catalog": [0, ["numpy"]],
+    }
 
 
 def test_expm_rotation_closed_form():
@@ -341,13 +370,48 @@ def literal_residual(m, period, horizon, samples):
 
 
 def test_batched_expm_matches_scalar_calls():
+    # ||tM||_1 runs from 0 to just under the guard, so the matrices of one
+    # batch take from 0 to 8 squarings. Each is scaled and squared on its
+    # own, as a scalar call would, so the batch equals the scalar calls.
     for m in seeded_matrices(41, 12):
-        ts = np.concatenate([np.linspace(0.0, 3.0, 9), [-1.5, 0.25]])
+        norm = np.linalg.norm(m, 1)
+        ts = np.concatenate([np.linspace(0.0, 3.0, 9), [-1.5, 0.25],
+                             np.array([0.01, -5.0, 40.0, 150.0, -600.0, 699.0]) / norm])
         batch = expm(m, ts)
         assert batch.shape == (len(ts),) + m.shape
         for t, got in zip(ts, batch):
-            want = expm(m, float(t))
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.array_equal(got, expm(m, float(t)))
+
+
+def oracle_blocks(rng, kind, n):
+    if kind == "rotation":  # n // 2 rotation generators, and a zero for odd n
+        m = np.zeros((n, n))
+        for i in range(0, n - 1, 2):
+            w = rng.uniform(0.2, 3.0)
+            m[i, i + 1], m[i + 1, i] = -w, w
+        return m
+    if kind == "jordan":
+        return rng.uniform(-1.0, 1.0) * np.eye(n) + np.eye(n, k=1)
+    if kind == "nilpotent":
+        return np.triu(rng.standard_normal((n, n)), 1)
+    return rng.standard_normal((n, n))
+
+
+def test_expm_matches_mpmath_up_to_the_norm_guard():
+    # 50-digit oracle. Measured worst relative error: 7.8e-14 (6x6 rotations
+    # at ||tM||_1 = 699); scipy.linalg.expm reached 5.5e-12 on these inputs.
+    rng = np.random.default_rng(47)
+    with mpmath.workdps(50):
+        for kind in ("rotation", "jordan", "nilpotent", "random"):
+            for n in range(2, 9):
+                m = oracle_blocks(rng, kind, n)
+                for target in (0.5, 5.0, 50.0, 300.0, 699.0):
+                    t = target / np.linalg.norm(m, 1)
+                    got = expm(m, t)
+                    want = mpmath.expm(mpmath.matrix((t * m).tolist()))
+                    err = mpmath.matrix(got.tolist()) - want
+                    rel = mpmath.mnorm(err, 1) / mpmath.mnorm(want, 1)
+                    assert rel < 1e-12, (kind, n, target, float(rel))
 
 
 def test_batched_expm_guards_the_largest_time():

@@ -78,6 +78,36 @@ def test_char_poly_matches_cofactor_oracle():
             assert char_poly(m).coeffs == charpoly_oracle(m)
 
 
+def faddeev_leverrier(mat):
+    """The trace recursion char_poly ran before Berkowitz's algorithm: n
+    products of Fraction matrices, M_k = A M_(k-1) + c_k I, c_k = -tr(A M_(k-1))/k."""
+    n = len(mat)
+    work = mat_identity(n)
+    coeffs_desc = [F(1)]
+    for k in range(1, n + 1):
+        am = mat_mul(mat, work)
+        ck = -sum((am[i][i] for i in range(n)), F(0)) / k
+        coeffs_desc.append(ck)
+        for i in range(n):
+            am[i][i] += ck
+        work = am
+    return tuple(reversed(coeffs_desc))
+
+
+def test_char_poly_matches_trace_recursion_on_seeded_matrices():
+    # 40 matrices per size n = 0..8, sparse and dense, with the mixed
+    # denominators that make the lcm d and the rescaling by d^(n-k) matter.
+    rng = random.Random(909)
+    for n in range(9):
+        for _ in range(40):
+            m = tuple(
+                tuple(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                      if rng.random() < 0.7 else F(0) for _ in range(n))
+                for _ in range(n)
+            )
+            assert char_poly(m).coeffs == faddeev_leverrier(m), m
+
+
 def test_char_poly_random_4x4_oracle():
     rng = random.Random(303)
     m = rand_matrix(rng, 4)
