@@ -10,7 +10,6 @@ solvable algebras and sl(2,R), and verifies verdicts numerically with matrix
 exponentials.
 """
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .liealg import (
     StructureConstants,
     ValidationReport,
@@ -58,9 +57,11 @@ from .periodicity import (
     verdict_to_dict,
 )
 from .flowsim import (
+    DEFAULT_CONFIG,
     ExpmOverflowError,
     FlowSample,
     ResidualReport,
+    ToleranceConfig,
     VerdictEvidence,
     conjugation_orbit,
     expm,

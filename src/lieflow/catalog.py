@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import _linalg
-from .config import ToleranceConfig
 from .dersolve import DerivationSpace, derivation_space
 from .liealg import Matrix, Scalar, StructureConstants, as_scalar
 from .periodicity import FlowVerdict, classify_linear_flow
@@ -600,6 +599,8 @@ _BUILDERS: dict[str, Callable[[Fraction | None], CatalogEntry]] = {
 
 CATALOG_NAMES = tuple(_BUILDERS)
 PARAMETRIC_NAMES = ("g34_a", "g35_a")
+SAMPLE_PARAMS = (F(1, 2), F(2), F(3))  # the family parameters a that are checked
+SIDE_SAMPLES = 3  # verdict-table samples on each side of a periodicity condition
 
 
 def get_entry(name: str, a: Scalar | None = None) -> CatalogEntry:
@@ -730,13 +731,11 @@ def cross_check(entry: CatalogEntry) -> CrossCheckReport:
     )
 
 
-def cross_check_all(
-    params: Sequence[Scalar] = (F(1, 2), F(2), F(3)),
-) -> list[CrossCheckReport]:
+def cross_check_all() -> list[CrossCheckReport]:
     reports = []
     for name in CATALOG_NAMES:
         if name in PARAMETRIC_NAMES:
-            for a in params:
+            for a in SAMPLE_PARAMS:
                 reports.append(cross_check(get_entry(name, a)))
         else:
             reports.append(cross_check(get_entry(name)))
@@ -888,11 +887,7 @@ _SIDE_SAMPLERS: dict[str, Callable[[Fraction, bool], Matrix]] = {
 }
 
 
-def verdict_table(
-    cfg: ToleranceConfig | None = None,
-    params: Sequence[Scalar] = (F(1, 2), F(2), F(3)),
-    side_count: int = 3,
-) -> list[VerdictRow]:
+def verdict_table() -> list[VerdictRow]:
     """Machine-checked verdicts over deterministic catalog samples.
 
     Families published as never-periodic are sampled across the exact
@@ -904,7 +899,7 @@ def verdict_table(
     rows: list[VerdictRow] = []
 
     def classify_row(entry: CatalogEntry, label: str, mat: Matrix) -> None:
-        verdict = classify_linear_flow(entry.structure, mat, cfg)
+        verdict = classify_linear_flow(entry.structure, mat)
         if entry.periodicity_condition is not None:
             expected_periodic = entry.periodicity_condition(mat)
             agrees = (verdict.tag == "PeriodicFlow") == expected_periodic
@@ -923,15 +918,12 @@ def verdict_table(
         )
 
     for name in CATALOG_NAMES:
-        entry_params: Sequence[Fraction | None] = (
-            [as_scalar(p) for p in params] if name in PARAMETRIC_NAMES else [None]
-        )
-        for a in entry_params:
+        for a in SAMPLE_PARAMS if name in PARAMETRIC_NAMES else (None,):
             entry = get_entry(name, a)
             if entry.periodicity_condition is not None:
                 for side in (True, False):
                     for i, mat in enumerate(
-                        condition_side_samples(entry, side, side_count)
+                        condition_side_samples(entry, side, SIDE_SAMPLES)
                     ):
                         side_label = "periodic-side" if side else "non-periodic-side"
                         classify_row(entry, f"{side_label}[{i}]", mat)

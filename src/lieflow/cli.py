@@ -4,10 +4,13 @@ Subcommands: classify, derivations, catalog (list / export / cross-check /
 verdict-table), simulate. Output is JSON by default (override with --format
 or the LIEFLOW_FORMAT environment variable). Only simulate, the numerical
 evidence layer, takes --tol-period, --tol-separation, --horizon and
---samples; the exact commands read no tolerance. Exit codes: 0 = document
-produced (or simulate check passed), 1 = simulate check failed or runtime
-guard tripped, 2 = invalid input (bad matrix, failed Jacobi, non-derivation).
-Verdicts are exact and read no tolerance, so no input is refused.
+--samples, the four fields of flowsim.ToleranceConfig; the exact commands
+read no tolerance. Exit codes: 0 = document produced (or simulate check
+passed), 1 = simulate check failed or runtime guard tripped (a period above
+periodicity.LCM_BOUND or beyond the float range, an exponential above
+flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix, failed Jacobi,
+non-derivation). Verdicts are exact and read no tolerance, so no input is
+refused.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import derivation_space, inner_derivation
 from .liealg import (
     StructureConstants,
@@ -111,7 +114,7 @@ def parse_period(text: str) -> float:
     return period
 
 
-def _config_from_args(args) -> ToleranceConfig:
+def _config_from_args(args) -> flowsim.ToleranceConfig:
     overrides = {}
     if args.tol_period is not None:
         overrides["period_tol"] = args.tol_period
@@ -125,7 +128,7 @@ def _config_from_args(args) -> ToleranceConfig:
         raise CliError("tolerances, horizon and samples must be positive and finite")
     if not 2 <= overrides.get("samples", 2) <= MAX_SAMPLES:
         raise CliError(f"--samples must lie between 2 and {MAX_SAMPLES}")
-    return DEFAULT_CONFIG.override(**overrides)
+    return replace(flowsim.DEFAULT_CONFIG, **overrides)
 
 
 def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
@@ -375,11 +378,10 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
                 [float(c) for c in coeffs],
                 np.eye(len(entry.representation[0])),
                 ts,
-                cfg,
             )
             doc["orbit"] = "group-level invariant orbit exp(tX)"
         else:
-            flows = flowsim.expm(mat, ts, cfg)
+            flows = flowsim.expm(mat, ts)
             samples = [flowsim.FlowSample(float(t), m) for t, m in zip(ts, flows)]
             doc["orbit"] = "algebra-level flow e^{tD}"
             if coeffs is not None:
@@ -405,7 +407,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         )
         code = EXIT_OK if passed else EXIT_FAIL
     else:
-        verdict = classify_linear_flow(sc, mat, cfg)
+        verdict = classify_linear_flow(sc, mat)
         evidence = flowsim.verify_verdict(sc, mat, verdict, cfg)
         doc["verdict"] = verdict_to_dict(verdict)
         details, nonfinite = _nulled(evidence.details)

@@ -35,11 +35,6 @@ class DerivationMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def as_numpy(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 

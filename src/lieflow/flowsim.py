@@ -17,9 +17,11 @@ import csv
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import DerivationMatrix
 from .periodicity import FlowVerdict
+
+EXPM_NORM_GUARD = 700.0    # refuse matrix exponentials beyond this ||tM||_1
+EVIDENCE_MIN_PERIOD = 0.5  # smallest trial period on NoPeriodicOrbits grids
 
 # Pade-13 coefficients b_0..b_13 and theta_13, the largest ||A||_1 at which
 # r_13(A) = e^A to double precision (N. J. Higham, SIAM J. Matrix Anal. Appl.
@@ -32,7 +34,20 @@ _THETA13 = 5.371920351148152
 
 
 class ExpmOverflowError(Exception):
-    """The requested exponential exceeds the configured norm guard."""
+    """The requested exponential exceeds the norm guard EXPM_NORM_GUARD."""
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """The evidence checks' settings; `simulate` sets each with a flag."""
+
+    period_tol: float = 1e-8  # flow-closure residual bound for periods
+    separation: float = 1e-3  # residual floor certifying "not closed"
+    horizon: float = 50.0     # time horizon for non-periodic evidence
+    samples: int = 64         # t-samples per residual sweep
+
+
+DEFAULT_CONFIG = ToleranceConfig()
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,7 @@ def _as_float_matrix(mat) -> np.ndarray:
     import numpy as np
 
     if isinstance(mat, DerivationMatrix):
-        return mat.as_numpy()
+        mat = mat.entries
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
@@ -73,11 +88,11 @@ def _norm1(arr: np.ndarray):
     return abs(arr).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def _check_norm(arr: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
+def _check_norm(arr: np.ndarray, t: float) -> None:
     norm = _norm1(t * arr)
-    if norm > cfg.expm_norm_guard:
+    if norm > EXPM_NORM_GUARD:
         raise ExpmOverflowError(
-            f"||tM|| = {norm:.3g} exceeds the guard {cfg.expm_norm_guard:.3g}"
+            f"||tM|| = {norm:.3g} exceeds the guard {EXPM_NORM_GUARD:.3g}"
         )
 
 
@@ -107,9 +122,7 @@ def _pade13_expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def expm(
-    mat, t: float | np.ndarray = 1.0, cfg: ToleranceConfig | None = None
-) -> np.ndarray:
+def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
     """e^{tM} by scaling-and-squaring with a Pade-13 approximant.
 
     `t` is a scalar, giving one matrix, or a 1-D array of times, giving the
@@ -121,29 +134,27 @@ def expm(
     """
     import numpy as np
 
-    cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array of times")
-    _check_norm(arr, float(np.max(np.abs(ts), initial=0.0)), cfg)
+    _check_norm(arr, float(np.max(np.abs(ts), initial=0.0)))
     scaled = ts[..., None, None] * arr
     return _pade13_expm(scaled.reshape((ts.size,) + arr.shape)).reshape(scaled.shape)
 
 
-def _safe_horizon(arr: np.ndarray, wanted: float, cfg: ToleranceConfig) -> float:
+def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
     """Largest usable time window given the exponential norm guard."""
     norm = _norm1(arr)
     if norm == 0:
         return wanted
-    return min(wanted, 0.5 * cfg.expm_norm_guard / norm)
+    return min(wanted, 0.5 * EXPM_NORM_GUARD / norm)
 
 
 def _closure_residuals(
-    arr: np.ndarray, periods: Sequence[float], horizon: float, samples: int,
-    cfg: ToleranceConfig,
+    arr: np.ndarray, periods: Sequence[float], horizon: float, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per trial period T_j, max over t in linspace(0, horizon, samples) of
     ||e^{(t+T_j)D} - e^{tD}||_F and the first t where it occurs, computed as
@@ -155,7 +166,7 @@ def _closure_residuals(
     import numpy as np
 
     ts = np.linspace(0.0, horizon, samples)
-    exps = expm(arr, np.concatenate([ts, periods]), cfg)
+    exps = expm(arr, np.concatenate([ts, periods]))
     flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
     flows = flows / scale[:, None, None]
@@ -186,9 +197,9 @@ def flow_period_residual(
     if samples < 2:
         raise ValueError("need at least two samples")
     arr = _as_float_matrix(mat)
-    horizon = _safe_horizon(arr, 4.0 * period if horizon is None else horizon, cfg)
-    _check_norm(arr, horizon + period, cfg)
-    (worst,), (at,) = _closure_residuals(arr, [period], horizon, samples, cfg)
+    horizon = _safe_horizon(arr, 4.0 * period if horizon is None else horizon)
+    _check_norm(arr, horizon + period)
+    (worst,), (at,) = _closure_residuals(arr, [period], horizon, samples)
     return ResidualReport(float(worst), float(at), samples, horizon)
 
 
@@ -206,11 +217,7 @@ def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:
 
 
 def conjugation_orbit(
-    rep: Sequence,
-    x: Sequence,
-    g0,
-    ts: Sequence[float],
-    cfg: ToleranceConfig | None = None,
+    rep: Sequence, x: Sequence, g0, ts: Sequence[float]
 ) -> list[FlowSample]:
     """Group-level linear-flow orbit g(t) = exp(-tX) g0 exp(tX).
 
@@ -221,33 +228,27 @@ def conjugation_orbit(
     """
     import numpy as np
 
-    cfg = cfg or DEFAULT_CONFIG
     g = np.asarray(g0, dtype=float)
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("g0 must be invertible")
     xh = rep_matrix(rep, x)
     ts = np.asarray(ts, dtype=float)
-    exps = expm(xh, np.concatenate([-ts, ts]), cfg)
+    exps = expm(xh, np.concatenate([-ts, ts]))
     mats = exps[: len(ts)] @ g @ exps[len(ts):]
     return [FlowSample(t=float(t), matrix=m) for t, m in zip(ts, mats)]
 
 
 def invariant_orbit(
-    rep: Sequence,
-    x: Sequence,
-    g0,
-    ts: Sequence[float],
-    cfg: ToleranceConfig | None = None,
+    rep: Sequence, x: Sequence, g0, ts: Sequence[float]
 ) -> list[FlowSample]:
     """Right-invariant-flow orbit exp(tX) g0."""
     import numpy as np
 
-    cfg = cfg or DEFAULT_CONFIG
     g = np.asarray(g0, dtype=float)
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("g0 must be invertible")
     xh = rep_matrix(rep, x)
-    mats = expm(xh, np.asarray(ts, dtype=float), cfg) @ g
+    mats = expm(xh, np.asarray(ts, dtype=float)) @ g
     return [FlowSample(t=float(t), matrix=m) for t, m in zip(ts, mats)]
 
 
@@ -302,15 +303,15 @@ def verify_verdict(
 
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
-    horizon = _safe_horizon(arr, cfg.horizon, cfg)
+    horizon = _safe_horizon(arr, cfg.horizon)
     if verdict.tag == "PeriodicFlow":
         assert verdict.period is not None
         period = verdict.period
-        horizon = _safe_horizon(arr, 4.0 * period, cfg)
-        _check_norm(arr, horizon + period, cfg)
+        horizon = _safe_horizon(arr, 4.0 * period)
+        _check_norm(arr, horizon + period)
         trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
         residuals, _ = _closure_residuals(
-            arr, [period, *trials.values()], horizon, cfg.samples, cfg
+            arr, [period, *trials.values()], horizon, cfg.samples
         )
         subperiods = dict(zip(trials, map(float, residuals[1:])))
         passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
@@ -318,18 +319,18 @@ def verify_verdict(
         details = {"closure_residual": float(residuals[0]),
                    "subperiod_residuals": subperiods}
     elif verdict.tag == "IdentityFlow":
-        flows = expm(arr, np.linspace(0.0, horizon, cfg.samples), cfg)
+        flows = expm(arr, np.linspace(0.0, horizon, cfg.samples))
         residuals = np.linalg.norm(flows - np.eye(arr.shape[0]), axis=(1, 2))
         passed, inconclusive = np.max(residuals) <= cfg.period_tol, False
         details = {"identity_residual": float(np.max(residuals)), "horizon": horizon}
     elif verdict.tag == "NoPeriodicOrbits":
         note = "falsification evidence over a finite horizon, not proof"
-        if horizon < cfg.evidence_min_period:
+        if horizon < EVIDENCE_MIN_PERIOD:
             note += "; the safe horizon is shorter than the smallest trial period"
             return VerdictEvidence(verdict.tag, False, True,
                                    {"horizon": horizon, "note": note})
-        periods = np.linspace(cfg.evidence_min_period, horizon, cfg.samples)
-        residuals, _ = _closure_residuals(arr, periods, horizon, cfg.samples, cfg)
+        periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
+        residuals, _ = _closure_residuals(arr, periods, horizon, cfg.samples)
         best = int(np.argmin(residuals))
         passed = residuals[best] >= cfg.separation
         inconclusive = not passed

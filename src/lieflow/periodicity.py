@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .dersolve import coerce_matrix, inner_derivation, leibniz_residual
 from .liealg import Scalar, StructureConstants
 from .spectral import (
@@ -50,6 +49,8 @@ REASON_NONZERO_REAL_PART = "NonzeroRealPart"
 REASON_REAL_NONZERO = "RealNonzeroEigenvalue"
 REASON_NON_SEMISIMPLE = "NonSemisimpleEigenvalue"
 REASON_IRRATIONAL_RATIO = "IrrationalRatio"
+
+LCM_BOUND = 10**9  # largest lcm(q_1..q_r) a minimal period may carry
 
 INVARIANT_FLOW_CAVEAT = (
     "periodicity of exp(tX) inferred from the derivation spectrum; the "
@@ -75,12 +76,12 @@ class IrrationalRatioError(Exception):
 
 
 class PeriodTooLargeError(Exception):
-    def __init__(self, lcm_value: int, bound: int):
+    """The minimal period's lcm(q_1..q_r) exceeds LCM_BOUND, or T is not a
+    positive finite float."""
+
+    def __init__(self, lcm_value: int, message: str):
         self.lcm = lcm_value
-        self.bound = bound
-        super().__init__(
-            f"combined denominator {lcm_value} exceeds the period bound {bound}"
-        )
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -143,52 +144,74 @@ def rational_ratio_profile(squares: Sequence[Fraction]) -> RationalProfile:
         if root is None:
             raise IrrationalRatioError(
                 i,
-                math.sqrt(sq / base_sq),
+                _sqrt(sq / base_sq),
                 f"ratio alpha_{i + 1}/alpha_1 = sqrt({sq / base_sq}) is irrational",
             )
         ratios.append((root.numerator, root.denominator))
     return RationalProfile(
-        base_alpha=math.sqrt(base_sq),
+        base_alpha=_sqrt(base_sq),
         ratios=tuple(ratios),
         base_alpha_exact=_is_rational_square(base_sq),
     )
 
 
-def _combined_lcm(profile: RationalProfile, cfg: ToleranceConfig) -> int:
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) for a rational x > 0, correctly rounded, or math.inf beyond the
+    float range. q = isqrt(floor(x * 4^k)) has 56 or more bits, and its last
+    bit is set when the root is inexact (round to odd), so the one rounding,
+    in the correctly rounded int division q / 2^k, lands where sqrt(x) would;
+    float(x) would round first, and underflow or overflow at extreme x."""
+    n, d = x.numerator, x.denominator
+    k = max(0, (d.bit_length() - n.bit_length() + 112) // 2)
+    q = math.isqrt((n << 2 * k) // d)
+    q |= q * q * d != n << 2 * k
+    try:
+        return q / (1 << k)
+    except OverflowError:
+        return math.inf
+
+
+def _combined_lcm(profile: RationalProfile) -> int:
     denominators = [q for _, q in profile.ratios] or [1]
     lcm_value = math.lcm(*denominators)
-    if lcm_value > cfg.lcm_bound:
-        raise PeriodTooLargeError(lcm_value, cfg.lcm_bound)
+    if lcm_value > LCM_BOUND:
+        raise PeriodTooLargeError(
+            lcm_value,
+            f"combined denominator {lcm_value} exceeds the period bound {LCM_BOUND}",
+        )
     return lcm_value
 
 
-def minimal_period(profile: RationalProfile, cfg: ToleranceConfig | None = None) -> float:
+def minimal_period(profile: RationalProfile) -> float:
     """Smallest T > 0 with alpha_i * T in 2*pi*Z for every frequency.
 
     T = (2*pi / alpha_1) * lcm(q_1..q_r): alpha_i T = 2*pi*p_i*lcm/q_i, and any
     smaller multiple of 2*pi/alpha_1 misses some q_i.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    lcm_value = _combined_lcm(profile, cfg)
-    return 2.0 * math.pi * lcm_value / profile.base_alpha
+    lcm_value = _combined_lcm(profile)
+    alpha = profile.base_alpha
+    period = 2.0 * math.pi * lcm_value / alpha if alpha > 0 else math.inf
+    if not 0 < period < math.inf:
+        raise PeriodTooLargeError(
+            lcm_value,
+            f"minimal period 2*pi*{lcm_value}/{alpha!r} is not a positive finite float",
+        )
+    return period
 
 
-def minimal_period_over_pi(
-    profile: RationalProfile, cfg: ToleranceConfig | None = None
-) -> Fraction | None:
+def minimal_period_over_pi(profile: RationalProfile) -> Fraction | None:
     """T / pi as an exact rational, when the base frequency is rational."""
-    cfg = cfg or DEFAULT_CONFIG
     if profile.base_alpha_exact is None:
         return None
-    return Fraction(2 * _combined_lcm(profile, cfg)) / profile.base_alpha_exact
+    return Fraction(2 * _combined_lcm(profile)) / profile.base_alpha_exact
 
 
 # --- classification ----------------------------------------------------------
 
 
-def classify_flow(mat, cfg: ToleranceConfig | None = None) -> FlowVerdict:
+def classify_flow(mat) -> FlowVerdict:
     """Verdict for the matrix flow e^{tD} from p = char_poly(D) in primitive
-    integer form and its square-free factors s_k^k (cfg gives only lcm_bound).
+    integer form and its square-free factors s_k^k.
 
     Failing reasons in a fixed order: NonzeroRealPart (the Sturm counts of
     real roots and nonzero roots on the imaginary axis fall short of n with
@@ -196,7 +219,6 @@ def classify_flow(mat, cfg: ToleranceConfig | None = None) -> FlowVerdict:
     prod s_k does not annihilate D), IrrationalRatio (rad(p) without its root
     0 is h(lambda^2); h must split over Q with rational-square root ratios).
     """
-    cfg = cfg or DEFAULT_CONFIG
     m = coerce_matrix(mat)
     p = _integer_char_poly(m)
     factors = _square_free(p)
@@ -229,32 +251,27 @@ def classify_flow(mat, cfg: ToleranceConfig | None = None) -> FlowVerdict:
         return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
     return FlowVerdict(
         tag="PeriodicFlow",
-        period=minimal_period(profile, cfg),
-        period_over_pi=minimal_period_over_pi(profile, cfg),
+        period=minimal_period(profile),
+        period_over_pi=minimal_period_over_pi(profile),
         profile=profile,
     )
 
 
-def classify_linear_flow(
-    sc: StructureConstants, mat, cfg: ToleranceConfig | None = None
-) -> FlowVerdict:
+def classify_linear_flow(sc: StructureConstants, mat) -> FlowVerdict:
     """Verdict for the linear flow whose derivation is `mat`.
 
     PeriodicFlow means every non-fixed orbit of the flow on the simply
     connected group is periodic with period dividing T; NoPeriodicOrbits means
     no non-fixed orbit is periodic.
     """
-    cfg = cfg or DEFAULT_CONFIG
     m = coerce_matrix(mat, sc.dim)
     residual, worst = leibniz_residual(sc, m)
     if residual != 0:
         raise NotADerivationError(residual, worst)
-    return classify_flow(m, cfg)
+    return classify_flow(m)
 
 
-def classify_invariant_flow(
-    sc: StructureConstants, x: Sequence[Scalar], cfg: ToleranceConfig | None = None
-) -> FlowVerdict:
+def classify_invariant_flow(sc: StructureConstants, x: Sequence[Scalar]) -> FlowVerdict:
     """Verdict for the right-invariant flow exp(tX) via D = -ad(X).
 
     A vanishing derivation (central X or abelian algebra) yields
@@ -264,7 +281,6 @@ def classify_invariant_flow(
     spectral condition implies periodicity of exp(tX) only when Ad separates
     group elements.
     """
-    cfg = cfg or DEFAULT_CONFIG
     der = inner_derivation(sc, x)
     if all(v == 0 for row in der.entries for v in row):
         return inconclusive(
@@ -272,7 +288,7 @@ def classify_invariant_flow(
             "algebra); e^{tD} is constant but exp(tX) itself may be a "
             "non-periodic one-parameter subgroup"
         )
-    verdict = classify_flow(der, cfg)
+    verdict = classify_flow(der)
     if verdict.tag == "PeriodicFlow":
         return verdict.with_caveat(INVARIANT_FLOW_CAVEAT)
     return verdict

@@ -29,6 +29,12 @@ from . import _linalg
 from .dersolve import coerce_matrix
 from .liealg import Matrix
 
+# Numeric roots only (factors with no rational or quadratic split): roots
+# closer than CLUSTER_GUARD times max(1, largest |root|) merge into one class,
+# and SVD ranks count singular values above RANK_TOL times the largest.
+CLUSTER_GUARD = 1e-6
+RANK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -52,9 +58,12 @@ class EigenClass:
     value: complex
     alg_mult: int
     geom_mult: int
-    semisimple: bool
     exact_re: Fraction | None = None
     exact_im_sq: Fraction | None = None
+
+    @property
+    def semisimple(self) -> bool:
+        return self.geom_mult == self.alg_mult
 
     @property
     def exact(self) -> bool:
@@ -65,7 +74,6 @@ class EigenClass:
 class Spectrum:
     classes: tuple[EigenClass, ...]
     dim: int
-    tolerance_used: float
     ill_conditioned: bool = False
     notes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -310,24 +318,24 @@ def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:
     re, disc = -b / 2, b * b - 4 * c
     if disc < 0:
         im = math.sqrt(float(-disc / 4))
-        return [EigenClass(complex(float(re), s * im), k, geom, geom == k, re, -disc / 4)
+        return [EigenClass(complex(float(re), s * im), k, geom, re, -disc / 4)
                 for s in (+1, -1)]
     sq = math.sqrt(float(disc))
-    return [EigenClass(complex(float(re) + s * sq / 2), k, geom, geom == k, None, Fraction(0))
+    return [EigenClass(complex(float(re) + s * sq / 2), k, geom, None, Fraction(0))
             for s in (+1, -1)]
 
 
-def _numeric_rank(a: np.ndarray, rel_tol: float) -> int:
+def _numeric_rank(a: np.ndarray) -> int:
     import numpy as np
 
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 def _numeric_classes(
-    s: list[int], k: int, mq: Matrix, tol: float
+    s: list[int], k: int, mq: Matrix
 ) -> tuple[list[EigenClass], list[str]]:
     """Classes of the roots of the square-free factor s (multiplicity k) that
     no exact path resolved, with a note per merged cluster.
@@ -343,7 +351,7 @@ def _numeric_classes(
 
     n = len(mq)
     roots = np.roots([float(Fraction(c, s[-1])) for c in reversed(s)]).astype(complex)
-    guard = max(tol, 1e-6) * max(1.0, float(np.max(np.abs(roots))))
+    guard = CLUSTER_GUARD * max(1.0, float(np.max(np.abs(roots))))
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (z.real, -z.imag)):
         if r.imag < -guard:
@@ -370,17 +378,17 @@ def _numeric_classes(
         if len(cl) == 1 and (k == 1 or exact):
             geom = alg
         elif be == 0:
-            geom = n - _numeric_rank(mf - al * np.eye(n), tol)
+            geom = n - _numeric_rank(mf - al * np.eye(n))
         else:
             quad = mf @ mf - 2 * al * mf + (al * al + be * be) * np.eye(n)
-            geom = (n - _numeric_rank(quad, tol)) // 2
+            geom = (n - _numeric_rank(quad)) // 2
         geom, v = min(max(geom, 1), alg), complex(center)
-        classes += [EigenClass(z, alg, geom, geom == alg)
+        classes += [EigenClass(z, alg, geom)
                     for z in ([v] if be == 0 else [v, v.conjugate()])]
     return classes, notes
 
 
-def spectrum(mat, tol: float = 1e-9) -> Spectrum:
+def spectrum(mat) -> Spectrum:
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
     Each Yun factor s_k gives up its rational roots, then an irreducible
@@ -388,11 +396,9 @@ def spectrum(mat, tol: float = 1e-9) -> Spectrum:
     s(lambda) = h(lambda^2); whatever is left goes to the numeric path. Exact
     classes carry their rational certificates; numeric classes set
     ill_conditioned, with a note, wherever roots of one factor could not be
-    told apart at the tolerance tol instead of silently committing to a
+    told apart at CLUSTER_GUARD instead of silently committing to a
     multiplicity.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     mq = coerce_matrix(mat)
     n = len(mq)
     classes: list[EigenClass] = []
@@ -402,7 +408,7 @@ def spectrum(mat, tol: float = 1e-9) -> Spectrum:
             f = [-r.numerator, r.denominator]
             s = _quo(s, f)
             geom = _kernel_dim(f, mq) if k > 1 else 1
-            classes.append(EigenClass(complex(float(r)), k, geom, geom == k, r, Fraction(0)))
+            classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
         if len(s) > 3 and not any(s[1::2]):
             h = s[0::2]
             for mu in _rational_roots(h):
@@ -413,17 +419,12 @@ def spectrum(mat, tol: float = 1e-9) -> Spectrum:
         if len(s) == 3:
             classes += _pair_classes(s, k, mq)
         elif len(s) > 1:
-            got, got_notes = _numeric_classes(s, k, mq, tol)
+            got, got_notes = _numeric_classes(s, k, mq)
             classes += got
             notes += got_notes
     classes.sort(key=lambda c: (c.value.real, c.value.imag))
     total = sum(c.alg_mult for c in classes)
     if total != n:
         raise AssertionError(f"multiplicities sum to {total}, expected {n}")
-    return Spectrum(
-        classes=tuple(classes),
-        dim=n,
-        tolerance_used=tol,
-        ill_conditioned=bool(notes),
-        notes=tuple(notes),
-    )
+    return Spectrum(classes=tuple(classes), dim=n, ill_conditioned=bool(notes),
+                    notes=tuple(notes))

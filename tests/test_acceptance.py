@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lieflow import (
+    DEFAULT_CONFIG,
     classify_flow,
     classify_invariant_flow,
     classify_linear_flow,
@@ -35,7 +36,6 @@ from lieflow.catalog import (
     get_entry,
     space_samples,
 )
-from lieflow.config import DEFAULT_CONFIG
 from lieflow.flowsim import orbit_closure_residual, rep_matrix
 
 
@@ -265,7 +265,7 @@ def test_criterion_5_matrix_level_equivalence():
         )
         if all(v == 0 for row in mat for v in row):
             continue
-        verdict = classify_linear_flow(entry.structure, mat, cfg)
+        verdict = classify_linear_flow(entry.structure, mat)
         if verdict.tag == "PeriodicFlow":
             closure = flow_period_residual(mat, verdict.period, cfg=cfg)
             half = flow_period_residual(mat, verdict.period / 2, cfg=cfg)
@@ -370,7 +370,7 @@ def test_criterion_6_semisimplicity_oracle():
                 break
     for trial in range(50):
         plants, mat = _numeric_plant(rng)
-        s = spectrum(mat, tol=1e-9)
+        s = spectrum(mat)
         for (alpha, beta), size in plants:
             match = min(
                 (cl for cl in s.classes if cl.value.imag > 0),

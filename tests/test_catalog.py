@@ -261,7 +261,7 @@ def test_condition_samples_land_on_their_side():
 
 
 def test_verdict_table_rows():
-    rows = verdict_table(side_count=2)
+    rows = verdict_table()
     by_entry: dict = {}
     for r in rows:
         by_entry.setdefault(r.entry, []).append(r)
@@ -288,7 +288,7 @@ def test_verdict_table_rows():
 
 
 def test_specific_verdict_rows():
-    rows = verdict_table(side_count=2)
+    rows = verdict_table()
 
     def find(entry, label):
         return next(r for r in rows if r.entry == entry and r.label == label)
@@ -304,7 +304,7 @@ def test_specific_verdict_rows():
 def test_every_periodic_table_verdict_verifies_numerically():
     from lieflow import verify_verdict
 
-    rows = verdict_table(side_count=2)
+    rows = verdict_table()
     periodic = [r for r in rows if r.verdict.tag == "PeriodicFlow"]
     assert periodic
     for r in periodic:

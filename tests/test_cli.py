@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -390,6 +391,17 @@ def test_simulate_output_is_strict_json(capsys, argv, nonfinite):
             assert doc["evidence"]["inconclusive"] and not doc["evidence"]["passed"]
         else:
             assert doc["max_residual"] is None and not doc["passed"]
+
+
+@pytest.mark.parametrize("beta", ["1/" + str(10**160), str(10**300), "1/" + str(10**300)],
+                         ids=["1/10^160", "10^300", "1/10^300"])
+def test_classify_extreme_rotation_period_matches_its_exact_form(capsys, beta):
+    code, out, err = run_cli(capsys, "classify", "--catalog", "abelian2",
+                             f"--matrix=0,{beta},-{beta},0")
+    assert code == 0, err
+    verdict = strict_json(out)["verdict"]
+    want = float(Fraction(verdict["period_over_pi"])) * math.pi
+    assert abs(verdict["period"] - want) <= 4 * math.ulp(want)
 
 
 def test_nulled_replaces_nonfinite_floats():

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from lieflow import (
+    DEFAULT_CONFIG,
     ExpmOverflowError,
     classify_linear_flow,
     expm,
@@ -24,7 +25,6 @@ from lieflow import (
 )
 from lieflow import flowsim
 from lieflow.catalog import get_entry, verdict_table
-from lieflow.config import DEFAULT_CONFIG
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
 
 from test_cli import checkout_env
@@ -153,11 +153,11 @@ def test_expm_rejects_nonfinite():
 def catalog_derivation_samples():
     out = []
     sl2 = get_entry("sl2").structure
-    out.append(inner_derivation(sl2, (1, 0, 0)).as_numpy())
-    out.append(inner_derivation(sl2, (1, F(1, 2), -1)).as_numpy())
+    out.append(inner_derivation(sl2, (1, 0, 0)).entries)
+    out.append(inner_derivation(sl2, (1, F(1, 2), -1)).entries)
     heis = get_entry("g31_heisenberg").structure
-    out.append(inner_derivation(heis, (0, 1, 1)).as_numpy())
-    return out
+    out.append(inner_derivation(heis, (0, 1, 1)).entries)
+    return [np.asarray(m, dtype=float) for m in out]
 
 
 def test_group_law_on_catalog_derivations():
@@ -280,7 +280,7 @@ def test_conjugation_orbit_log_matches_linear_flow():
     rep = rep_float(entry)
     basis_flat = np.stack([m.flatten() for m in rep], axis=1)
     v = np.array([0.05, 0.03, -0.04])
-    d = inner_derivation(entry.structure, (1, 0, 0)).as_numpy()
+    d = np.asarray(inner_derivation(entry.structure, (1, 0, 0)).entries, dtype=float)
     g0 = scipy.linalg.expm(rep_matrix(rep, v))
     for t in (0.0, 0.4, 1.1, 2.0):
         (sample,) = conjugation_orbit(rep, [1.0, 0.0, 0.0], g0, [t])
@@ -430,9 +430,7 @@ def test_kernel_matches_literal_residual_on_seeded_matrices():
     for m in seeded_matrices(42, 10):
         periods = rng.uniform(0.1, 2.0, size=3)
         horizon, samples = float(rng.uniform(0.5, 3.0)), 9
-        got, _ = flowsim._closure_residuals(
-            m, periods, horizon, samples, DEFAULT_CONFIG
-        )
+        got, _ = flowsim._closure_residuals(m, periods, horizon, samples)
         for period, residual in zip(periods, got):
             want, scale = literal_residual(m, period, horizon, samples)
             assert abs(residual - want) <= 1e-10 * max(want, scale)
@@ -445,12 +443,12 @@ def test_kernel_matches_literal_residual_on_verdict_table():
         m = np.array([[float(v) for v in r] for r in row.matrix])
         if row.verdict.tag == "PeriodicFlow":
             period = row.verdict.period
-            horizon = flowsim._safe_horizon(m, 4 * period, cfg)
+            horizon = flowsim._safe_horizon(m, 4 * period)
             periods = [period, period / 2, period / 3, period * 2 / 3]
         else:
-            horizon = flowsim._safe_horizon(m, cfg.horizon, cfg)
-            periods = np.linspace(cfg.evidence_min_period, horizon, cfg.samples)[::21]
-        got, _ = flowsim._closure_residuals(m, periods, horizon, 9, cfg)
+            horizon = flowsim._safe_horizon(m, cfg.horizon)
+            periods = np.linspace(flowsim.EVIDENCE_MIN_PERIOD, horizon, cfg.samples)[::21]
+        got, _ = flowsim._closure_residuals(m, periods, horizon, 9)
         for period, residual in zip(periods, got):
             want, scale = literal_residual(m, period, horizon, 9)
             assert abs(residual - want) <= 1e-10 * max(want, scale), (
@@ -489,9 +487,9 @@ def expm_batches(monkeypatch):
     sizes = []
     inner = flowsim.expm
 
-    def counting(mat, t=1.0, cfg=None):
+    def counting(mat, t=1.0):
         sizes.append(np.size(t))
-        return inner(mat, t, cfg)
+        return inner(mat, t)
 
     monkeypatch.setattr(flowsim, "expm", counting)
     return sizes
@@ -513,11 +511,11 @@ def test_evidence_exponentiates_one_batch_per_check(expm_batches):
 
 def test_short_horizon_evidence_is_inconclusive_without_exponentials(expm_batches):
     sc = get_entry("aff2").structure
-    mat = ((0, 0), (0, 1000))  # safe horizon 0.35 < evidence_min_period 0.5
+    mat = ((0, 0), (0, 1000))  # safe horizon 0.35 < EVIDENCE_MIN_PERIOD 0.5
     evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat))
     assert not evidence.passed and evidence.inconclusive
     assert expm_batches == []
-    assert evidence.details["horizon"] < DEFAULT_CONFIG.evidence_min_period
+    assert evidence.details["horizon"] < flowsim.EVIDENCE_MIN_PERIOD
 
 
 def test_nonfinite_residual_makes_evidence_inconclusive(monkeypatch):
@@ -527,7 +525,7 @@ def test_nonfinite_residual_makes_evidence_inconclusive(monkeypatch):
     mat = ((0, 0), (0, 300))
     verdict = classify_linear_flow(sc, mat)
 
-    def overflowing(arr, periods, horizon, samples, cfg):
+    def overflowing(arr, periods, horizon, samples):
         return np.full(len(periods), np.inf), np.zeros(len(periods))
 
     monkeypatch.setattr(flowsim, "_closure_residuals", overflowing)

@@ -1,7 +1,9 @@
 """Flow classification, rational ratio profiles, minimal periods."""
 
+import inspect
 import math
 import random
+from decimal import Context
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +24,6 @@ from lieflow import (
     verdict_to_dict,
 )
 from lieflow.catalog import get_entry
-from lieflow.config import DEFAULT_CONFIG
 
 
 def abelian(n):
@@ -223,14 +224,53 @@ def test_minimal_period_over_pi_symbolic():
 
 
 def test_period_too_large_guard():
-    profile = RationalProfile(
-        base_alpha=1.0,
-        ratios=((1, 1), (100001, 100000)),
-        base_alpha_exact=F(1),
-    )
-    cfg = DEFAULT_CONFIG.override(lcm_bound=10**4)
+    def profile(*denominators):
+        ratios = ((1, 1),) + tuple((q + 1, q) for q in denominators)
+        return RationalProfile(base_alpha=1.0, ratios=ratios, base_alpha_exact=F(1))
+
+    assert minimal_period_over_pi(profile(10**9)) == 2 * 10**9  # the bound itself
+    # lcm(100003, 100019) = 100003 * 100019 > 10**9
+    with pytest.raises(PeriodTooLargeError) as err:
+        minimal_period(profile(100003, 100019))
+    assert err.value.lcm == 100003 * 100019
     with pytest.raises(PeriodTooLargeError):
-        minimal_period(profile, cfg)
+        minimal_period_over_pi(profile(100003, 100019))
+
+
+def test_base_frequency_is_the_correctly_rounded_root():
+    rng = random.Random(41)
+    ctx = Context(prec=60)
+    for _ in range(2000):
+        x = F(rng.getrandbits(rng.randint(1, 400)) + 1, rng.getrandbits(rng.randint(1, 400)) + 1)
+        want = float(ctx.sqrt(ctx.divide(x.numerator, x.denominator)))
+        assert rational_ratio_profile([x]).base_alpha == want, x
+
+
+@pytest.mark.parametrize("beta", [F(1, 10**160), F(10**300), F(1, 10**300)],
+                         ids=["1/10^160", "10^300", "1/10^300"])
+def test_extreme_rational_rotation_periods(beta):
+    # The base square beta^2 is subnormal, beyond the float range, or rounds
+    # to zero; the period still matches its exact T/pi.
+    v = classify_flow(rot_block(beta))
+    assert v.tag == "PeriodicFlow" and v.period_over_pi == 2 / beta
+    want = float(v.period_over_pi) * math.pi
+    assert abs(v.period - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("beta", [F(1, 10**400), F(10**400)], ids=["1/10^400", "10^400"])
+def test_period_beyond_the_float_range_is_too_large(beta):
+    with pytest.raises(PeriodTooLargeError):
+        classify_flow(rot_block(beta))
+
+
+def test_huge_irrational_ratio_is_a_verdict():
+    # Frequencies 1 and sqrt(2) * 10^200: the ratio's float must not overflow.
+    a = 10**200
+    v = classify_flow(blkdiag(rot_block(1), [[0, -2 * a], [a, 0]]))
+    assert v.reason == "IrrationalRatio"
+    with pytest.raises(IrrationalRatioError) as err:
+        rational_ratio_profile([F(1), F(2 * a * a)])
+    assert math.isclose(err.value.ratio, math.sqrt(2) * 1e200)
 
 
 # --- invariants -------------------------------------------------------------------
@@ -382,21 +422,12 @@ def test_numeric_imaginary_class_is_irrational_ratio():
     assert v.reason == "IrrationalRatio"
 
 
-class RecordingConfig:
-    """DEFAULT_CONFIG that records the name of every field read from it."""
-
-    def __init__(self):
-        self.read = set()
-
-    def __getattr__(self, name):
-        self.read.add(name)
-        return getattr(DEFAULT_CONFIG, name)
-
-
 def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
     from lieflow import catalog, periodicity, spectral
     from lieflow.catalog import verdict_table
 
+    for fn in (classify_flow, classify_linear_flow, classify_invariant_flow, verdict_table):
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
     expected = [verdict_to_dict(r.verdict) for r in verdict_table()]
 
     def refuse(*args, **kwargs):
@@ -404,10 +435,8 @@ def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
 
     for module in (spectral, periodicity, catalog):
         monkeypatch.setattr(module, "spectrum", refuse, raising=False)
-    cfg = RecordingConfig()
-    rows = verdict_table(cfg)
+    rows = verdict_table()
     assert [verdict_to_dict(r.verdict) for r in rows] == expected
     assert len(rows) == 98
     sc = get_entry("sl2").structure
-    assert classify_invariant_flow(sc, (1, 0, 0), cfg).tag == "PeriodicFlow"
-    assert cfg.read <= {"lcm_bound"}
+    assert classify_invariant_flow(sc, (1, 0, 0)).tag == "PeriodicFlow"

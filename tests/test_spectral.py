@@ -5,7 +5,6 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from lieflow import char_poly, inner_derivation, poly_eval_matrix, spectrum
 from lieflow._linalg import mat_identity, mat_mul
@@ -371,16 +370,6 @@ def test_spectrum_flags_unresolvable_clusters():
     assert s.notes
     merged = [c for c in s.classes if c.value.imag > 0 and c.alg_mult == 2]
     assert merged, "the indistinguishable pairs should merge pessimistically"
-
-
-def test_spectrum_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        spectrum(((1, 0), (0, 1)), tol=-1.0)
-
-
-def test_default_rank_tolerance_recorded():
-    s = spectrum(((1, 0), (0, 2)))
-    assert s.tolerance_used == 1e-9
 
 
 # --- numeric real axis: clustered by real part ---------------------------------
