@@ -1,14 +1,17 @@
 """Exact rational linear algebra: RREF, rank, nullspace, span tests.
 
-Everything here works on sequences of `fractions.Fraction` and never touches
-floating point. Matrices are lists of row lists; vectors are sequences.
+Nothing here touches floating point. `rref` and the functions built on it
+take dense rows of `fractions.Fraction` (or int); `nullspace` takes sparse
+integer rows {col: int}. Both run one fraction-free elimination on sparse
+primitive integer rows, `_reduce`, and build Fractions only for the output.
+Matrices are lists of row lists; vectors are sequences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Row = list[Fraction]
 
@@ -39,34 +42,18 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, 
     return _primitive(out)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form with pivots normalized to 1.
+def _reduce(pending: list[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """Fully reduced primitive integer pivot rows of the nonzero sparse rows
+    in `pending`, as (pivot column, row) in ascending pivot order.
 
-    Returns (reduced rows, pivot column indices). The reduced rows come
-    first, in pivot order, then one zero row for each input row that
-    reduced to zero, so the output has as many rows as the input.
-
-    Elimination is fraction-free on sparse rows: each row is a dict of
-    nonzero integer entries scaled to be primitive (gcd 1), so the work
-    tracks the nonzeros and no rational arithmetic happens until the last
-    step divides each row by its pivot. Columns are eliminated left to
-    right, taking as pivot the sparsest remaining row with a nonzero in
-    the column, then earlier pivot rows are cleared from the right. The
-    RREF of a matrix is unique, so the pivot choice does not change the
-    result.
+    Elimination is fraction-free: each row is a dict of nonzero integer
+    entries kept primitive (gcd 1), so the work tracks the nonzeros and no
+    rational arithmetic happens. Columns are eliminated left to right, taking
+    as pivot the sparsest remaining row with a nonzero in the column, then
+    earlier pivot rows are cleared from the right. Each returned row is zero
+    in every other pivot column, so dividing it by its pivot entry gives the
+    row of the RREF, which is unique: the pivot choice does not change it.
     """
-    dense = [list(r) for r in rows]
-    if not dense:
-        return [], []
-    ncols = len(dense[0])
-    pending: list[dict[int, int]] = []
-    for r in dense:
-        nz = {c: v for c, v in enumerate(r) if v}
-        if nz:
-            d = lcm(*(v.denominator for v in nz.values()))
-            pending.append(
-                _primitive({c: v.numerator * (d // v.denominator) for c, v in nz.items()})
-            )
     done: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
         if not pending:
@@ -90,6 +77,30 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
             col, r = done[s]
             if c in r:
                 done[s] = (col, _eliminate(r, pivot, c))
+    return done
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form with pivots normalized to 1.
+
+    Returns (reduced rows, pivot column indices). The reduced rows come
+    first, in pivot order, then one zero row for each input row that
+    reduced to zero, so the output has as many rows as the input. Each
+    dense row is scaled to a primitive sparse integer row for `_reduce`.
+    """
+    dense = [list(r) for r in rows]
+    if not dense:
+        return [], []
+    ncols = len(dense[0])
+    pending: list[dict[int, int]] = []
+    for r in dense:
+        nz = {c: v for c, v in enumerate(r) if v}
+        if nz:
+            d = lcm(*[v.denominator for v in nz.values()])
+            pending.append(
+                _primitive({c: v.numerator * (d // v.denominator) for c, v in nz.items()})
+            )
+    done = _reduce(pending, ncols)
     zero = Fraction(0)
     reduced = []
     for c, r in done:
@@ -105,23 +116,26 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : A x = 0}, one vector per free column, ascending.
+def nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : A x = 0} for A given as sparse integer rows {col: int},
+    one vector per free column, ascending.
 
     Each basis vector has 1 in its free coordinate, so the assembled basis
-    matrix is column-reduced and the output is deterministic.
+    matrix is column-reduced and the output is deterministic. Only the
+    nonzero entries become Fractions, read off the integer pivot rows.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            vec[p] = -reduced[row_idx][f]
-        basis.append(tuple(vec))
-    return basis
+    done = _reduce([_primitive(dict(r)) for r in rows if r], ncols)
+    pivots = {c for c, _ in done}
+    zero, one = Fraction(0), Fraction(1)
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in pivots}
+    for f, vec in basis.items():
+        vec[f] = one
+    for c, r in done:
+        p = r[c]
+        for k, v in r.items():
+            if k != c:
+                basis[k][c] = Fraction(-v, p)
+    return [tuple(vec) for vec in basis.values()]
 
 
 def solve_coordinates(

@@ -6,11 +6,12 @@ or the LIEFLOW_FORMAT environment variable). Only simulate, the numerical
 evidence layer, takes --tol-period, --tol-separation, --horizon and
 --samples, the four fields of flowsim.ToleranceConfig; the exact commands
 read no tolerance. Exit codes: 0 = document produced (or simulate check
-passed), 1 = simulate check failed or runtime guard tripped (a period above
-periodicity.LCM_BOUND or beyond the float range, an exponential above
-flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix, failed Jacobi,
-non-derivation). Verdicts are exact and read no tolerance, so no input is
-refused.
+passed), 1 = simulate check failed or runtime guard tripped (a period
+beyond the float range, an exponential above flowsim.EXPM_NORM_GUARD),
+2 = invalid input (bad matrix, failed Jacobi, non-derivation). Verdicts are
+exact and read no tolerance, so no input is refused. A closed stdout (as in
+`lieflow catalog verdict-table | head -1`) ends the run with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -506,10 +507,15 @@ def main(argv: list[str] | None = None) -> int:
     except (PeriodTooLargeError, flowsim.ExpmOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        print(text)
+    try:
+        print(json.dumps(doc, indent=2, allow_nan=False) if fmt == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`). As the CPython signal docs
+        # advise, point stdout at devnull so the flush at exit cannot fail
+        # again, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     return code
 
 

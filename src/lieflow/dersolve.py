@@ -4,8 +4,11 @@ A linear map D is a derivation when D[E_i,E_j] = [D E_i, E_j] + [E_i, D E_j]
 for every basis pair. The full space is computed as the exact nullspace of
 that constraint system, generated generically from the structure constants
 (one row per pair per component, n * C(n,2) rows in n^2 unknowns, unknowns
-flattened row-major). Column j of every matrix holds the coordinates of
-D(E_j).
+flattened row-major; W. de Graaf, Lie Algebras: Theory and Algorithms,
+2000). The work is in integers from the structure constants on: the rows are
+sparse integer rows built from the integer bracket table, the elimination is
+fraction-free, and the Leibniz residual scales D to an integer matrix. Column
+j of every matrix holds the coordinates of D(E_j).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import _linalg
@@ -82,17 +86,24 @@ def coerce_matrix(entries, dim: int | None = None) -> Matrix:
 def leibniz_residual(
     sc: StructureConstants, mat
 ) -> tuple[Fraction, tuple[int, int] | None]:
-    """Max-norm Leibniz violation over basis pairs, with the offending pair."""
+    """Max-norm Leibniz violation over basis pairs, with the offending pair.
+
+    D is scaled by the lcm s of its denominators, so with the integer table
+    every difference is den * s times the rational one: the worst integer
+    difference over den * s is the residual, at the same pair.
+    """
     m = coerce_matrix(mat, sc.dim)
     n = sc.dim
     table = sc._table
-    cols = [[(r, m[r][j]) for r in range(n) if m[r][j]] for j in range(n)]
-    worst = Fraction(0)
+    nonzero = [[(r, v) for r in range(n) if (v := m[r][j])] for j in range(n)]
+    s = lcm(*[v.denominator for col in nonzero for _, v in col])
+    cols = [[(r, v.numerator * (s // v.denominator)) for r, v in col] for col in nonzero]
+    worst = 0
     worst_pair: tuple[int, int] | None = None
     for i in range(n):
         for j in range(i + 1, n):
             # D[E_i,E_j] - [D E_i, E_j] - [E_i, D E_j], sparse in both factors
-            diff: dict[int, Fraction] = {}
+            diff: dict[int, int] = {}
             for k, c in table.get((i, j), ()):
                 for r, v in cols[k]:
                     diff[r] = diff.get(r, 0) + c * v
@@ -102,11 +113,11 @@ def leibniz_residual(
             for b, v in cols[j]:
                 for k, c in table.get((i, b), ()):
                     diff[k] = diff.get(k, 0) - v * c
-            res = max((abs(v) for v in diff.values()), default=Fraction(0))
+            res = max((abs(v) for v in diff.values()), default=0)
             if res > worst:
                 worst = res
                 worst_pair = (i, j)
-    return worst, worst_pair
+    return Fraction(worst, sc.den * s), worst_pair
 
 
 def is_derivation(sc: StructureConstants, mat) -> DerivationCheck:
@@ -122,31 +133,32 @@ def inner_derivation(sc: StructureConstants, x: Sequence[Scalar]) -> DerivationM
     return DerivationMatrix(entries=neg, leibniz_residual=res)
 
 
-def constraint_rows(sc: StructureConstants) -> list[list[Fraction]]:
-    """Leibniz constraint rows over the n^2 unknowns D[r][c] (row-major).
+def constraint_rows(sc: StructureConstants) -> list[dict[int, int]]:
+    """Leibniz constraint rows over the n^2 unknowns D[r][c] (row-major), as
+    sparse integer rows {column: value} with no zero values.
 
     For the pair (i, j) and output component k the row encodes
-    (D [E_i,E_j])_k - [D E_i, E_j]_k - [E_i, D E_j]_k = 0.
+    den * ((D [E_i,E_j])_k - [D E_i, E_j]_k - [E_i, D E_j]_k) = 0, from the
+    integer bracket table. A component with no constraint is an empty row.
     """
     n = sc.dim
     table = sc._table
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            block = [[zero] * (n * n) for _ in range(n)]
+            block: list[dict[int, int]] = [{} for _ in range(n)]
             # D applied to [E_i, E_j]: unknowns D[k][m]
             for m, c in table.get((i, j), ()):
                 for k in range(n):
-                    block[k][k * n + m] += c
+                    block[k][k * n + m] = block[k].get(k * n + m, 0) + c
             for m in range(n):
                 # -[D E_i, E_j]: D E_i has coordinates D[m][i]
                 for k, c in table.get((m, j), ()):
-                    block[k][m * n + i] -= c
+                    block[k][m * n + i] = block[k].get(m * n + i, 0) - c
                 # -[E_i, D E_j]
                 for k, c in table.get((i, m), ()):
-                    block[k][m * n + j] -= c
-            rows.extend(block)
+                    block[k][m * n + j] = block[k].get(m * n + j, 0) - c
+            rows.extend({col: v for col, v in row.items() if v} for row in block)
     return rows
 
 
@@ -162,11 +174,12 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
     basis_vectors = _linalg.nullspace(rows, n * n)
     basis = []
     for vec in basis_vectors:
-        mat = tuple(tuple(vec[r * n + c] for c in range(n)) for r in range(n))
-        res, _ = leibniz_residual(sc, mat)
-        if res != 0:
+        # From a list: see the lcm(*[...]) note in StructureConstants.
+        mat = tuple([vec[r * n : r * n + n] for r in range(n)])
+        der = DerivationMatrix(entries=mat, leibniz_residual=Fraction(0))
+        if leibniz_residual(sc, der)[0] != 0:
             raise AssertionError("nullspace member violates Leibniz; solver bug")
-        basis.append(DerivationMatrix(entries=mat, leibniz_residual=res))
+        basis.append(der)
     return DerivationSpace(basis=tuple(basis), dim=len(basis))
 
 

@@ -1,9 +1,12 @@
 """Real Lie algebras presented by exact rational structure constants.
 
-An algebra of dimension n is stored as the strict-lower-triangle tensor
+An algebra of dimension n is given by the strict-lower-triangle tensor
 c[i][j][k] (0-based, i < j) with [E_i, E_j] = sum_k c_{ij}^k E_k; antisymmetry
-is a representation invariant, never data. Vectors are plain tuples of
-scalars in the fixed basis. All arithmetic in this module is exact.
+is a representation invariant, never data. For computing, the constants are
+stored once more as integers: a bracket table of den * c_{ij}^k over ordered
+pairs, where den is the lcm of their denominators, so the kernels here and
+in dersolve work in integers and divide by den once. Vectors are plain
+tuples of scalars in the fixed basis. All arithmetic in this module is exact.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -76,13 +80,20 @@ class StructureConstants:
             if value != 0:
                 entries[(i, j, k)] = value
         self._entries = entries
-        # Sparse bracket table over ordered pairs: (i, j) -> ((k, c_ij^k), ...)
-        # for every i != j with [E_i, E_j] != 0, antisymmetry spelled out.
-        # The object is immutable, so the table never goes stale.
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        # Sparse integer bracket table over ordered pairs: (i, j) ->
+        # ((k, den * c_ij^k), ...) for every i != j with [E_i, E_j] != 0,
+        # antisymmetry spelled out. The object is immutable, so the table
+        # never goes stale.
+        # lcm(*[...]), not lcm(*(...)): CPython builds a tuple (here the
+        # argument tuple) from a generator by resizing one of a guessed
+        # length, which moves tuples between its per-size free lists; over
+        # many calls those fill up and stay resident.
+        self.den = den = lcm(*[c.denominator for c in entries.values()])
+        table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for (i, j, k), c in sorted(entries.items()):
-            table[(i, j)] = table.get((i, j), ()) + ((k, c),)
-            table[(j, i)] = table.get((j, i), ()) + ((k, -c),)
+            v = c.numerator * (den // c.denominator)
+            table[(i, j)] = table.get((i, j), ()) + ((k, v),)
+            table[(j, i)] = table.get((j, i), ()) + ((k, -v),)
         self._table = table
 
     @property
@@ -95,7 +106,7 @@ class StructureConstants:
             raise ValueError(f"basis index out of range for dim {self.dim}")
         out = [Fraction(0)] * self.dim
         for k, c in self._table.get((i, j), ()):
-            out[k] = c
+            out[k] = Fraction(c, self.den)
         return tuple(out)
 
     def __repr__(self) -> str:
@@ -124,7 +135,7 @@ def bracket(sc: StructureConstants, x: Sequence[Scalar], y: Sequence[Scalar]) ->
         for j, b in ys:
             for k, c in table.get((i, j), ()):
                 out[k] += c * a * b
-    return tuple(out)
+    return tuple([v / sc.den for v in out])
 
 
 def ad(sc: StructureConstants, x: Sequence[Scalar]) -> Matrix:
@@ -136,32 +147,35 @@ def ad(sc: StructureConstants, x: Sequence[Scalar]) -> Matrix:
         for j in range(sc.dim):
             for k, c in table.get((i, j), ()):
                 out[k][j] += a * c
-    return tuple(tuple(row) for row in out)
+    return tuple(tuple([v / sc.den for v in row]) for row in out)
 
 
 def validate_algebra(sc: StructureConstants) -> ValidationReport:
     """Exact Jacobi check over all basis triples.
 
     A failing algebra yields a report (jacobi_ok=False, worst offending triple
-    by max-norm residual), never an exception.
+    by max-norm residual), never an exception. The cyclic sums run on the
+    integer table, so each is den^2 times the rational one and the residual
+    is the worst integer sum over den^2.
     """
     table = sc._table
     worst: tuple[int, int, int] | None = None
-    worst_res = Fraction(0)
+    worst_res = 0
     for i in range(sc.dim):
         for j in range(i + 1, sc.dim):
             for k in range(j + 1, sc.dim):
                 # [E_i,[E_j,E_k]] + [E_j,[E_k,E_i]] + [E_k,[E_i,E_j]]
-                total: dict[int, Fraction] = {}
+                total: dict[int, int] = {}
                 for a, bc in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
                     for m, c in table.get(bc, ()):
                         for t, d in table.get((a, m), ()):
                             total[t] = total.get(t, 0) + c * d
-                res = max((abs(v) for v in total.values()), default=Fraction(0))
+                res = max((abs(v) for v in total.values()), default=0)
                 if res > worst_res:
                     worst_res = res
                     worst = (i, j, k)
-    return ValidationReport(jacobi_ok=worst_res == 0, worst_triple=worst, residual=worst_res)
+    residual = Fraction(worst_res, sc.den * sc.den)
+    return ValidationReport(jacobi_ok=worst_res == 0, worst_triple=worst, residual=residual)
 
 
 def permute_basis(sc: StructureConstants, perm: Sequence[int]) -> StructureConstants:

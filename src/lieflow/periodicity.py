@@ -41,6 +41,7 @@ from .spectral import (
     _quo,
     _rational_roots,
     _real_root_count,
+    _sqrt,
     _square_free,
     poly_eval_matrix,
 )
@@ -49,8 +50,6 @@ REASON_NONZERO_REAL_PART = "NonzeroRealPart"
 REASON_REAL_NONZERO = "RealNonzeroEigenvalue"
 REASON_NON_SEMISIMPLE = "NonSemisimpleEigenvalue"
 REASON_IRRATIONAL_RATIO = "IrrationalRatio"
-
-LCM_BOUND = 10**9  # largest lcm(q_1..q_r) a minimal period may carry
 
 INVARIANT_FLOW_CAVEAT = (
     "periodicity of exp(tX) inferred from the derivation spectrum; the "
@@ -76,8 +75,7 @@ class IrrationalRatioError(Exception):
 
 
 class PeriodTooLargeError(Exception):
-    """The minimal period's lcm(q_1..q_r) exceeds LCM_BOUND, or T is not a
-    positive finite float."""
+    """The minimal period T is not a positive finite float."""
 
     def __init__(self, lcm_value: int, message: str):
         self.lcm = lcm_value
@@ -155,31 +153,8 @@ def rational_ratio_profile(squares: Sequence[Fraction]) -> RationalProfile:
     )
 
 
-def _sqrt(x: Fraction) -> float:
-    """sqrt(x) for a rational x > 0, correctly rounded, or math.inf beyond the
-    float range. q = isqrt(floor(x * 4^k)) has 56 or more bits, and its last
-    bit is set when the root is inexact (round to odd), so the one rounding,
-    in the correctly rounded int division q / 2^k, lands where sqrt(x) would;
-    float(x) would round first, and underflow or overflow at extreme x."""
-    n, d = x.numerator, x.denominator
-    k = max(0, (d.bit_length() - n.bit_length() + 112) // 2)
-    q = math.isqrt((n << 2 * k) // d)
-    q |= q * q * d != n << 2 * k
-    try:
-        return q / (1 << k)
-    except OverflowError:
-        return math.inf
-
-
 def _combined_lcm(profile: RationalProfile) -> int:
-    denominators = [q for _, q in profile.ratios] or [1]
-    lcm_value = math.lcm(*denominators)
-    if lcm_value > LCM_BOUND:
-        raise PeriodTooLargeError(
-            lcm_value,
-            f"combined denominator {lcm_value} exceeds the period bound {LCM_BOUND}",
-        )
-    return lcm_value
+    return math.lcm(*[q for _, q in profile.ratios])
 
 
 def minimal_period(profile: RationalProfile) -> float:
@@ -190,7 +165,10 @@ def minimal_period(profile: RationalProfile) -> float:
     """
     lcm_value = _combined_lcm(profile)
     alpha = profile.base_alpha
-    period = 2.0 * math.pi * lcm_value / alpha if alpha > 0 else math.inf
+    try:
+        period = 2.0 * math.pi * lcm_value / alpha if alpha > 0 else math.inf
+    except OverflowError:  # lcm_value beyond the float range
+        period = math.inf
     if not 0 < period < math.inf:
         raise PeriodTooLargeError(
             lcm_value,

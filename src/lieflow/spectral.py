@@ -296,6 +296,22 @@ def _is_rational_square(x: Fraction) -> Fraction | None:
     return None
 
 
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) for a rational x > 0, correctly rounded, or math.inf beyond the
+    float range. q = isqrt(floor(x * 4^k)) has 56 or more bits, and its last
+    bit is set when the root is inexact (round to odd), so the one rounding,
+    in the correctly rounded int division q / 2^k, lands where sqrt(x) would;
+    float(x) would round first, and underflow or overflow at extreme x."""
+    n, d = x.numerator, x.denominator
+    k = max(0, (d.bit_length() - n.bit_length() + 112) // 2)
+    q = math.isqrt((n << 2 * k) // d)
+    q |= q * q * d != n << 2 * k
+    try:
+        return q / (1 << k)
+    except OverflowError:
+        return math.inf
+
+
 # --- public spectrum ---------------------------------------------------------
 
 
@@ -317,10 +333,10 @@ def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:
     b, c = Fraction(f[1], f[2]), Fraction(f[0], f[2])
     re, disc = -b / 2, b * b - 4 * c
     if disc < 0:
-        im = math.sqrt(float(-disc / 4))
+        im = _sqrt(-disc / 4)
         return [EigenClass(complex(float(re), s * im), k, geom, re, -disc / 4)
                 for s in (+1, -1)]
-    sq = math.sqrt(float(disc))
+    sq = _sqrt(disc)
     return [EigenClass(complex(float(re) + s * sq / 2), k, geom, None, Fraction(0))
             for s in (+1, -1)]
 

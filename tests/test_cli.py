@@ -511,3 +511,31 @@ def test_cross_check_param_out_of_range_exits_2(name):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The reader closes the pipe before the CLI writes, as `| head -1` does
+    # once it has its line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lieflow.cli", "catalog", "verdict-table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_large_exact_period_is_not_refused(capsys, tmp_path):
+    # Frequencies 1 and r = 1000000007/1000000009: the period's lcm passes
+    # 10**9, and T/pi = 2 * 1000000009 exactly.
+    path = tmp_path / "ab4.json"
+    path.write_text(json.dumps({"dim": 4, "brackets": []}))
+    r = "1000000007/1000000009"
+    code, doc, err = run_json(
+        capsys, "classify", "--file", str(path),
+        f"--matrix=0,-1,0,0,1,0,0,0,0,0,0,-{r},0,0,{r},0",
+    )
+    assert code == 0, err
+    assert doc["verdict"]["tag"] == "PeriodicFlow"
+    assert Fraction(doc["verdict"]["period_over_pi"]) == 2 * 1000000009

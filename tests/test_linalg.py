@@ -1,21 +1,38 @@
-"""Sparse exact kernels against dense reference implementations.
+"""Sparse exact kernels against reference implementations.
 
-`rref`, `leibniz_residual`, `validate_algebra`, `bracket`, `ad` and
-`constraint_rows` run on sparse rows and on the structure-constant table.
-Each reference below is the plain dense textbook loop, kept here only as an
-oracle; the kernels must return exactly the same values, including the
-pivot order, the zero-row padding and the worst pair or triple.
+`rref`, `nullspace`, `leibniz_residual`, `validate_algebra`, `bracket`, `ad`
+and `constraint_rows` run on sparse integer rows and on the integer bracket
+table. Each reference below is either the plain dense textbook loop or the
+sparse kernel in `Fraction` arithmetic that the integer one replaced, kept
+here only as an oracle; the kernels must return exactly the same values,
+including the pivot order, the zero-row padding and the worst pair or
+triple.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lieflow import StructureConstants, ad, bracket, leibniz_residual, validate_algebra
-from lieflow._linalg import nullspace, rank, rref, solve_coordinates
+from lieflow import (
+    StructureConstants,
+    ad,
+    bracket,
+    derivation_space,
+    leibniz_residual,
+    validate_algebra,
+)
+from lieflow._linalg import nullspace, rank, rref, solve_coordinates, spans_equal
+from lieflow.catalog import get_entry
 from lieflow.dersolve import constraint_rows
 
+from test_dersolve import (
+    dense_change_of_basis,
+    filiform_algebra,
+    heisenberg_algebra,
+    sl2_plus_abelian,
+)
 from test_liealg import basis_vec
 
 
@@ -100,6 +117,57 @@ def naive_jacobi(sc):
     return worst, triple
 
 
+def fraction_table(sc):
+    """The bracket table in Fractions: (i, j) -> ((k, c_ij^k), ...)."""
+    table = {}
+    for (i, j, k), c in sorted(sc.entries.items()):
+        table[(i, j)] = table.get((i, j), ()) + ((k, c),)
+        table[(j, i)] = table.get((j, i), ()) + ((k, -c),)
+    return table
+
+
+def fraction_leibniz_residual(sc, m):
+    """The sparse Leibniz kernel on the Fraction table."""
+    n = sc.dim
+    table = fraction_table(sc)
+    cols = [[(r, m[r][j]) for r in range(n) if m[r][j]] for j in range(n)]
+    worst, worst_pair = F(0), None
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = {}
+            for k, c in table.get((i, j), ()):
+                for r, v in cols[k]:
+                    diff[r] = diff.get(r, 0) + c * v
+            for a, v in cols[i]:
+                for k, c in table.get((a, j), ()):
+                    diff[k] = diff.get(k, 0) - v * c
+            for b, v in cols[j]:
+                for k, c in table.get((i, b), ()):
+                    diff[k] = diff.get(k, 0) - v * c
+            res = max((abs(v) for v in diff.values()), default=F(0))
+            if res > worst:
+                worst, worst_pair = res, (i, j)
+    return worst, worst_pair
+
+
+def fraction_jacobi(sc):
+    """The sparse Jacobi kernel on the Fraction table: (residual, triple)."""
+    table = fraction_table(sc)
+    worst, triple = F(0), None
+    for i in range(sc.dim):
+        for j in range(i + 1, sc.dim):
+            for k in range(j + 1, sc.dim):
+                total = {}
+                for a, bc in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                    for m, c in table.get(bc, ()):
+                        for t, d in table.get((a, m), ()):
+                            total[t] = total.get(t, 0) + c * d
+                res = max((abs(v) for v in total.values()), default=F(0))
+                if res > worst:
+                    worst, triple = res, (i, j, k)
+    return worst, triple
+
+
 def naive_constraint_rows(sc):
     n = sc.dim
     struct = [[naive_bracket(sc, basis_vec(n, i), basis_vec(n, j)) for j in range(n)]
@@ -128,6 +196,15 @@ def rand_scalar(rng, density=0.5):
 
 def rand_matrix(rng, nrows, ncols, density=0.5):
     return [[rand_scalar(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_integer_rows(rows):
+    """Each dense rational row times the lcm of its denominators, as {col: int}."""
+    out = []
+    for row in rows:
+        d = math.lcm(*(F(v).denominator for v in row))
+        out.append({c: int(v * d) for c, v in enumerate(row) if v})
+    return out
 
 
 def rank_deficient(rng, nrows, ncols, r):
@@ -180,8 +257,43 @@ def structure_cases():
     return out
 
 
+def rational_change_of_basis(sc, rng):
+    """The algebra in the basis F_a = sum_i P[i][a] E_i for a seeded P = L U,
+    L unit lower triangular and U upper triangular with a nonzero diagonal,
+    all entries rational: dense structure constants with denominators."""
+    n = sc.dim
+    low = [[F(1) if i == j else rand_scalar(rng, 0.8) if i > j else F(0) for j in range(n)]
+           for i in range(n)]
+    up = [[F(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 4)) if i == j
+           else rand_scalar(rng, 0.8) if i < j else F(0) for j in range(n)] for i in range(n)]
+    p = [[sum((low[i][t] * up[t][j] for t in range(n)), F(0)) for j in range(n)]
+         for i in range(n)]
+    cols = [[p[i][a] for i in range(n)] for a in range(n)]
+    entries = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k, c in enumerate(solve_coordinates(cols, bracket(sc, cols[a], cols[b]))):
+                if c:
+                    entries[(a, b, k)] = c
+    return StructureConstants(n, entries)
+
+
+def reference_cases():
+    """Seeded rational algebras: the random tables above, Lie algebras in a
+    dense rational basis, and the same with one constant moved by 1/3."""
+    rng = random.Random(4141)
+    out = list(STRUCTURE_CASES)
+    for sc in (heisenberg_algebra(2), filiform_algebra(5), sl2_plus_abelian(1)):
+        dense = rational_change_of_basis(sc, rng)
+        assert dense.den > 1 and validate_algebra(dense).jacobi_ok
+        key, c = sorted(dense.entries.items())[-1]
+        out += [dense, StructureConstants(sc.dim, {**dense.entries, key: c + F(1, 3)})]
+    return out
+
+
 MATRIX_CASES = matrix_cases()
 STRUCTURE_CASES = structure_cases()
+REFERENCE_CASES = reference_cases()
 
 
 # --- rref and its callers ---------------------------------------------------------
@@ -202,9 +314,17 @@ def test_nullspace_and_rank_follow_the_reference(name, rows):
     if not rows or not rows[0]:
         return
     ncols = len(rows[0])
-    assert rank(rows) == len(dense_rref(rows)[1])
-    basis = nullspace(rows, ncols)
-    assert len(basis) == ncols - rank(rows)
+    ref_reduced, ref_pivots = dense_rref(rows)
+    assert rank(rows) == len(ref_pivots)
+    basis = nullspace(sparse_integer_rows(rows), ncols)
+    expected = []
+    for f in (c for c in range(ncols) if c not in ref_pivots):
+        vec = [F(int(c == f)) for c in range(ncols)]
+        for row, p in zip(ref_reduced, ref_pivots):
+            vec[p] = -row[f]
+        expected.append(tuple(vec))
+    assert basis == expected
+    assert all(isinstance(v, F) for vec in basis for v in vec)
     for vec in basis:
         assert all(sum((r[c] * vec[c] for c in range(ncols)), F(0)) == 0 for r in rows)
 
@@ -271,4 +391,49 @@ def test_bracket_ad_and_constraint_rows_match_naive(idx):
         assert bracket(sc, x, y) == naive_bracket(sc, x, y)
         cols = [naive_bracket(sc, x, basis_vec(n, j)) for j in range(n)]
         assert ad(sc, x) == tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    assert constraint_rows(sc) == naive_constraint_rows(sc)
+    rows = constraint_rows(sc)
+    assert rows == [{c: sc.den * v for c, v in enumerate(row) if v}
+                    for row in naive_constraint_rows(sc)]
+    assert all(type(v) is int for row in rows for v in row.values())
+
+
+@pytest.mark.parametrize("idx", range(len(REFERENCE_CASES)))
+def test_integer_kernels_match_the_fraction_references(idx):
+    sc = REFERENCE_CASES[idx]
+    report = validate_algebra(sc)
+    assert (report.residual, report.worst_triple) == fraction_jacobi(sc)
+    rng = random.Random(3000 + idx)
+    n = sc.dim
+    mats = [tuple(tuple(rand_scalar(rng, density) for _ in range(n)) for _ in range(n))
+            for density in (0.0, 0.3, 1.0)]
+    if report.jacobi_ok:
+        mats += [b.entries for b in derivation_space(sc).basis]
+    for m in mats:
+        r, c = rng.randrange(n), rng.randrange(n)
+        perturbed = tuple(tuple(v + F(1, 3) * ((r, c) == (i, j)) for j, v in enumerate(row))
+                          for i, row in enumerate(m))
+        for d in (m, perturbed):
+            assert leibniz_residual(sc, d) == fraction_leibniz_residual(sc, d)
+
+
+SYMPY_CASES = (
+    [(f"h_{2 * k + 1}", heisenberg_algebra(k)) for k in (1, 2, 3)]
+    + [(f"L_{n}", filiform_algebra(n)) for n in (4, 5, 6, 7)]
+    + [(f"sl2+R^{m}", sl2_plus_abelian(m)) for m in (1, 2)]
+    + [("g34_a[a=1/2]", get_entry("g34_a", F(1, 2)).structure),
+       ("aff2", get_entry("aff2").structure)]
+)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["standard", "dense"])
+@pytest.mark.parametrize("name,sc", SYMPY_CASES, ids=[c[0] for c in SYMPY_CASES])
+def test_derivation_space_spans_the_sympy_nullspace(name, sc, dense):
+    sympy = pytest.importorskip("sympy")
+    if dense:
+        sc = dense_change_of_basis(sc)
+    rows = [[sympy.Rational(v.numerator, v.denominator) for v in row]
+            for row in naive_constraint_rows(sc)]
+    ref = [[F(int(v.p), int(v.q)) for v in vec] for vec in sympy.Matrix(rows).nullspace()]
+    space = derivation_space(sc)
+    assert space.dim == len(ref)
+    assert spans_equal([[v for row in b.entries for v in row] for b in space.basis], ref)

@@ -228,13 +228,16 @@ def test_period_too_large_guard():
         ratios = ((1, 1),) + tuple((q + 1, q) for q in denominators)
         return RationalProfile(base_alpha=1.0, ratios=ratios, base_alpha_exact=F(1))
 
-    assert minimal_period_over_pi(profile(10**9)) == 2 * 10**9  # the bound itself
-    # lcm(100003, 100019) = 100003 * 100019 > 10**9
+    # No bound on the lcm: lcm(100003, 100019) = 100003 * 100019 > 10**9 is
+    # an exact period like any other.
+    big = profile(100003, 100019)
+    assert minimal_period_over_pi(big) == 2 * 100003 * 100019
+    assert minimal_period(big) == 2 * math.pi * (100003 * 100019)
+    # Only a T outside the float range is refused, with its lcm.
     with pytest.raises(PeriodTooLargeError) as err:
-        minimal_period(profile(100003, 100019))
-    assert err.value.lcm == 100003 * 100019
-    with pytest.raises(PeriodTooLargeError):
-        minimal_period_over_pi(profile(100003, 100019))
+        minimal_period(profile(10**400))
+    assert err.value.lcm == 10**400
+    assert minimal_period_over_pi(profile(10**400)) == 2 * 10**400
 
 
 def test_base_frequency_is_the_correctly_rounded_root():
@@ -408,10 +411,12 @@ def test_float_rotations_get_exact_periods():
 
 
 def test_float_rotations_with_huge_exact_ratio_denominator():
-    # float(0.3) / float(0.1) = 3 - 1/3602879701896397 exactly.
-    with pytest.raises(PeriodTooLargeError) as err:
-        classify_flow(blkdiag(rot_block(0.1), rot_block(0.3)))
-    assert err.value.lcm == 3602879701896397
+    # float(0.3) / float(0.1) = 3 - 1/3602879701896397 exactly, so the exact
+    # period carries that denominator.
+    v = classify_flow(blkdiag(rot_block(0.1), rot_block(0.3)))
+    assert v.tag == "PeriodicFlow"
+    assert v.profile.ratios[1][1] == 3602879701896397
+    assert v.period_over_pi == 2 * 3602879701896397 / F(0.1)
 
 
 def test_numeric_imaginary_class_is_irrational_ratio():

@@ -2,9 +2,11 @@
 
 import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from lieflow import char_poly, inner_derivation, poly_eval_matrix, spectrum
 from lieflow._linalg import mat_identity, mat_mul
@@ -491,6 +493,19 @@ def test_tiny_rational_rotations_are_exact():
     positives = sorted((c for c in s.classes if c.value.imag > 0), key=lambda c: c.value.imag)
     assert [c.exact_im_sq for c in positives] == [F(1, 123457**2), F(4, 123457**2)]
     assert all(c.exact_re == 0 and c.semisimple for c in positives)
+
+
+@pytest.mark.parametrize("b", [F(1, 10**160), F(10**300)], ids=["1/10^160", "10^300"])
+def test_extreme_pairs_are_correctly_rounded(b):
+    # b^2 is subnormal or beyond the float range, so a root through
+    # float(b^2) would be inexact or overflow.
+    s = spectrum([[0, -b], [b, 0]])
+    assert [c.value for c in s.classes] == [complex(0, -float(b)), complex(0, float(b))]
+    assert all(c.exact_im_sq == b * b for c in s.classes)
+    # +-b*sqrt(2), from the discriminant 8 b^2 of lambda^2 - 2 b^2.
+    want = float(Context(prec=60).sqrt(Decimal(2 * b.numerator**2) / Decimal(b.denominator**2)))
+    s = spectrum([[0, b], [2 * b, 0]])
+    assert sorted(c.value.real for c in s.classes) == [-want, want]
 
 
 def test_float_rotations_have_exact_binary_mu_roots():
