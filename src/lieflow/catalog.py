@@ -3,10 +3,10 @@
 Each entry carries the structure constants, the derivation family and
 eigenvalue formulas as printed in the source classification table, an
 optional faithful matrix representation, and any known printing issues.
-`cross_check` recomputes the derivation space and the spectra exactly and
-reports every mismatch with both values; recomputation is authoritative for
-verdicts, printed values are preserved in the reports and never silently
-corrected.
+`cross_check` recomputes the derivation space and the characteristic
+polynomial exactly and reports every mismatch with both values; recomputation
+is authoritative for verdicts, printed values are preserved in the reports
+and never silently corrected.
 
 The 3D families share the bracket scheme
 [E1,E2] = n3*E3, [E3,E1] = a*E1 + n2*E2, [E2,E3] = n1*E1 - a*E2.
@@ -14,7 +14,6 @@ The 3D families share the bracket scheme
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -23,9 +22,10 @@ from . import _linalg
 from .dersolve import DerivationSpace, derivation_space
 from .liealg import Matrix, Scalar, StructureConstants, as_scalar
 from .periodicity import FlowVerdict, classify_linear_flow
-from .spectral import spectrum
+from .spectral import char_poly
 
 F = Fraction
+Poly = tuple[Fraction, ...]  # coefficients, lowest degree first
 
 
 class UnknownEntryError(Exception):
@@ -125,7 +125,9 @@ class CatalogEntry:
     structure: StructureConstants
     claimed_pattern: LinearPattern
     claimed_eigenvalue_text: str
-    claimed_eigenvalues: Callable[[Mapping[str, Fraction]], list[complex]]
+    # The printed eigenvalue formula as monic factors of the characteristic
+    # polynomial, at an assignment of the pattern's free parameters.
+    claimed_factors: Callable[[Mapping[str, Fraction]], list[Poly]]
     published_claim: str
     periodicity_condition: Callable[[Matrix], bool] | None = None
     representation: tuple[Matrix, ...] | None = None
@@ -159,8 +161,19 @@ def _family3(a: Fraction, n1: Fraction, n2: Fraction, n3: Fraction) -> Structure
     return StructureConstants(3, brackets)
 
 
-def _csqrt(x: Fraction) -> complex:
-    return cmath.sqrt(complex(float(x), 0.0))
+def _root(r: Fraction) -> Poly:
+    """lambda - r, the printed eigenvalue r."""
+    return (-r, F(1))
+
+
+def _pair(t: Fraction, d: Fraction) -> Poly:
+    """lambda^2 - t*lambda + (t^2 - d)/4, the printed pair (t -+ sqrt(d))/2."""
+    return ((t * t - d) / 4, -t, F(1))
+
+
+def _pm_sqrt(d: Fraction) -> Poly:
+    """lambda^2 - d, the printed pair -+sqrt(d)."""
+    return (-d, F(0), F(1))
 
 
 def _e(n: int, i: int, j: int) -> Matrix:
@@ -176,11 +189,8 @@ def _mat(rows) -> Matrix:
 def _build_abelian2(_: Fraction | None) -> CatalogEntry:
     pattern = _pattern([[{"a": 1}, {"b": 1}], [{"c": 1}, {"d": 1}]])
 
-    def evals(v):
-        tr = v["a"] + v["d"]
-        disc = (v["a"] - v["d"]) ** 2 + 4 * v["b"] * v["c"]
-        s = _csqrt(disc)
-        return [(float(tr) + s) / 2, (float(tr) - s) / 2]
+    def factors(v):
+        return [_pair(v["a"] + v["d"], (v["a"] - v["d"]) ** 2 + 4 * v["b"] * v["c"])]
 
     def condition(m: Matrix) -> bool:
         tr = m[0][0] + m[1][1]
@@ -195,7 +205,7 @@ def _build_abelian2(_: Fraction | None) -> CatalogEntry:
         structure=StructureConstants(2),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{((a+d) - sqrt((a-d)^2+4bc))/2, ((a+d) + sqrt((a-d)^2+4bc))/2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="periodic orbits iff a+d = 0 and (a-d)^2 + 4bc < 0",
         periodicity_condition=condition,
     )
@@ -204,8 +214,8 @@ def _build_abelian2(_: Fraction | None) -> CatalogEntry:
 def _build_aff2(_: Fraction | None) -> CatalogEntry:
     pattern = _pattern([[{}, {}], [{"c": 1}, {"d": 1}]])
 
-    def evals(v):
-        return [0j, complex(float(v["d"]))]
+    def factors(v):
+        return [_root(F(0)), _root(v["d"])]
 
     return CatalogEntry(
         name="aff2",
@@ -215,7 +225,7 @@ def _build_aff2(_: Fraction | None) -> CatalogEntry:
         structure=StructureConstants(2, {(0, 1, 1): 1}, ("H", "Z")),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, d}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
         representation=(_e(2, 0, 0), _e(2, 0, 1)),
     )
@@ -232,33 +242,27 @@ def _abelian3_coefficient(m: Matrix) -> Fraction:
     )
 
 
+def _det3(m: Matrix) -> Fraction:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def _build_abelian3(_: Fraction | None) -> CatalogEntry:
     names = [["x1", "x2", "x3"], ["y1", "y2", "y3"], ["z1", "z2", "z3"]]
     pattern = _pattern([[{names[i][j]: 1} for j in range(3)] for i in range(3)])
 
-    def evals(v):
-        import numpy as np
-
+    def factors(v):
+        # lambda^3 - tr*lambda^2 - A*lambda - det.
         m = pattern.instantiate(v)
         tr = m[0][0] + m[1][1] + m[2][2]
-        acoef = _abelian3_coefficient(m)
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        # Roots of lambda^3 - tr*lambda^2 - A*lambda - det.
-        roots = np.roots([1.0, -float(tr), -float(acoef), -float(det)])
-        return [complex(r) for r in roots]
+        return [(-_det3(m), -_abelian3_coefficient(m), -tr, F(1))]
 
     def condition(m: Matrix) -> bool:
         tr = m[0][0] + m[1][1] + m[2][2]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        return tr == 0 and det == 0 and _abelian3_coefficient(m) < 0
+        return tr == 0 and _det3(m) == 0 and _abelian3_coefficient(m) < 0
 
     n4 = 4
     rep = tuple(_e(n4, i, 3) for i in range(3))
@@ -271,7 +275,7 @@ def _build_abelian3(_: Fraction | None) -> CatalogEntry:
         claimed_pattern=pattern,
         claimed_eigenvalue_text="roots of -l^3 + tr(D) l^2 + A l + det(D), "
         "A = x2y1 - x1y2 + x3z1 - x1z3 + y3z2 - y2z3",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="periodic orbits iff tr(D) = det(D) = 0 and A < 0",
         periodicity_condition=condition,
         representation=rep,
@@ -302,12 +306,8 @@ def _build_g21_plus_g1(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        return [
-            0j,
-            complex(float(v["x1"] - v["x2"])),
-            complex(float(v["x1"] + v["x2"])),
-        ]
+    def factors(v):
+        return [_root(F(0)), _root(v["x1"] - v["x2"]), _root(v["x1"] + v["x2"])]
 
     return CatalogEntry(
         name="g21_plus_g1",
@@ -317,7 +317,7 @@ def _build_g21_plus_g1(_: Fraction | None) -> CatalogEntry:
         structure=_family3(F(1), F(1), F(-1), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, x1-x2, x1+x2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
         notes=(
             "the source sentence calls the group semisimple; it is solvable, "
@@ -336,15 +336,9 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
+    def factors(v):
         tr = v["y2"] + v["z3"]
-        disc = (v["y2"] - v["z3"]) ** 2 + 4 * v["x3"] * v["z2"]
-        s = _csqrt(disc)
-        return [
-            complex(float(tr)),
-            (float(tr) - s) / 2,
-            (float(tr) + s) / 2,
-        ]
+        return [_root(tr), _pair(tr, (v["y2"] - v["z3"]) ** 2 + 4 * v["x3"] * v["z2"])]
 
     def condition(m: Matrix) -> bool:
         # Trace and discriminant of the lower-right block [[y2,y3],[z2,z3]].
@@ -361,7 +355,7 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
         structure=_family3(F(0), F(1), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{y2+z3, ((y2+z3) -+ sqrt((y2-z3)^2 + 4*x3*z2))/2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="periodic orbits iff y2+z3 = 0 and the block "
         "discriminant is negative",
         periodicity_condition=condition,
@@ -378,8 +372,8 @@ def _build_g32(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(_v):
-        return [0j, 0j, 0j]
+    def factors(_v):
+        return [_root(F(0))] * 3
 
     return CatalogEntry(
         name="g32",
@@ -389,7 +383,7 @@ def _build_g32(_: Fraction | None) -> CatalogEntry:
         structure=_family3(F(1), F(1), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, 0, 0}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
     )
 
@@ -403,11 +397,9 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        tr = v["x1"] + v["y2"]
+    def factors(v):
         disc = (v["x2"] - v["y2"]) ** 2 + 4 * v["x2"] * v["y1"]
-        s = _csqrt(disc)
-        return [0j, (float(tr) - s) / 2, (float(tr) + s) / 2]
+        return [_root(F(0)), _pair(v["x1"] + v["y2"], disc)]
 
     def condition(m: Matrix) -> bool:
         tr = m[0][0] + m[1][1]
@@ -422,7 +414,7 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
         structure=_family3(F(1), F(0), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, ((x1+y2) -+ sqrt((x2-y2)^2 + 4*x2*y1))/2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="periodic orbits iff x1+y2 = 0 and the block "
         "discriminant is negative",
         periodicity_condition=condition,
@@ -438,12 +430,8 @@ def _build_g34_zero(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        return [
-            0j,
-            complex(float(v["x1"] - v["x2"])),
-            complex(float(v["x1"] + v["x2"])),
-        ]
+    def factors(v):
+        return [_root(F(0)), _root(v["x1"] - v["x2"]), _root(v["x1"] + v["x2"])]
 
     boost = _mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     neg_boost = tuple(tuple(-v for v in row) for row in boost)
@@ -456,7 +444,7 @@ def _build_g34_zero(_: Fraction | None) -> CatalogEntry:
         structure=_family3(F(0), F(1), F(-1), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, x1-x2, x1+x2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
         representation=rep,
     )
@@ -476,9 +464,8 @@ def _build_g34_a(a: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        s = _csqrt((1 + a) * v["y2"] ** 2)
-        return [0j, -s, s]
+    def factors(v):
+        return [_root(F(0)), _pm_sqrt((1 + a) * v["y2"] ** 2)]
 
     return CatalogEntry(
         name="g34_a",
@@ -488,7 +475,7 @@ def _build_g34_a(a: Fraction | None) -> CatalogEntry:
         structure=_family3(a, F(1), F(-1), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, -sqrt((1+a)*y2^2), sqrt((1+a)*y2^2)}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
     )
 
@@ -505,10 +492,8 @@ def _build_g35_a(a: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        tr = (-a - 1) * v["y2"]
-        s = _csqrt((1 - 5 * a) * v["y2"] ** 2)
-        return [0j, (float(tr) - s) / 2, (float(tr) + s) / 2]
+    def factors(v):
+        return [_root(F(0)), _pair((-a - 1) * v["y2"], (1 - 5 * a) * v["y2"] ** 2)]
 
     return CatalogEntry(
         name="g35_a",
@@ -518,7 +503,7 @@ def _build_g35_a(a: Fraction | None) -> CatalogEntry:
         structure=_family3(a, F(1), F(1), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, ((-a-1)*y2 -+ sqrt((1-5a)*y2^2))/2}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="no linear flow has periodic orbits",
         notes=(
             "the exact derivation family contains outer rotations "
@@ -539,9 +524,9 @@ def _build_sl2(_: Fraction | None) -> CatalogEntry:
         ]
     )
 
-    def evals(v):
-        s = 2 * _csqrt(-v["a"] ** 2 + v["a"] * v["c"] + v["b"] ** 2)
-        return [0j, -s, s]
+    def factors(v):
+        q = -v["a"] ** 2 + v["a"] * v["c"] + v["b"] ** 2
+        return [_root(F(0)), _pm_sqrt(4 * q)]
 
     def condition(m: Matrix) -> bool:
         a = m[1][2]
@@ -567,7 +552,7 @@ def _build_sl2(_: Fraction | None) -> CatalogEntry:
         structure=structure,
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, -2*sqrt(-a^2+ac+b^2), 2*sqrt(-a^2+ac+b^2)}",
-        claimed_eigenvalues=evals,
+        claimed_factors=factors,
         published_claim="orbits of the linear flow of -ad(aY+bH+cZ) that are "
         "not fixed points are periodic iff a^2 > ac + b^2",
         periodicity_condition=condition,
@@ -644,26 +629,37 @@ def _sample_assignments(pattern: LinearPattern) -> list[dict[str, Fraction]]:
     return [first, second]
 
 
-def _format_values(values: list[complex]) -> str:
-    def fmt(z: complex) -> str:
-        if abs(z.imag) < 1e-12:
-            return f"{z.real:.6g}"
-        return f"{z.real:.6g}{z.imag:+.6g}i"
+def _poly_product(factors: Sequence[Poly]) -> Poly:
+    out: Poly = (F(1),)
+    for f in factors:
+        prod = [F(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = tuple(prod)
+    return out
 
-    return "{" + ", ".join(fmt(z) for z in values) + "}"
 
-
-def _sorted_values(values: list[complex]) -> list[complex]:
-    return sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+def _poly_text(p: Poly) -> str:
+    terms = []
+    for k in range(len(p) - 1, -1, -1):
+        if p[k] == 0:
+            continue
+        mono = "" if k == 0 else "l" if k == 1 else f"l^{k}"
+        mag = abs(p[k])
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        terms.append(("- " if p[k] < 0 else "+ ") + body)
+    return " ".join(terms)[2:]  # p is monic: its first term is "+ l^n"
 
 
 def cross_check(entry: CatalogEntry) -> CrossCheckReport:
     """Exact recomputation of the entry's printed derivation data.
 
     Checks (1) that the printed derivation family equals the exact nullspace
-    of the Leibniz system and (2) that the printed eigenvalue formula matches
-    the exact spectrum of the printed matrix at deterministic sample points.
-    Mismatches are reported with both values.
+    of the Leibniz system and (2) that the polynomial whose roots the printed
+    eigenvalue formula names equals the exact characteristic polynomial of
+    the printed matrix at deterministic sample points. Mismatches are
+    reported with both values.
     """
     space = derivation_space(entry.structure)
     discrepancies: list[Discrepancy] = []
@@ -695,27 +691,21 @@ def cross_check(entry: CatalogEntry) -> CrossCheckReport:
 
     efm = True
     for assign in _sample_assignments(entry.claimed_pattern):
-        matrix = entry.claimed_pattern.instantiate(assign)
-        exact = _sorted_values([c.value for c in spectrum(matrix).classes
-                                for _ in range(c.alg_mult)])
-        claimed = _sorted_values(entry.claimed_eigenvalues(assign))
-        scale = max(1.0, max(abs(z) for z in exact + claimed))
-        match = len(exact) == len(claimed) and all(
-            abs(x - y) <= 1e-9 * scale for x, y in zip(exact, claimed)
-        )
-        if not match:
+        exact = char_poly(entry.claimed_pattern.instantiate(assign)).coeffs
+        claimed = _poly_product(entry.claimed_factors(assign))
+        if claimed != exact:
             efm = False
             sample_text = ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
             discrepancies.append(
                 Discrepancy(
                     location=f"{entry.name}: eigenvalue formula",
                     published_value=(
-                        f"{entry.claimed_eigenvalue_text} -> "
-                        f"{_format_values(claimed)} at {sample_text}"
+                        f"{entry.claimed_eigenvalue_text} -> roots of "
+                        f"{_poly_text(claimed)} at {sample_text}"
                     ),
                     recomputed_value=(
-                        f"exact spectrum of the printed matrix is "
-                        f"{_format_values(exact)} at {sample_text}"
+                        f"exact characteristic polynomial of the printed "
+                        f"matrix is {_poly_text(exact)} at {sample_text}"
                     ),
                 )
             )

@@ -184,7 +184,6 @@ def flow_period_residual(
     mat,
     period: float,
     horizon: float | None = None,
-    samples: int | None = None,
     cfg: ToleranceConfig | None = None,
 ) -> ResidualReport:
     """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F; raises
@@ -193,14 +192,13 @@ def flow_period_residual(
     cfg = cfg or DEFAULT_CONFIG
     if period <= 0:
         raise ValueError("period must be positive")
-    samples = samples or cfg.samples
-    if samples < 2:
+    if cfg.samples < 2:
         raise ValueError("need at least two samples")
     arr = _as_float_matrix(mat)
     horizon = _safe_horizon(arr, 4.0 * period if horizon is None else horizon)
     _check_norm(arr, horizon + period)
-    (worst,), (at,) = _closure_residuals(arr, [period], horizon, samples)
-    return ResidualReport(float(worst), float(at), samples, horizon)
+    (worst,), (at,) = _closure_residuals(arr, [period], horizon, cfg.samples)
+    return ResidualReport(float(worst), float(at), cfg.samples, horizon)
 
 
 def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:

@@ -13,9 +13,9 @@ multiplicities come from one exact kernel dimension dim ker f(D), f being
 lambda - r, the real quadratic of a pair, or the numeric rest s (whose roots
 are all semisimple iff dim ker s(D) = k*deg s), with SVD thresholding only
 where that test fails and for merged numeric clusters. A merged cluster is
-the one kind of ill-conditioning spectrum() flags. It serves display and
-cross-checks; flow verdicts read only the integer polynomial, through the
-Sturm root counts below.
+the one kind of ill-conditioning spectrum() flags. It serves display only;
+flow verdicts and the catalog cross-check read only the exact characteristic
+polynomial, the verdicts through the Sturm root counts below.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def char_poly(mat) -> CharPoly:
     det(xI - B) = d^n p(x/d), coefficient k of p is B's over d^(n-k)."""
     m = coerce_matrix(mat)
     n = len(m)
-    d = math.lcm(*(v.denominator for row in m for v in row))
+    d = math.lcm(*[v.denominator for row in m for v in row])
     b = [[int(v * d) for v in row] for row in m]
     p = [1]  # det(xI - B_r), highest degree first
     for r in range(n):
@@ -107,7 +107,7 @@ def char_poly(mat) -> CharPoly:
 def _integer_char_poly(mat) -> list[int]:
     """char_poly(mat) as a primitive integer polynomial, lowest degree first."""
     coeffs = char_poly(mat).coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
+    den = math.lcm(*[c.denominator for c in coeffs])
     return _primitive([int(c * den) for c in coeffs])
 
 
@@ -117,9 +117,9 @@ def poly_eval_matrix(p: CharPoly, mat) -> Matrix:
     p(M) = sum_j L p_j d^(N-j) (dM)^j / (L d^N), N = deg p, L the lcm of the
     denominators of p."""
     m = coerce_matrix(mat)
-    d = math.lcm(*(v.denominator for row in m for v in row))
+    d = math.lcm(*[v.denominator for row in m for v in row])
     cols = list(zip(*([int(v * d) for v in row] for row in m)))
-    deg, lcd = len(p.coeffs) - 1, math.lcm(*(c.denominator for c in p.coeffs))
+    deg, lcd = len(p.coeffs) - 1, math.lcm(*[c.denominator for c in p.coeffs])
     acc = [[0] * len(m) for _ in m]
     for j in range(deg, -1, -1):
         acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in acc]

@@ -1,5 +1,7 @@
 """Catalog entries, cross-check reports, and the verdict table."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from lieflow._linalg import mat_mul, spans_equal
 from lieflow.catalog import (
     CATALOG_NAMES,
     PARAMETRIC_NAMES,
+    SAMPLE_PARAMS,
     ParamOutOfRangeError,
     UnknownEntryError,
     condition_side_samples,
@@ -227,6 +230,55 @@ def test_cross_check_all_flagged_entry_set():
     assert flagged == {
         "sl2", "abelian3", "g31_heisenberg", "g32", "g33", "g34_a", "g35_a"
     }
+
+
+def test_cross_check_all_discrepancy_ledger():
+    # Every live discrepancy of cross_check_all(), keyed by the entry and
+    # the family parameter it was checked at, in cross_check_all's order.
+    keys = [(name, a) for name in CATALOG_NAMES
+            for a in (SAMPLE_PARAMS if name in PARAMETRIC_NAMES else (None,))]
+    reports = cross_check_all()
+    assert [r.name for r in reports] == [name for name, _ in keys]
+    ledger = Counter(
+        (name, a, d.location)
+        for (name, a), r in zip(keys, reports) for d in r.discrepancies
+    )
+    expected = Counter({
+        ("g31_heisenberg", None, "g31_heisenberg: eigenvalue formula"): 1,
+        ("g32", None, "g32: derivation matrix family"): 1,
+        ("g33", None, "g33: eigenvalue formula"): 1,
+    })
+    for name in PARAMETRIC_NAMES:
+        for a in SAMPLE_PARAMS:
+            expected[(name, a, f"{name}: derivation matrix family")] = 1
+            expected[(name, a, f"{name}: eigenvalue formula")] = 1
+    assert sum(expected.values()) == 15
+    assert ledger == expected
+
+
+def test_cross_check_flags_a_constant_term_off_by_a_trillionth():
+    # The roots of abelian2's claimed quadratic move by about 1e-13, far
+    # inside any float tolerance; the polynomials still differ exactly.
+    entry = get_entry("abelian2")
+
+    def nudged(v):
+        ((c0, c1, c2),) = entry.claimed_factors(v)
+        return [(c0 + F(1, 10**12), c1, c2)]
+
+    report = cross_check(replace(entry, claimed_factors=nudged))
+    assert report.derivation_space_match
+    assert not report.eigenvalue_formula_match
+    (d,) = report.discrepancies
+    assert d.location == "abelian2: eigenvalue formula"
+    at = " at a=2, b=3, c=5, d=7"
+    assert d.published_value == (
+        entry.claimed_eigenvalue_text
+        + " -> roots of l^2 - 9*l - 999999999999/1000000000000" + at
+    )
+    assert d.recomputed_value == (
+        "exact characteristic polynomial of the printed matrix is "
+        "l^2 - 9*l - 1" + at
+    )
 
 
 def test_g21_and_g34_zero_patterns_coincide():

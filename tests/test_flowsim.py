@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -89,7 +90,8 @@ print(json.dumps(seen))
 
 def test_import_lieflow_does_not_load_scipy(tmp_path):
     # One interpreter runs the exact commands, then simulate: NumPy loads
-    # only for simulate's floating-point evidence, and SciPy never.
+    # only for simulate's floating-point evidence, and SciPy never. The
+    # catalog cross-check compares exact polynomials and loads neither.
     path = tmp_path / "aff2.json"
     path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 2, "c": "1"}]}))
     argvs = [
@@ -97,6 +99,7 @@ def test_import_lieflow_does_not_load_scipy(tmp_path):
         ["classify", "--file", str(path), "--matrix=0,0,1,1"],
         ["derivations", "--file", str(path)],
         ["catalog", "verdict-table"],
+        ["catalog", "cross-check", "all"],
         ["simulate", "--catalog", "sl2", "--inner=1,0,0"],
     ]
     proc = subprocess.run(
@@ -110,6 +113,7 @@ def test_import_lieflow_does_not_load_scipy(tmp_path):
         "classify --file": [0, []],
         "derivations --file": [0, []],
         "catalog verdict-table": [0, []],
+        "catalog cross-check": [0, []],
         "simulate --catalog": [0, ["numpy"]],
     }
 
@@ -197,7 +201,7 @@ def test_flow_period_residual_validates_input():
     with pytest.raises(ValueError):
         flow_period_residual(((0, 0), (0, 0)), -1.0)
     with pytest.raises(ValueError):
-        flow_period_residual(((0, 0), (0, 0)), 1.0, samples=1)
+        flow_period_residual(((0, 0), (0, 0)), 1.0, cfg=replace(DEFAULT_CONFIG, samples=1))
 
 
 # --- orbits ----------------------------------------------------------------------
@@ -457,17 +461,18 @@ def test_kernel_matches_literal_residual_on_verdict_table():
 
 def test_flow_period_residual_reports_the_worst_grid_time():
     m = np.array([[0.0, 0.0], [0.0, 0.3]])  # residual grows with t
-    report = flow_period_residual(m, 1.0, horizon=2.0, samples=5)
-    assert report.argmax_t == 2.0 and report.horizon == 2.0
+    report = flow_period_residual(m, 1.0, horizon=2.0, cfg=replace(DEFAULT_CONFIG, samples=5))
+    assert report.argmax_t == 2.0 and report.horizon == 2.0 and report.samples == 5
     want, _ = literal_residual(m, 1.0, 2.0, 5)
     assert abs(report.max_residual - want) <= 1e-12 * want
 
 
 def test_period_guard_trips_on_horizon_plus_period():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # ||D||_1 = 1, bounded flow
-    flow_period_residual(rot, 350.0 - 1e-9, horizon=350.0, samples=2)
+    two = replace(DEFAULT_CONFIG, samples=2)
+    flow_period_residual(rot, 350.0 - 1e-9, horizon=350.0, cfg=two)
     with pytest.raises(ExpmOverflowError):
-        flow_period_residual(rot, 350.0 + 1e-9, horizon=350.0, samples=2)
+        flow_period_residual(rot, 350.0 + 1e-9, horizon=350.0, cfg=two)
 
 
 def test_periodic_evidence_guard_trips_above_t_norm_350():
