@@ -4,10 +4,12 @@ The matrix flow e^{tD} is periodic exactly when every nonzero eigenvalue of D
 is purely imaginary and semisimple with pairwise rational ratios of the
 imaginary parts, and the zero eigenvalue (if present) is semisimple as well;
 a nilpotent block would contribute a polynomial-in-t term. classify_flow
-decides all of it exactly from the integer characteristic polynomial, with
-no eigenvalue computed and no tolerance read (Basu, Pollack & Roy,
-Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2 and 9, for the
-Sturm counts). Verdicts:
+decides all of it exactly, with no eigenvalue computed and no tolerance read,
+in integers on B = dD, d the lcm of D's denominators, from one coercion: the
+primitive characteristic polynomial by Berkowitz on B, rad(p)(D) = 0 by
+Horner on B, rational roots by Sturm bisection over integer lattice indices
+(Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006,
+ch. 2 and 9, for the Sturm counts). Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
 * PeriodicFlow{T}       - every non-fixed orbit on the simply connected group
@@ -29,12 +31,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .dersolve import coerce_matrix, inner_derivation, leibniz_residual
+from .dersolve import DerivationMatrix, coerce_matrix, inner_derivation, leibniz_residual
 from .liealg import Scalar, StructureConstants
 from .spectral import (
-    CharPoly,
     _deriv,
     _gcd,
+    _horner,
     _imaginary_axis_gcd,
     _integer_char_poly,
     _is_rational_square,
@@ -43,7 +45,6 @@ from .spectral import (
     _real_root_count,
     _sqrt,
     _square_free,
-    poly_eval_matrix,
 )
 
 REASON_NONZERO_REAL_PART = "NonzeroRealPart"
@@ -197,22 +198,19 @@ def classify_flow(mat) -> FlowVerdict:
     prod s_k does not annihilate D), IrrationalRatio (rad(p) without its root
     0 is h(lambda^2); h must split over Q with rational-square root ratios).
     """
-    m = coerce_matrix(mat)
-    p = _integer_char_poly(m)
+    p = _integer_char_poly(mat)
     factors = _square_free(p)
     real = [_real_root_count(s) for s, _ in factors]
     on_axes = sum(
         k * (r + _real_root_count(_imaginary_axis_gcd(s)) - (s[0] == 0))
         for (s, k), r in zip(factors, real)
     )
-    if on_axes < len(m):
+    if on_axes < len(p) - 1:
         return no_periodic_orbits(REASON_NONZERO_REAL_PART)
     if any(r > (s[0] == 0) for (s, _), r in zip(factors, real)):
         return no_periodic_orbits(REASON_REAL_NONZERO)
     rad = _quo(p, _gcd(p, _deriv(p)))  # prod s_k
-    if any(k > 1 for _, k in factors) and any(
-        any(row) for row in poly_eval_matrix(CharPoly(tuple(map(Fraction, rad))), m)
-    ):
+    if any(k > 1 for _, k in factors) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
         return no_periodic_orbits(REASON_NON_SEMISIMPLE)
 
     rest = rad[1:] if rad[0] == 0 else rad
@@ -242,11 +240,13 @@ def classify_linear_flow(sc: StructureConstants, mat) -> FlowVerdict:
     connected group is periodic with period dividing T; NoPeriodicOrbits means
     no non-fixed orbit is periodic.
     """
-    m = coerce_matrix(mat, sc.dim)
-    residual, worst = leibniz_residual(sc, m)
+    # A DerivationMatrix passes coerce_matrix unchanged: gate and verdict read
+    # this one coercion, and the verdict only once the gate confirmed it.
+    der = DerivationMatrix(coerce_matrix(mat, sc.dim), leibniz_residual=Fraction(0))
+    residual, worst = leibniz_residual(sc, der)
     if residual != 0:
         raise NotADerivationError(residual, worst)
-    return classify_flow(m)
+    return classify_flow(der)
 
 
 def classify_invariant_flow(sc: StructureConstants, x: Sequence[Scalar]) -> FlowVerdict:

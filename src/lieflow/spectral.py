@@ -5,10 +5,10 @@ Two-tier arithmetic: the characteristic polynomial is always exact
 Yun's square-free decomposition splits it into coprime factors s_k^k first, so
 algebraic multiplicities are exact and each factor has simple roots. Roots
 are extracted exactly wherever the factorization stays rational or quadratic
-(every rational root, found by Sturm bisection onto the rational-root
-lattice; irreducible quadratic factors; rational roots of mu = lambda^2 for
-even factors) and numerically otherwise; each class is built where its root
-is found. A simple root is semisimple. For a repeated factor, geometric
+(every rational root, by Sturm bisection over rational-root lattice indices;
+irreducible quadratic factors; rational roots of mu = lambda^2 for even
+factors) and numerically otherwise; each class is built where its root is
+found. A simple root is semisimple. For a repeated factor, geometric
 multiplicities come from one exact kernel dimension dim ker f(D), f being
 lambda - r, the real quadratic of a pair, or the numeric rest s (whose roots
 are all semisimple iff dim ker s(D) = k*deg s), with SVD thresholding only
@@ -38,13 +38,19 @@ RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial; coeffs[k] multiplies lambda^k."""
+    """Characteristic polynomial in primitive integer form: ints[k] multiplies
+    lambda^k and the leading coefficient is positive. coeffs[k] is the
+    coefficient of the monic polynomial over Q."""
 
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(c, self.ints[-1]) for c in self.ints])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,23 @@ class Spectrum:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
+    """The integer matrix B = dM and d, the lcm of M's denominators."""
+    d = math.lcm(*[v.denominator for row in m for v in row])
+    return [[v.numerator * (d // v.denominator) for v in row] for row in m], d
+
+
 def char_poly(mat) -> CharPoly:
-    """Exact monic characteristic polynomial by Berkowitz's division-free
-    recursion (S. J. Berkowitz, Inf. Process. Lett. 18(3), 1984) on the
-    integer matrix B = dD, d the lcm of D's denominators. With B_r the leading
-    r x r block, a, R and S the diagonal entry, row and column that extend it,
+    """Exact characteristic polynomial by Berkowitz's division-free recursion
+    (S. J. Berkowitz, Inf. Process. Lett. 18(3), 1984) on the integer matrix
+    B = dD, d the lcm of D's denominators. With B_r the leading r x r block,
+    a, R and S the diagonal entry, row and column that extend it,
     det(xI - B_{r+1}) is det(xI - B_r) times the lower-triangular Toeplitz
     matrix with first column (1, -a, -RS, -RB_rS, ..., -RB_r^(r-1)S). Since
-    det(xI - B) = d^n p(x/d), coefficient k of p is B's over d^(n-k)."""
-    m = coerce_matrix(mat)
-    n = len(m)
-    d = math.lcm(*[v.denominator for row in m for v in row])
-    b = [[int(v * d) for v in row] for row in m]
+    det(xI - B) = d^n p(x/d), the integer polynomial d^n p has coefficients
+    b_k d^k, b_k those of det(xI - B)."""
+    b, d = _scaled(coerce_matrix(mat))
+    n = len(b)
     p = [1]  # det(xI - B_r), highest degree first
     for r in range(n):
         block = [b[i][:r] for i in range(r)]
@@ -100,32 +111,38 @@ def char_poly(mat) -> CharPoly:
             col = [sum(map(operator.mul, brow, col)) for brow in block]
         p = [sum(toeplitz[i - j] * p[j] for j in range(min(i, r) + 1))
              for i in range(r + 2)]
-    coeffs = [Fraction(c, d**i) for i, c in enumerate(p)]
-    return CharPoly(coeffs=tuple(reversed(coeffs)))
+    return CharPoly(ints=tuple(_primitive([c * d**k for k, c in enumerate(reversed(p))])))
 
 
 def _integer_char_poly(mat) -> list[int]:
     """char_poly(mat) as a primitive integer polynomial, lowest degree first."""
-    coeffs = char_poly(mat).coeffs
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return _primitive([int(c * den) for c in coeffs])
+    return list(char_poly(mat).ints)
+
+
+def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
+    """d^N f(M) as an integer matrix, and d^N, for an integer polynomial f of
+    degree N (lowest degree first), d the lcm of M's denominators: Horner on
+    B = dM with f_j d^(N-j) added on the diagonal, since
+    d^N f(M) = sum_j f_j d^(N-j) B^j."""
+    b, d = _scaled(m)
+    cols = list(zip(*b))
+    n, dp = len(b), 1
+    acc = [[f[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(f[:-1]):
+        dp *= d
+        acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in acc]
+        for i in range(n):
+            acc[i][i] += c * dp
+    return acc, dp
 
 
 def poly_eval_matrix(p: CharPoly, mat) -> Matrix:
-    """p(M) in exact arithmetic (Cayley-Hamilton gives zero for p = char_poly),
-    by Horner on the integer matrix dM, d the lcm of M's denominators:
-    p(M) = sum_j L p_j d^(N-j) (dM)^j / (L d^N), N = deg p, L the lcm of the
-    denominators of p."""
-    m = coerce_matrix(mat)
-    d = math.lcm(*[v.denominator for row in m for v in row])
-    cols = list(zip(*([int(v * d) for v in row] for row in m)))
-    deg, lcd = len(p.coeffs) - 1, math.lcm(*[c.denominator for c in p.coeffs])
-    acc = [[0] * len(m) for _ in m]
-    for j in range(deg, -1, -1):
-        acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in acc]
-        for i in range(len(m)):
-            acc[i][i] += int(p.coeffs[j] * lcd) * d ** (deg - j)
-    return tuple(tuple(Fraction(v, lcd * d**deg) for v in row) for row in acc)
+    """p(M) in exact arithmetic (Cayley-Hamilton gives zero for p = char_poly):
+    the integer Horner of p's primitive form, divided once by its leading
+    coefficient times d^N."""
+    acc, scale = _horner(list(p.ints), coerce_matrix(mat))
+    den = p.ints[-1] * scale
+    return tuple([tuple([Fraction(v, den) for v in row]) for row in acc])
 
 
 # --- exact polynomial algebra ------------------------------------------------
@@ -206,13 +223,12 @@ def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
     return factors
 
 
-def _sign_at(ints: list[int], x: Fraction) -> int:
-    """Sign of an integer polynomial at x, in integer arithmetic."""
-    u, v = x.numerator, x.denominator
+def _sign_at(ints: list[int], u: int, v: int) -> int:
+    """Sign of an integer polynomial at u/v, v > 0, in integer arithmetic."""
     acc, vp = ints[-1], 1
     for c in reversed(ints[:-1]):
         vp *= v
-        acc = acc * u + c * vp  # v^deg * p(u/v), which has the sign of p(x)
+        acc = acc * u + c * vp  # v^deg * p(u/v), which has the sign of p(u/v)
     return (acc > 0) - (acc < 0)
 
 
@@ -256,32 +272,31 @@ def _imaginary_axis_gcd(s: list[int]) -> list[int]:
 def _rational_roots(s: list[int]) -> list[Fraction]:
     """Every rational root of the primitive square-free polynomial s, ascending.
 
-    By the rational root theorem they lie on the lattice (1/a)Z, where a is the
-    leading coefficient of s. Sturm counts bisect (-B, B], B the
-    Cauchy bound, down to intervals (lo, hi] narrower than 1/a around the real
-    roots; the one lattice point of each such interval is tested exactly.
+    By the rational root theorem they lie on the lattice (1/a)Z, a = |lc(s)|.
+    Sturm counts bisect the lattice indices k of the points k/a in (-aB, aB],
+    B the Cauchy bound, at (lo + hi) // 2, all in integers, down to intervals
+    (lo, hi] with hi - lo <= 1 around the real roots, whose one point hi is
+    tested exactly; only a root found becomes a Fraction.
     """
     seq = _sturm(s)
-    lead = abs(s[-1])
+    a = abs(s[-1])
 
-    def variations(x: Fraction) -> int:
-        return _variations(_sign_at(q, x) for q in seq)
+    def variations(k: int) -> int:
+        return _variations([_sign_at(q, k, a) for q in seq])
 
-    bound = Fraction(1 - (-max(abs(c) for c in s[:-1]) // lead))
+    bound = a * (1 - (-max(abs(c) for c in s[:-1]) // a))
     roots = []
     stack = [(-bound, bound, variations(-bound), variations(bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         if vlo == vhi:  # no root in (lo, hi]
             continue
-        if (hi - lo) * lead <= 1:
-            x = Fraction(math.floor(hi * lead), lead)
-            if x > lo and _sign_at(s, x) == 0:
-                roots.append(x)
-            continue
-        mid = (lo + hi) / 2
-        vmid = variations(mid)
-        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = variations(mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif _sign_at(s, hi, a) == 0:
+            roots.append(Fraction(hi, a))
     return sorted(roots)
 
 
@@ -316,8 +331,8 @@ def _sqrt(x: Fraction) -> float:
 
 
 def _kernel_dim(f: list[int], mq: Matrix) -> int:
-    """dim ker f(D), exactly, for an integer polynomial f, lowest degree first."""
-    return len(mq) - _linalg.rank(poly_eval_matrix(CharPoly(tuple(map(Fraction, f))), mq))
+    """dim ker f(D) from the integer matrix d^N f(D); f lowest degree first."""
+    return len(mq) - _linalg.rank(_horner(f, mq)[0])
 
 
 def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:

@@ -480,6 +480,160 @@ def test_rational_roots_are_found_not_guessed():
     assert _rational_roots([0, 1]) == [F(0)]
 
 
+def divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def rational_roots_oracle(s):
+    """Every rational root of s by the rational root theorem: after the root 0
+    is split off, a root u/v in lowest terms has u | s_0 and v | lc(s), and
+    |u/v| < 1 + M/|lc(s)|, M the largest |coefficient| (Cauchy); each such
+    candidate is evaluated exactly as v^deg s(u/v)."""
+    lowest = next(k for k, c in enumerate(s) if c)
+    t, roots = s[lowest:], [F(0)] if lowest else []
+    deg, lead, most = len(t) - 1, abs(t[-1]), max(abs(c) for c in t)
+    us = divisors(t[0])
+    for v in divisors(lead):
+        for u in us:
+            if u * lead >= v * (lead + most) or math.gcd(u, v) != 1:
+                continue
+            for x in (u, -u):
+                if not sum(c * x**k * v ** (deg - k) for k, c in enumerate(t)):
+                    roots.append(F(x, v))
+    return sorted(roots)
+
+
+def lattice_midpoints(s, depth):
+    """The lattice indices at which bisecting (-K, K] at (lo + hi) // 2 splits
+    in its first `depth` levels, K = |lc(s)| times the Cauchy bound."""
+    a = abs(s[-1])
+    k = a * (1 + -(-max(abs(c) for c in s[:-1]) // a))
+    level, out = [(-k, k)], set()
+    for _ in range(depth):
+        nxt = []
+        for lo, hi in level:
+            mid = (lo + hi) // 2
+            out.add(mid)
+            nxt += [(lo, mid), (mid, hi)]
+        level = nxt
+    return out
+
+
+def primitive(p):
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def planted_square_free(rng, big):
+    """A primitive square-free integer polynomial with planted rational roots
+    (one of them with a denominator up to 10^6 when `big`) and irreducible
+    rests without rational roots, each with its planted rational roots."""
+    roots = set()
+    while len(roots) < rng.randint(1, 3 if big else 5):
+        roots.add(F(rng.randint(-30, 30), rng.randint(1, 8)))
+    if big:
+        roots.add(F(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6)))
+    rests = rng.sample([[1, 0, 1], [3, 0, 1], [-2, 0, 1], [-7, 0, 3], [1, 1, 0, 1],
+                        [1, -1, 1], [-5, 0, 0, 2]], rng.randint(0, 2))
+    factors = [[-r.numerator, r.denominator] for r in roots] + rests
+    p = primitive(int_poly_mul(*factors))
+    return ([-c for c in p] if rng.random() < 0.5 else p), sorted(roots)
+
+
+def test_rational_roots_match_the_rational_root_theorem():
+    from lieflow.spectral import _rational_roots
+
+    rng = random.Random(1313)
+    cases = [planted_square_free(rng, big=i % 3 == 0) for i in range(60)]
+    # A root at 0, the first bisection midpoint.
+    cases += [(int_poly_mul([0, 1], [-3, 7], [2, 0, 1]), [F(0), F(3, 7)])]
+    # A root exactly at +-Cauchy's bound (the positive root of
+    # |a_n| x^n - sum |a_k| x^k), and next to the ends of (-aB, aB].
+    cases += [
+        ([-2, -1, 1], [F(-1), F(2)]),  # (x - 2)(x + 1)
+        (int_poly_mul([-3, 2], [1, 1, 1]), [F(3, 2)]),  # 2x^3 - x^2 - x - 3
+        (int_poly_mul([3, 2], [1, -1, 1]), [F(-3, 2)]),  # its mirror image
+        ([-10**6 + 1, 1], [F(10**6 - 1)]),
+        ([999983, 10**6], [F(-999983, 10**6)]),
+    ]
+    # Roots on the integer midpoints of the first bisection levels, with
+    # leading coefficients 1 and up to 10^6: the candidates are the midpoints
+    # for the root 1/a, kept where planting u/a leaves them midpoints.
+    for a in (1, 7, 997, 10**6 - 1):
+        on_midpoints = [
+            (s, [F(u, a)])
+            for rest in ([1, 0, 1], [-2, 0, 1], [5, 1, 2])
+            for u in lattice_midpoints(primitive(int_poly_mul([-1, a], rest)), 6)
+            if math.gcd(u, a) == 1
+            for s in [primitive(int_poly_mul([-u, a], rest))]
+            if u in lattice_midpoints(s, 6)
+        ]
+        assert len(on_midpoints) >= 3, a
+        cases += on_midpoints
+    # h(mu) of rational rotations: several negative rational roots -w^2.
+    for ws in ([F(1), F(2), F(3)], [F(1, 2), F(3, 5), F(7, 3)], [F(1, 123457), F(5, 3)]):
+        h = primitive(int_poly_mul(*[[w.numerator ** 2, w.denominator ** 2] for w in ws]))
+        cases.append((h, sorted(-w * w for w in ws)))
+    for s, planted in cases:
+        expected = rational_roots_oracle(s)
+        assert expected == sorted(planted), s
+        assert _rational_roots(s) == expected, s
+
+
+def fraction_horner(f, m):
+    """f(M) by Horner in Fraction arithmetic; f lowest degree first."""
+    acc = [[F(0)] * len(m) for _ in m]
+    for c in reversed(f):
+        acc = mat_mul(acc, m)
+        for i in range(len(m)):
+            acc[i][i] += c
+    return acc
+
+
+def test_integer_kernels_match_fraction_references():
+    from lieflow import CharPoly, classify_flow
+    from lieflow.dersolve import coerce_matrix
+    from lieflow.spectral import _deriv, _gcd, _horner, _integer_char_poly, _quo
+
+    rng = random.Random(1414)
+    mats = [rand_matrix(rng, n, den=7) for n in range(1, 7) for _ in range(6)]
+    # Float entries with 2^-k denominators, which coerce_matrix converts exactly.
+    mats += [[[rng.randint(-40, 40) / 2 ** rng.randint(0, 9) for _ in range(n)]
+              for _ in range(n)] for n in (2, 3, 5) for _ in range(4)]
+    # Repeated rotations, semisimple or coupled by a Jordan block, and a
+    # Jordan block of 0 beside a rotation.
+    coupled = block_diag(rot(F(2, 3)), rot(F(2, 3)))
+    coupled[0][2] = coupled[1][3] = F(1)
+    planted = [
+        ("PeriodicFlow", block_diag(rot(F(2, 3)), rot(F(2, 3)), rot(F(4, 3)))),
+        ("NonSemisimpleEigenvalue", coupled),
+        ("NonSemisimpleEigenvalue", block_diag(((0, 1), (0, 0)), rot(F(1, 2)))),
+    ]
+    planted = [(expected, unimodular_conjugate(rng, m)) for expected, m in planted]
+    for m in mats + [m for _, m in planted]:
+        mq = coerce_matrix(m)
+        ref = faddeev_leverrier(mq)
+        den = math.lcm(*[c.denominator for c in ref])
+        assert _integer_char_poly(m) == primitive([int(c * den) for c in ref])
+        assert char_poly(m).coeffs == ref
+        p = _integer_char_poly(m)
+        rad = _quo(p, _gcd(p, _deriv(p)))
+        value, scale = _horner(rad, mq)
+        f_of_m = fraction_horner(rad, mq)
+        assert value == [[v * scale for v in row] for row in f_of_m]
+        monic = poly_eval_matrix(CharPoly(tuple(rad)), m)
+        assert [list(row) for row in monic] == [[v / rad[-1] for v in row] for row in f_of_m]
+        assert any(map(any, value)) == any(v for row in monic for v in row)
+    for expected, m in planted:
+        verdict = classify_flow(m)
+        assert expected in (verdict.tag, verdict.reason)
+        p = _integer_char_poly(m)
+        rad = _quo(p, _gcd(p, _deriv(p)))
+        assert any(map(any, _horner(rad, coerce_matrix(m))[0])) == (verdict.tag != "PeriodicFlow")
+
+
 def test_square_free_decomposition_of_planted_powers():
     from lieflow.spectral import _square_free
 
