@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import _linalg
-from .dersolve import DerivationSpace, derivation_space
+from .dersolve import derivation_space, flatten
 from .liealg import Matrix, Scalar, StructureConstants, as_scalar
 from .periodicity import FlowVerdict, classify_linear_flow
 from .spectral import char_poly
@@ -186,16 +186,22 @@ def _mat(rows) -> Matrix:
     return tuple(tuple(F(v) for v in row) for row in rows)
 
 
+def _rotation_block(i: int) -> Callable[[Matrix], bool]:
+    """Trace 0 and a negative discriminant of the 2x2 block on rows and
+    columns i, i + 1: its eigenvalues are a nonzero imaginary pair."""
+
+    def condition(m: Matrix) -> bool:
+        a, b, c, d = m[i][i], m[i][i + 1], m[i + 1][i], m[i + 1][i + 1]
+        return a + d == 0 and (a - d) ** 2 + 4 * b * c < 0
+
+    return condition
+
+
 def _build_abelian2(_: Fraction | None) -> CatalogEntry:
     pattern = _pattern([[{"a": 1}, {"b": 1}], [{"c": 1}, {"d": 1}]])
 
     def factors(v):
         return [_pair(v["a"] + v["d"], (v["a"] - v["d"]) ** 2 + 4 * v["b"] * v["c"])]
-
-    def condition(m: Matrix) -> bool:
-        tr = m[0][0] + m[1][1]
-        disc = (m[0][0] - m[1][1]) ** 2 + 4 * m[0][1] * m[1][0]
-        return tr == 0 and disc < 0
 
     return CatalogEntry(
         name="abelian2",
@@ -207,7 +213,7 @@ def _build_abelian2(_: Fraction | None) -> CatalogEntry:
         claimed_eigenvalue_text="{((a+d) - sqrt((a-d)^2+4bc))/2, ((a+d) + sqrt((a-d)^2+4bc))/2}",
         claimed_factors=factors,
         published_claim="periodic orbits iff a+d = 0 and (a-d)^2 + 4bc < 0",
-        periodicity_condition=condition,
+        periodicity_condition=_rotation_block(0),
     )
 
 
@@ -340,12 +346,6 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
         tr = v["y2"] + v["z3"]
         return [_root(tr), _pair(tr, (v["y2"] - v["z3"]) ** 2 + 4 * v["x3"] * v["z2"])]
 
-    def condition(m: Matrix) -> bool:
-        # Trace and discriminant of the lower-right block [[y2,y3],[z2,z3]].
-        tr = m[1][1] + m[2][2]
-        disc = (m[1][1] - m[2][2]) ** 2 + 4 * m[1][2] * m[2][1]
-        return tr == 0 and disc < 0
-
     rep = (_e(3, 0, 2), _e(3, 0, 1), _e(3, 1, 2))
     return CatalogEntry(
         name="g31_heisenberg",
@@ -358,7 +358,7 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
         claimed_factors=factors,
         published_claim="periodic orbits iff y2+z3 = 0 and the block "
         "discriminant is negative",
-        periodicity_condition=condition,
+        periodicity_condition=_rotation_block(1),
         representation=rep,
     )
 
@@ -401,11 +401,6 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
         disc = (v["x2"] - v["y2"]) ** 2 + 4 * v["x2"] * v["y1"]
         return [_root(F(0)), _pair(v["x1"] + v["y2"], disc)]
 
-    def condition(m: Matrix) -> bool:
-        tr = m[0][0] + m[1][1]
-        disc = (m[0][0] - m[1][1]) ** 2 + 4 * m[0][1] * m[1][0]
-        return tr == 0 and disc < 0
-
     return CatalogEntry(
         name="g33",
         display_name="g_{3,3}",
@@ -417,7 +412,7 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
         claimed_factors=factors,
         published_claim="periodic orbits iff x1+y2 = 0 and the block "
         "discriminant is negative",
-        periodicity_condition=condition,
+        periodicity_condition=_rotation_block(0),
     )
 
 
@@ -602,23 +597,6 @@ def get_entry(name: str, a: Scalar | None = None) -> CatalogEntry:
 # --- cross-checking -----------------------------------------------------------
 
 
-def _space_flat(space: DerivationSpace) -> list[list[Fraction]]:
-    if not space.basis:
-        return []
-    n = space.basis[0].dim
-    return [
-        [b.entries[r][c] for r in range(n) for c in range(n)] for b in space.basis
-    ]
-
-
-def _pattern_flat(pattern: LinearPattern) -> list[list[Fraction]]:
-    n = pattern.n
-    return [
-        [m[r][c] for r in range(n) for c in range(n)]
-        for m in pattern.basis_matrices()
-    ]
-
-
 def _sample_assignments(pattern: LinearPattern) -> list[dict[str, Fraction]]:
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     params = pattern.params
@@ -664,8 +642,8 @@ def cross_check(entry: CatalogEntry) -> CrossCheckReport:
     space = derivation_space(entry.structure)
     discrepancies: list[Discrepancy] = []
 
-    pattern_vecs = _pattern_flat(entry.claimed_pattern)
-    space_vecs = _space_flat(space)
+    pattern_vecs = [flatten(m) for m in entry.claimed_pattern.basis_matrices()]
+    space_vecs = [flatten(b.entries) for b in space.basis]
     dsm = _linalg.spans_equal(pattern_vecs, space_vecs)
     if not dsm:
         contained = all(

@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import catalog as cat
@@ -289,7 +289,7 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
                 name, args.param if name in cat.PARAMETRIC_NAMES else None))
             for name in names
         ]
-        doc = [_report_to_dict(r) for r in reports]
+        doc = [asdict(r) for r in reports]
         return EXIT_OK, doc, "\n".join(_render_report_text(r) for r in reports)
     if action == "verdict-table":
         rows = cat.verdict_table()
@@ -315,24 +315,6 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
             lines.append(f"{mark}{r.entry}{param:8s} {r.label:22s} {tag}")
         return EXIT_OK, doc, "\n".join(lines)
     raise CliError(f"unknown catalog action {action!r}")
-
-
-def _report_to_dict(r: cat.CrossCheckReport) -> dict:
-    def disc(d: cat.Discrepancy) -> dict:
-        return {
-            "location": d.location,
-            "published_value": d.published_value,
-            "recomputed_value": d.recomputed_value,
-        }
-
-    return {
-        "name": r.name,
-        "derivation_space_match": r.derivation_space_match,
-        "eigenvalue_formula_match": r.eigenvalue_formula_match,
-        "discrepancies": [disc(d) for d in r.discrepancies],
-        "known_print_issues": [disc(d) for d in r.known_print_issues],
-        "notes": list(r.notes),
-    }
 
 
 def _render_report_text(r: cat.CrossCheckReport) -> str:

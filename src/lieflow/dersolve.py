@@ -13,7 +13,7 @@ j of every matrix holds the coordinates of D(E_j).
 
 from __future__ import annotations
 
-import sys
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -39,9 +39,6 @@ class DerivationMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
 
 @dataclass(frozen=True)
 class DerivationSpace:
@@ -56,25 +53,28 @@ class DerivationCheck:
     worst_pair: tuple[int, int] | None
 
 
-def coerce_matrix(entries, dim: int | None = None) -> Matrix:
-    """Accept nested sequences / numpy arrays / DerivationMatrix; exact output.
+def _exact(v) -> Fraction:
+    """One entry as a Fraction: a Fraction as it is, any other rational (int,
+    NumPy integer) from its integer numerator and denominator, any other real
+    (float, NumPy float) by `Fraction(float(v))`, exact for binary floats, and
+    anything else (a 'p/q' string) by `as_scalar`."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return as_scalar(v)
+    if isinstance(v, numbers.Rational):
+        return Fraction(int(v.numerator), int(v.denominator))
+    return Fraction(float(v))
 
-    Float entries are converted by `Fraction(float)`, which is exact for
-    binary floats. An ndarray can only exist once NumPy is loaded, so NumPy
-    is looked up, not imported.
-    """
-    np = sys.modules.get("numpy")
+
+def coerce_matrix(entries, dim: int | None = None) -> Matrix:
+    """A square exact matrix from a DerivationMatrix (its entries as they
+    are) or from rows of entries: nested sequences or a NumPy array of any
+    dtype, each entry converted by the one rule of `_exact`."""
     if isinstance(entries, DerivationMatrix):
         mat = entries.entries
-    elif np is not None and isinstance(entries, np.ndarray):
-        mat = tuple(tuple(Fraction(float(v)) for v in row) for row in entries)
     else:
-        mat = tuple(
-            tuple(
-                as_scalar(v) if not isinstance(v, float) else Fraction(v) for v in row
-            )
-            for row in entries
-        )
+        mat = tuple([tuple([_exact(v) for v in row]) for row in entries])
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
@@ -183,14 +183,15 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
     return DerivationSpace(basis=tuple(basis), dim=len(basis))
 
 
+def flatten(mat: Matrix) -> list[Fraction]:
+    """The entries of a square matrix row-major, the order of the unknowns."""
+    return [v for row in mat for v in row]
+
+
 def in_derivation_span(space: DerivationSpace, mat) -> bool:
     """Exact membership of a matrix in span(space.basis)."""
     if not space.basis:
         return all(v == 0 for row in coerce_matrix(mat) for v in row)
-    n = space.basis[0].dim
-    m = coerce_matrix(mat, n)
-    flat = [m[r][c] for r in range(n) for c in range(n)]
-    basis_flat = [
-        [b.entries[r][c] for r in range(n) for c in range(n)] for b in space.basis
-    ]
-    return _linalg.solve_coordinates(basis_flat, flat) is not None
+    m = coerce_matrix(mat, space.basis[0].dim)
+    basis_flat = [flatten(b.entries) for b in space.basis]
+    return _linalg.solve_coordinates(basis_flat, flatten(m)) is not None

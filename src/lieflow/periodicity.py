@@ -44,7 +44,6 @@ from .spectral import (
     _rational_roots,
     _real_root_count,
     _sqrt,
-    _square_free,
 )
 
 REASON_NONZERO_REAL_PART = "NonzeroRealPart"
@@ -189,31 +188,30 @@ def minimal_period_over_pi(profile: RationalProfile) -> Fraction | None:
 
 
 def classify_flow(mat) -> FlowVerdict:
-    """Verdict for the matrix flow e^{tD} from p = char_poly(D) in primitive
-    integer form and its square-free factors s_k^k.
+    """Verdict for the matrix flow e^{tD} from rad(p) = p / gcd(p, p'), p =
+    char_poly(D) in primitive integer form.
 
-    Failing reasons in a fixed order: NonzeroRealPart (the Sturm counts of
-    real roots and nonzero roots on the imaginary axis fall short of n with
-    multiplicity), RealNonzeroEigenvalue, NonSemisimpleEigenvalue (rad(p) =
-    prod s_k does not annihilate D), IrrationalRatio (rad(p) without its root
-    0 is h(lambda^2); h must split over Q with rational-square root ratios).
+    Multiplicities never enter the criterion: the roots of rad(p) are the
+    distinct eigenvalues of D, and D is semisimple exactly when rad(p)(D) = 0.
+    Failing reasons in a fixed order: NonzeroRealPart (the Sturm counts of the
+    real roots and of the roots on the imaginary axis, the root 0 counted
+    once, fall short of deg rad(p)), RealNonzeroEigenvalue,
+    NonSemisimpleEigenvalue (p has a repeated root and rad(p)(D) != 0),
+    IrrationalRatio (rad(p) without its root 0 is h(lambda^2); h must split
+    over Q with rational-square root ratios).
     """
     p = _integer_char_poly(mat)
-    factors = _square_free(p)
-    real = [_real_root_count(s) for s, _ in factors]
-    on_axes = sum(
-        k * (r + _real_root_count(_imaginary_axis_gcd(s)) - (s[0] == 0))
-        for (s, k), r in zip(factors, real)
-    )
-    if on_axes < len(p) - 1:
+    rad = _quo(p, _gcd(p, _deriv(p)))
+    zero = rad[0] == 0
+    real = _real_root_count(rad)
+    if real + _real_root_count(_imaginary_axis_gcd(rad)) - zero < len(rad) - 1:
         return no_periodic_orbits(REASON_NONZERO_REAL_PART)
-    if any(r > (s[0] == 0) for (s, _), r in zip(factors, real)):
+    if real > zero:
         return no_periodic_orbits(REASON_REAL_NONZERO)
-    rad = _quo(p, _gcd(p, _deriv(p)))  # prod s_k
-    if any(k > 1 for _, k in factors) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
+    if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
         return no_periodic_orbits(REASON_NON_SEMISIMPLE)
 
-    rest = rad[1:] if rad[0] == 0 else rad
+    rest = rad[1:] if zero else rad
     if len(rest) == 1:
         return identity_flow()
     # Every root is now +-i*alpha, so the rest is even: rest = h(lambda^2).

@@ -219,3 +219,27 @@ def test_dim_der_matches_closed_form(name, sc, dim_der, dense):
     assert space.dim == dim_der
     for b in space.basis:
         assert is_derivation(sc, b.entries).is_derivation
+
+
+def test_coerce_matrix_converts_every_entry_exactly():
+    import numpy as np
+
+    from lieflow.periodicity import classify_flow
+
+    third = F(1, 3)
+    rotation = np.array([[0, third], [-third, 0]], dtype=object)
+    assert coerce_matrix(rotation) == ((0, third), (-third, 0))
+    assert coerce_matrix(rotation)[0][1] is third  # passed through, not copied
+    assert classify_flow(rotation).period_over_pi == 6
+
+    big = coerce_matrix(np.array([[2**53 + 1]], dtype=np.int64))[0][0]
+    assert big == 2**53 + 1 and type(big.numerator) is int
+    nested = coerce_matrix([[np.int64(0), np.int64(-2)], [np.int64(2), np.int64(0)]])
+    assert nested == ((0, -2), (2, 0))
+    assert all(type(v.numerator) is int for row in nested for v in row)
+
+    floats = coerce_matrix(np.array([[0.1, np.float32(0.1)], [-2.5, 0.0]]))
+    assert floats == ((F(0.1), F(float(np.float32(0.1)))), (F(-5, 2), 0))
+    assert coerce_matrix([[0.1]]) == ((F(0.1),),)
+    with pytest.raises(ValueError):
+        coerce_matrix([[True]])

@@ -438,8 +438,13 @@ def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spectrum() called on the verdict path")
 
+    def refuse_square_free(*args, **kwargs):
+        raise AssertionError("_square_free() called on the verdict path")
+
     for module in (spectral, periodicity, catalog):
         monkeypatch.setattr(module, "spectrum", refuse, raising=False)
+    for module in (spectral, periodicity):
+        monkeypatch.setattr(module, "_square_free", refuse_square_free, raising=False)
     rows = verdict_table()
     assert [verdict_to_dict(r.verdict) for r in rows] == expected
     assert len(rows) == 98
