@@ -54,7 +54,6 @@ from .periodicity import (
     minimal_period,
     minimal_period_over_pi,
     rational_ratio_profile,
-    verdict_to_dict,
 )
 from .flowsim import (
     DEFAULT_CONFIG,
@@ -125,7 +124,6 @@ __all__ = [
     "minimal_period",
     "minimal_period_over_pi",
     "rational_ratio_profile",
-    "verdict_to_dict",
     "ExpmOverflowError",
     "FlowSample",
     "ResidualReport",

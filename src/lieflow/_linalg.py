@@ -1,9 +1,9 @@
 """Exact rational linear algebra: RREF, rank, nullspace, span tests.
 
-Nothing here touches floating point. `rref` and the functions built on it
-take dense rows of `fractions.Fraction` (or int); `nullspace` takes sparse
-integer rows {col: int}. Both run one fraction-free elimination on sparse
-primitive integer rows, `_reduce`, and build Fractions only for the output.
+Nothing here touches floating point. `rref`, `rank` and their callers take
+dense rows of `fractions.Fraction` (or int); `nullspace` takes sparse integer
+rows {col: int}. All run one fraction-free elimination on sparse primitive
+integer rows, `_reduce`, and build Fractions only for the output.
 Matrices are lists of row lists; vectors are sequences.
 """
 
@@ -80,18 +80,9 @@ def _reduce(pending: list[dict[int, int]], ncols: int) -> list[tuple[int, dict[i
     return done
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form with pivots normalized to 1.
-
-    Returns (reduced rows, pivot column indices). The reduced rows come
-    first, in pivot order, then one zero row for each input row that
-    reduced to zero, so the output has as many rows as the input. Each
-    dense row is scaled to a primitive sparse integer row for `_reduce`.
-    """
-    dense = [list(r) for r in rows]
-    if not dense:
-        return [], []
-    ncols = len(dense[0])
+def _reduce_dense(dense: list[Sequence[Fraction]]) -> list[tuple[int, dict[int, int]]]:
+    """`_reduce` on dense rows of Fractions or ints, each scaled to a primitive
+    sparse integer row first; no Fraction is built."""
     pending: list[dict[int, int]] = []
     for r in dense:
         nz = {c: v for c, v in enumerate(r) if v}
@@ -100,7 +91,21 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
             pending.append(
                 _primitive({c: v.numerator * (d // v.denominator) for c, v in nz.items()})
             )
-    done = _reduce(pending, ncols)
+    return _reduce(pending, len(dense[0]) if dense else 0)
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form with pivots normalized to 1.
+
+    Returns (reduced rows, pivot column indices). The reduced rows come
+    first, in pivot order, then one zero row for each input row that
+    reduced to zero, so the output has as many rows as the input.
+    """
+    dense = [list(r) for r in rows]
+    if not dense:
+        return [], []
+    ncols = len(dense[0])
+    done = _reduce_dense(dense)
     zero = Fraction(0)
     reduced = []
     for c, r in done:
@@ -113,7 +118,8 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots `_reduce` finds; no RREF is built."""
+    return len(_reduce_dense(list(rows)))
 
 
 def nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -160,9 +166,8 @@ def spans_equal(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> bool:
     """Whether two lists of vectors span the same subspace (exact)."""
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    if ra != rb:
+    ra = rank(a)
+    if ra != rank(b):
         return False
     return rank(list(a) + list(b)) == ra
 

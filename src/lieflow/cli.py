@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, derivations, catalog (list / export / cross-check /
-verdict-table), simulate. Output is JSON by default (override with --format
-or the LIEFLOW_FORMAT environment variable). Only simulate, the numerical
+verdict-table), simulate. Output is JSON by default, or text with --format
+text. A JSON document holds the library's own objects, written by one rule
+(`_json_value`): a dataclass as its fields in declaration order, a Fraction
+as its 'p/q' text, and NaN or Infinity refused. Only simulate, the numerical
 evidence layer, takes --tol-period, --tol-separation, --horizon and
 --samples, the four fields of flowsim.ToleranceConfig; the exact commands
 read no tolerance. Exit codes: 0 = document produced (or simulate check
@@ -22,25 +24,18 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import is_dataclass, replace
 from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
 from .dersolve import derivation_space, inner_derivation
-from .liealg import (
-    StructureConstants,
-    algebra_to_dict,
-    format_scalar,
-    load_algebra,
-    validate_algebra,
-)
+from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
 from .periodicity import (
     NotADerivationError,
     PeriodTooLargeError,
     classify_invariant_flow,
     classify_linear_flow,
-    verdict_to_dict,
 )
 
 EXIT_OK = 0
@@ -181,10 +176,6 @@ def _resolve_algebra(args) -> tuple[StructureConstants, cat.CatalogEntry | None,
     return sc, None, args.file
 
 
-def _matrix_to_strings(mat) -> list[list[str]]:
-    return [[format_scalar(v) for v in row] for row in mat]
-
-
 # --- classify -----------------------------------------------------------------
 
 
@@ -202,36 +193,28 @@ def _cmd_classify(args) -> tuple[int, dict, str]:
         if flow_kind == "invariant":
             raise CliError("--flow invariant requires --inner coefficients")
         verdict = classify_linear_flow(sc, _parse_matrix(args.matrix, sc.dim))
-    doc = {
-        "algebra": source,
-        "flow": flow_kind,
-        "verdict": verdict_to_dict(verdict),
-    }
+    doc = {"algebra": source, "flow": flow_kind, "verdict": verdict}
     return EXIT_OK, doc, _render_verdict_text(doc)
 
 
 def _render_verdict_text(doc: dict) -> str:
     v = doc["verdict"]
     lines = [f"algebra: {doc['algebra']}   flow: {doc['flow']}"]
-    tag = v["tag"]
-    if tag == "PeriodicFlow":
-        period = v["period"]
-        symbolic = (
-            f" (= {v['period_over_pi']} * pi)" if v["period_over_pi"] else ""
-        )
-        lines.append(f"verdict: PeriodicFlow, minimal period T = {period:.12g}{symbolic}")
-        if v["profile"]:
-            ratios = ", ".join(f"{p}/{q}" for p, q in v["profile"]["ratios"])
+    if v.tag == "PeriodicFlow":
+        symbolic = f" (= {v.period_over_pi} * pi)" if v.period_over_pi else ""
+        lines.append(f"verdict: PeriodicFlow, minimal period T = {v.period:.12g}{symbolic}")
+        if v.profile:
+            ratios = ", ".join(f"{p}/{q}" for p, q in v.profile.ratios)
             lines.append(f"frequency ratios vs base: {ratios}")
-    elif tag == "NoPeriodicOrbits":
-        lines.append(f"verdict: NoPeriodicOrbits ({v['reason']})")
-    elif tag == "IdentityFlow":
+    elif v.tag == "NoPeriodicOrbits":
+        lines.append(f"verdict: NoPeriodicOrbits ({v.reason})")
+    elif v.tag == "IdentityFlow":
         lines.append("verdict: IdentityFlow (zero derivation; every point fixed)")
     else:
-        lines.append(f"verdict: {tag}")
-        if v.get("note"):
-            lines.append(f"note: {v['note']}")
-    for caveat in v.get("caveats", []):
+        lines.append(f"verdict: {v.tag}")
+        if v.note:
+            lines.append(f"note: {v.note}")
+    for caveat in v.caveats:
         lines.append(f"caveat: {caveat}")
     return "\n".join(lines)
 
@@ -245,13 +228,13 @@ def _cmd_derivations(args) -> tuple[int, dict, str]:
     doc = {
         "algebra": source,
         "dim": space.dim,
-        "basis": [_matrix_to_strings(b.entries) for b in space.basis],
+        "basis": [b.entries for b in space.basis],
     }
     lines = [f"algebra: {source}", f"derivation space dimension: {space.dim}"]
     for i, b in enumerate(space.basis):
         lines.append(f"basis[{i}]:")
         for row in b.entries:
-            lines.append("  [" + ", ".join(format_scalar(v) for v in row) + "]")
+            lines.append("  [" + ", ".join(map(str, row)) + "]")
     return EXIT_OK, doc, "\n".join(lines)
 
 
@@ -289,22 +272,9 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
                 name, args.param if name in cat.PARAMETRIC_NAMES else None))
             for name in names
         ]
-        doc = [asdict(r) for r in reports]
-        return EXIT_OK, doc, "\n".join(_render_report_text(r) for r in reports)
+        return EXIT_OK, reports, "\n".join(_render_report_text(r) for r in reports)
     if action == "verdict-table":
         rows = cat.verdict_table()
-        doc = [
-            {
-                "entry": r.entry,
-                "param": str(r.param) if r.param is not None else None,
-                "label": r.label,
-                "matrix": _matrix_to_strings(r.matrix),
-                "verdict": verdict_to_dict(r.verdict),
-                "published_claim": r.published_claim,
-                "agrees_with_published": r.agrees_with_published,
-            }
-            for r in rows
-        ]
         lines = []
         for r in rows:
             mark = "ok " if r.agrees_with_published else "XX "
@@ -313,7 +283,7 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
                 tag += f"({r.verdict.reason})"
             param = f" a={r.param}" if r.param is not None else ""
             lines.append(f"{mark}{r.entry}{param:8s} {r.label:22s} {tag}")
-        return EXIT_OK, doc, "\n".join(lines)
+        return EXIT_OK, rows, "\n".join(lines)
     raise CliError(f"unknown catalog action {action!r}")
 
 
@@ -392,7 +362,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
     else:
         verdict = classify_linear_flow(sc, mat)
         evidence = flowsim.verify_verdict(sc, mat, verdict, cfg)
-        doc["verdict"] = verdict_to_dict(verdict)
+        doc["verdict"] = verdict
         details, nonfinite = _nulled(evidence.details)
         doc["evidence"] = {
             "passed": evidence.passed,
@@ -409,6 +379,28 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         code = EXIT_OK if evidence.passed else EXIT_FAIL
     doc["notes"] = notes
     return code, doc, "\n".join(lines)
+
+
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_value(value):
+    """The JSON value of a document part: a Fraction as its 'p/q' text, a
+    dataclass as its instance dict (its fields in declaration order), a tuple
+    or list as a list, a dict walked, anything else as it is, for json.dumps
+    to refuse with TypeError if it is no JSON value. Types are compared
+    exactly and leaves are not walked: a failing isinstance(x, Fraction) is
+    slow."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [v if type(v) in _JSON_LEAVES else _json_value(v) for v in value]
+    if kind is dict:
+        return {k: v if type(v) in _JSON_LEAVES else _json_value(v) for k, v in value.items()}
+    if is_dataclass(kind):
+        return _json_value(vars(value))
+    return value
 
 
 def _nulled(value):
@@ -458,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--samples", type=int, default=None)
     for p in (p_classify, p_der, p_cat, p_sim):
-        p.add_argument("--format", choices=("json", "text"), default=None)
+        p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
@@ -469,9 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format or os.environ.get("LIEFLOW_FORMAT", "json")
-    if fmt not in ("json", "text"):
-        fmt = "json"
     handlers = {
         "classify": _cmd_classify,
         "derivations": _cmd_derivations,
@@ -490,7 +479,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     try:
-        print(json.dumps(doc, indent=2, allow_nan=False) if fmt == "json" else text)
+        if args.format == "json":
+            # One walk, not a default= hook, which encodes the verdict table
+            # half as fast; its tree is fresh, so no container recurs in it.
+            text = json.dumps(_json_value(doc), indent=2, allow_nan=False,
+                              check_circular=False)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`). As the CPython signal docs

@@ -33,7 +33,6 @@ from .liealg import (
 @dataclass(frozen=True)
 class DerivationMatrix:
     entries: Matrix
-    leibniz_residual: Fraction
 
     @property
     def dim(self) -> int:
@@ -49,7 +48,7 @@ class DerivationSpace:
 @dataclass(frozen=True)
 class DerivationCheck:
     is_derivation: bool
-    leibniz_residual: Fraction | float
+    leibniz_residual: Fraction
     worst_pair: tuple[int, int] | None
 
 
@@ -126,11 +125,9 @@ def is_derivation(sc: StructureConstants, mat) -> DerivationCheck:
 
 
 def inner_derivation(sc: StructureConstants, x: Sequence[Scalar]) -> DerivationMatrix:
-    """-ad(x); satisfies Leibniz exactly by the Jacobi identity."""
+    """-ad(x), a derivation by the Jacobi identity, so Leibniz is not checked."""
     xv = as_vector(x, sc.dim)
-    neg = tuple(tuple(-v for v in row) for row in ad(sc, xv))
-    res, _ = leibniz_residual(sc, neg)
-    return DerivationMatrix(entries=neg, leibniz_residual=res)
+    return DerivationMatrix(entries=tuple(tuple(-v for v in row) for row in ad(sc, xv)))
 
 
 def constraint_rows(sc: StructureConstants) -> list[dict[int, int]]:
@@ -176,7 +173,7 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
     for vec in basis_vectors:
         # From a list: see the lcm(*[...]) note in StructureConstants.
         mat = tuple([vec[r * n : r * n + n] for r in range(n)])
-        der = DerivationMatrix(entries=mat, leibniz_residual=Fraction(0))
+        der = DerivationMatrix(entries=mat)
         if leibniz_residual(sc, der)[0] != 0:
             raise AssertionError("nullspace member violates Leibniz; solver bug")
         basis.append(der)

@@ -66,7 +66,6 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class VerdictEvidence:
-    verdict_tag: str
     passed: bool
     inconclusive: bool
     details: dict
@@ -181,21 +180,19 @@ def _closure_residuals(
 
 
 def flow_period_residual(
-    mat,
-    period: float,
-    horizon: float | None = None,
-    cfg: ToleranceConfig | None = None,
+    mat, period: float, cfg: ToleranceConfig | None = None
 ) -> ResidualReport:
-    """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F; raises
-    ExpmOverflowError when (horizon + T)||D||_1, the literal form's largest
-    exponent, exceeds the norm guard."""
+    """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F, the
+    horizon being 4T capped by the safe horizon; raises ExpmOverflowError when
+    (horizon + T)||D||_1, the literal form's largest exponent, exceeds the
+    norm guard."""
     cfg = cfg or DEFAULT_CONFIG
     if period <= 0:
         raise ValueError("period must be positive")
     if cfg.samples < 2:
         raise ValueError("need at least two samples")
     arr = _as_float_matrix(mat)
-    horizon = _safe_horizon(arr, 4.0 * period if horizon is None else horizon)
+    horizon = _safe_horizon(arr, 4.0 * period)
     _check_norm(arr, horizon + period)
     (worst,), (at,) = _closure_residuals(arr, [period], horizon, cfg.samples)
     return ResidualReport(float(worst), float(at), cfg.samples, horizon)
@@ -325,8 +322,7 @@ def verify_verdict(
         note = "falsification evidence over a finite horizon, not proof"
         if horizon < EVIDENCE_MIN_PERIOD:
             note += "; the safe horizon is shorter than the smallest trial period"
-            return VerdictEvidence(verdict.tag, False, True,
-                                   {"horizon": horizon, "note": note})
+            return VerdictEvidence(False, True, {"horizon": horizon, "note": note})
         periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
         residuals, _ = _closure_residuals(arr, periods, horizon, cfg.samples)
         best = int(np.argmin(residuals))
@@ -342,4 +338,4 @@ def verify_verdict(
         raise ValueError(f"verify_verdict cannot check verdict tag {verdict.tag!r}")
     if not np.all(np.isfinite(residuals)):  # an overflow shows nothing
         passed, inconclusive = False, True
-    return VerdictEvidence(verdict.tag, bool(passed), bool(inconclusive), details)
+    return VerdictEvidence(bool(passed), bool(inconclusive), details)

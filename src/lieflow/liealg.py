@@ -50,10 +50,6 @@ def as_vector(coords: Iterable[Scalar], dim: int | None = None) -> Vector:
     return vec
 
 
-def format_scalar(value: Fraction) -> str:
-    return str(value)
-
-
 class StructureConstants:
     """Immutable structure-constant table for a finite-dimensional algebra."""
 
@@ -207,7 +203,7 @@ def permute_basis(sc: StructureConstants, perm: Sequence[int]) -> StructureConst
 
 def algebra_to_dict(sc: StructureConstants) -> dict:
     brackets = [
-        {"i": i + 1, "j": j + 1, "k": k + 1, "c": format_scalar(c)}
+        {"i": i + 1, "j": j + 1, "k": k + 1, "c": str(c)}
         for (i, j, k), c in sorted(sc.entries.items())
     ]
     return {"dim": sc.dim, "basis": list(sc.basis_labels), "brackets": brackets}

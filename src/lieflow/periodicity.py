@@ -87,8 +87,8 @@ class RationalProfile:
     """Rational structure of the positive imaginary parts, base first."""
 
     base_alpha: float
+    base_alpha_exact: Fraction | None
     ratios: tuple[tuple[int, int], ...]
-    base_alpha_exact: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def rational_ratio_profile(squares: Sequence[Fraction]) -> RationalProfile:
         ratios.append((root.numerator, root.denominator))
     return RationalProfile(
         base_alpha=_sqrt(base_sq),
-        ratios=tuple(ratios),
         base_alpha_exact=_is_rational_square(base_sq),
+        ratios=tuple(ratios),
     )
 
 
@@ -240,7 +240,7 @@ def classify_linear_flow(sc: StructureConstants, mat) -> FlowVerdict:
     """
     # A DerivationMatrix passes coerce_matrix unchanged: gate and verdict read
     # this one coercion, and the verdict only once the gate confirmed it.
-    der = DerivationMatrix(coerce_matrix(mat, sc.dim), leibniz_residual=Fraction(0))
+    der = DerivationMatrix(coerce_matrix(mat, sc.dim))
     residual, worst = leibniz_residual(sc, der)
     if residual != 0:
         raise NotADerivationError(residual, worst)
@@ -268,34 +268,3 @@ def classify_invariant_flow(sc: StructureConstants, x: Sequence[Scalar]) -> Flow
     if verdict.tag == "PeriodicFlow":
         return verdict.with_caveat(INVARIANT_FLOW_CAVEAT)
     return verdict
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def profile_to_dict(profile: RationalProfile | None) -> dict | None:
-    if profile is None:
-        return None
-    return {
-        "base_alpha": profile.base_alpha,
-        "base_alpha_exact": (
-            str(profile.base_alpha_exact)
-            if profile.base_alpha_exact is not None
-            else None
-        ),
-        "ratios": [[p, q] for p, q in profile.ratios],
-    }
-
-
-def verdict_to_dict(verdict: FlowVerdict) -> dict:
-    return {
-        "tag": verdict.tag,
-        "period": verdict.period,
-        "period_over_pi": (
-            str(verdict.period_over_pi) if verdict.period_over_pi is not None else None
-        ),
-        "reason": verdict.reason,
-        "profile": profile_to_dict(verdict.profile),
-        "caveats": list(verdict.caveats),
-        "note": verdict.note,
-    }

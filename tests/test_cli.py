@@ -271,14 +271,6 @@ def test_text_format_flag(capsys):
     assert "pi" in out
 
 
-def test_format_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LIEFLOW_FORMAT", "text")
-    code, out, _ = run_cli(capsys, "classify", "--catalog", "sl2", "--inner", "1,0,0")
-    assert code == 0
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-
-
 def test_parse_period_forms():
     assert parse_period("pi") == math.pi
     assert parse_period("2pi") == 2 * math.pi
@@ -414,8 +406,7 @@ def test_nulled_replaces_nonfinite_floats():
 
 def test_simulate_nonfinite_evidence_is_strict_json(capsys, monkeypatch):
     def overflowing(sc, mat, verdict, cfg=None):
-        return flowsim.VerdictEvidence(verdict.tag, False, True,
-                                       {"min_residual": math.inf, "horizon": 1.0})
+        return flowsim.VerdictEvidence(False, True, {"min_residual": math.inf, "horizon": 1.0})
 
     monkeypatch.setattr(flowsim, "verify_verdict", overflowing)
     code, out, _ = run_cli(capsys, "simulate", "--catalog", "aff2", "--matrix", "0,0,0,1")

@@ -115,7 +115,7 @@ def test_inner_derivation_sl2_matches_adjoint_formula():
             (4 * b, -4 * a + 2 * c, -2 * b),
         )
         assert d.entries == expected
-        assert d.leibniz_residual == 0
+        assert is_derivation(sc, d).is_derivation
 
 
 def test_inner_derivation_of_zero_vector_is_zero():

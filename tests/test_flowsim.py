@@ -461,18 +461,18 @@ def test_kernel_matches_literal_residual_on_verdict_table():
 
 def test_flow_period_residual_reports_the_worst_grid_time():
     m = np.array([[0.0, 0.0], [0.0, 0.3]])  # residual grows with t
-    report = flow_period_residual(m, 1.0, horizon=2.0, cfg=replace(DEFAULT_CONFIG, samples=5))
-    assert report.argmax_t == 2.0 and report.horizon == 2.0 and report.samples == 5
-    want, _ = literal_residual(m, 1.0, 2.0, 5)
+    report = flow_period_residual(m, 1.0, cfg=replace(DEFAULT_CONFIG, samples=5))
+    assert report.argmax_t == 4.0 and report.horizon == 4.0 and report.samples == 5
+    want, _ = literal_residual(m, 1.0, 4.0, 5)
     assert abs(report.max_residual - want) <= 1e-12 * want
 
 
 def test_period_guard_trips_on_horizon_plus_period():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # ||D||_1 = 1, bounded flow
     two = replace(DEFAULT_CONFIG, samples=2)
-    flow_period_residual(rot, 350.0 - 1e-9, horizon=350.0, cfg=two)
+    flow_period_residual(rot, 350.0 - 1e-9, cfg=two)
     with pytest.raises(ExpmOverflowError):
-        flow_period_residual(rot, 350.0 + 1e-9, horizon=350.0, cfg=two)
+        flow_period_residual(rot, 350.0 + 1e-9, cfg=two)
 
 
 def test_periodic_evidence_guard_trips_above_t_norm_350():

@@ -338,6 +338,20 @@ def test_rref_accepts_integer_rows_and_does_not_mutate_input():
     assert all(isinstance(v, F) for row in reduced for v in row)
 
 
+def test_rank_counts_pivots_without_building_a_fraction(monkeypatch):
+    from lieflow import _linalg
+
+    cases = [rows for _, rows in MATRIX_CASES if rows and rows[0]]
+    expected = [len(dense_rref(rows)[1]) for rows in cases]
+
+    def refuse(*args):
+        raise AssertionError("rank built a Fraction")
+
+    monkeypatch.setattr(_linalg, "Fraction", refuse)
+    assert [rank(rows) for rows in cases] == expected
+    assert rank([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]]) == 1
+
+
 def test_solve_coordinates_recovers_random_combinations():
     rng = random.Random(99)
     for _ in range(20):

@@ -1,18 +1,22 @@
-"""The benchmark's own oracle accepts every classify-mix verdict.
+"""The benchmark's own oracle accepts every classify-mix verdict and every
+cli-cold document.
 
-`perfbench/run.py` judges each classify-mix output against the expectation
-that `perfbench/gen.py` planted in the input; a wrong verdict there marks a
-benchmark run as incorrect. The same inputs and the same judge run here, on
-a few seeds, with both files loaded read-only.
+`perfbench/run.py` judges each classify-mix output and each cli-cold exit
+code and JSON document against the expectation that `perfbench/gen.py`
+planted in the input; a wrong answer there marks a benchmark run as
+incorrect. The same inputs and the same judges run here, on a few seeds,
+with both files loaded read-only; the CLI runs in-process.
 """
 
 import importlib.util
+import json
 import pathlib
 import random
 import sys
 
 import pytest
 
+from lieflow.cli import main
 from lieflow.liealg import algebra_from_dict
 from lieflow.periodicity import classify_linear_flow
 
@@ -52,4 +56,19 @@ def test_classify_mix_passes_the_benchmark_judge(run_module, seed):
         kind = run_module.judge_verdict(x, key)
         if kind is not None:
             failures.append((x["recipe"], kind, key))
+    assert failures == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_cold_passes_the_benchmark_judge(run_module, seed, tmp_path, capsys):
+    inputs, files = run_module.gen.cli_inputs(random.Random(seed), str(tmp_path))
+    for path, alg in files.items():
+        pathlib.Path(path).write_text(json.dumps(alg))
+    failures = []
+    for x in inputs:
+        capsys.readouterr()
+        code = main(list(x["argv"]))
+        kind = run_module.judge_cli(x, ["ok", code, capsys.readouterr().out])
+        if kind is not None:
+            failures.append((x["argv"], kind))
     assert failures == []

@@ -1,14 +1,17 @@
 """Flow classification, rational ratio profiles, minimal periods."""
 
 import inspect
+import json
 import math
 import random
+from dataclasses import fields
 from decimal import Context
 from fractions import Fraction as F
 
 import pytest
 
 from lieflow import (
+    FlowVerdict,
     IrrationalRatioError,
     NotADerivationError,
     PeriodTooLargeError,
@@ -21,9 +24,9 @@ from lieflow import (
     minimal_period,
     minimal_period_over_pi,
     rational_ratio_profile,
-    verdict_to_dict,
 )
 from lieflow.catalog import get_entry
+from lieflow.cli import _json_value
 
 
 def abelian(n):
@@ -354,27 +357,39 @@ def test_invariant_flow_g35_inner_fields_not_periodic():
             assert v.tag in ("NoPeriodicOrbits", "SpectralPeriodicInconclusive")
 
 
-# --- serialization ------------------------------------------------------------------
+# --- the JSON document ---------------------------------------------------------------
 
 
-def test_verdict_dict_schema_is_stable():
+def test_verdict_document_keys_are_the_dataclass_fields_in_order():
     sc = get_entry("sl2").structure
     v = classify_linear_flow(sc, inner_derivation(sc, (1, 0, 0)))
-    doc = verdict_to_dict(v)
-    assert set(doc) == {
+    doc = _json_value(v)
+    assert list(doc) == [f.name for f in fields(FlowVerdict)] == [
         "tag", "period", "period_over_pi", "reason", "profile", "caveats", "note"
-    }
+    ]
+    assert list(doc["profile"]) == [f.name for f in fields(RationalProfile)] == [
+        "base_alpha", "base_alpha_exact", "ratios"
+    ]
     assert doc["tag"] == "PeriodicFlow"
     assert doc["period_over_pi"] == "1"
+    assert doc["profile"]["base_alpha_exact"] == "2"
     assert doc["profile"]["ratios"] == [[1, 1]]
+    assert doc["caveats"] == []
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
-def test_verdict_dict_no_periodic():
+def test_verdict_document_no_periodic():
     sc = get_entry("aff2").structure
-    doc = verdict_to_dict(classify_linear_flow(sc, ((0, 0), (0, 1))))
+    doc = _json_value(classify_linear_flow(sc, ((0, 0), (0, 1))))
     assert doc["tag"] == "NoPeriodicOrbits"
     assert doc["reason"] == "RealNonzeroEigenvalue"
-    assert doc["period"] is None
+    assert doc["period"] is None and doc["profile"] is None
+
+
+def test_document_with_a_non_json_object_is_refused():
+    v = classify_flow(rot_block(1))
+    with pytest.raises(TypeError):
+        json.dumps(_json_value({"verdict": v, "eigenvalue": 1j}), allow_nan=False)
 
 
 # --- exact verdicts from the square-free core ----------------------------------
@@ -433,7 +448,7 @@ def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
 
     for fn in (classify_flow, classify_linear_flow, classify_invariant_flow, verdict_table):
         assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
-    expected = [verdict_to_dict(r.verdict) for r in verdict_table()]
+    expected = [r.verdict for r in verdict_table()]
 
     def refuse(*args, **kwargs):
         raise AssertionError("spectrum() called on the verdict path")
@@ -446,7 +461,7 @@ def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
     for module in (spectral, periodicity):
         monkeypatch.setattr(module, "_square_free", refuse_square_free, raising=False)
     rows = verdict_table()
-    assert [verdict_to_dict(r.verdict) for r in rows] == expected
+    assert [r.verdict for r in rows] == expected
     assert len(rows) == 98
     sc = get_entry("sl2").structure
     assert classify_invariant_flow(sc, (1, 0, 0)).tag == "PeriodicFlow"
