@@ -171,14 +171,3 @@ def spans_equal(
         return False
     return rank(list(a) + list(b)) == ra
 
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[Row]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def mat_identity(n: int) -> list[Row]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

@@ -2,20 +2,21 @@
 
 Two-tier arithmetic: the characteristic polynomial is always exact
 (Berkowitz's recursion in integers; float entries are converted losslessly).
-Yun's square-free decomposition splits it into coprime factors s_k^k first, so
-algebraic multiplicities are exact and each factor has simple roots. Roots
-are extracted exactly wherever the factorization stays rational or quadratic
-(every rational root, by Sturm bisection over rational-root lattice indices;
-irreducible quadratic factors; rational roots of mu = lambda^2 for even
-factors) and numerically otherwise; each class is built where its root is
-found. A simple root is semisimple. For a repeated factor, geometric
-multiplicities come from one exact kernel dimension dim ker f(D), f being
-lambda - r, the real quadratic of a pair, or the numeric rest s (whose roots
-are all semisimple iff dim ker s(D) = k*deg s), with SVD thresholding only
-where that test fails and for merged numeric clusters. A merged cluster is
-the one kind of ill-conditioning spectrum() flags. It serves display only;
-flow verdicts and the catalog cross-check read only the exact characteristic
-polynomial, the verdicts through the Sturm root counts below.
+Yun's square-free decomposition splits it into coprime factors s_k^k, so
+algebraic multiplicities are exact and each factor has simple roots. One
+exact rule gives every geometric multiplicity: for k > 1, D restricted to
+ker s(D) is semisimple, and the Yun decomposition of its characteristic
+polynomial splits s into pieces whose roots share one geometric
+multiplicity. Roots of a piece are extracted exactly wherever the
+factorization stays rational or quadratic (every rational root, by Sturm
+bisection over rational-root lattice indices; irreducible quadratic factors;
+rational roots of mu = lambda^2 for even pieces) and numerically otherwise.
+Only numeric roots of one piece closer than CLUSTER_GUARD merge into one
+class, whose geometric multiplicity an SVD rank at RANK_TOL decides; such a
+merged cluster is the one kind of ill-conditioning spectrum() flags, and
+spectrum() serves display only: flow verdicts and the catalog cross-check
+read only the exact characteristic polynomial, the verdicts through the
+Sturm root counts below.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from . import _linalg
 from .dersolve import coerce_matrix
 from .liealg import Matrix
 
-# Numeric roots only (factors with no rational or quadratic split): roots
+# Numeric roots only (pieces with no rational or quadratic split): roots
 # closer than CLUSTER_GUARD times max(1, largest |root|) merge into one class,
-# and SVD ranks count singular values above RANK_TOL times the largest.
+# whose SVD rank counts singular values above RANK_TOL times the largest.
 CLUSTER_GUARD = 1e-6
 RANK_TOL = 1e-9
 
@@ -330,21 +331,25 @@ def _sqrt(x: Fraction) -> float:
 # --- public spectrum ---------------------------------------------------------
 
 
-def _kernel_dim(f: list[int], mq: Matrix) -> int:
-    """dim ker f(D) from the integer matrix d^N f(D); f lowest degree first."""
-    return len(mq) - _linalg.rank(_horner(f, mq)[0])
+def _geometric_pieces(s: list[int], k: int, mq: Matrix) -> list[tuple[list[int], int]]:
+    """The Yun factor s of multiplicity k split into pieces (t, geom) by the
+    exact geometric multiplicity geom of the roots of t. s is square-free, so
+    R = D|K on K = ker s(D) is semisimple, and its char_poly is
+    prod (x - lambda)^geom(lambda) over the roots of s: its Yun decomposition
+    is the split. Each nullspace basis vector v_i is 1 in its free column f_i,
+    its last nonzero, where the others are 0, so R[i][j] is (D v_j)[f_i]."""
+    if k == 1:
+        return [(s, 1)]
+    rows = [{c: v for c, v in enumerate(row) if v} for row in _horner(s, mq)[0]]
+    nonzeros = [[(c, v) for c, v in enumerate(vec) if v]
+                for vec in _linalg.nullspace(rows, len(mq))]
+    r = [[sum(mq[nz[-1][0]][c] * v for c, v in vec) for vec in nonzeros] for nz in nonzeros]
+    return _square_free(_integer_char_poly(r))
 
 
-def _pair_classes(f: list[int], k: int, mq: Matrix) -> list[EigenClass]:
-    """The two roots of the integer quadratic f, irreducible over Q, as a factor
-    of multiplicity k; ker f(D) holds both eigenspaces, so it has even
-    dimension."""
-    geom = 1
-    if k > 1:
-        kernel = _kernel_dim(f, mq)
-        if kernel % 2:
-            raise AssertionError("odd kernel for a conjugate/surd pair; solver bug")
-        geom = kernel // 2
+def _pair_classes(f: list[int], k: int, geom: int) -> list[EigenClass]:
+    """The two roots of the integer quadratic f, irreducible over Q, as a
+    factor of multiplicity k whose roots have geometric multiplicity geom."""
     b, c = Fraction(f[1], f[2]), Fraction(f[0], f[2])
     re, disc = -b / 2, b * b - 4 * c
     if disc < 0:
@@ -366,17 +371,18 @@ def _numeric_rank(a: np.ndarray) -> int:
 
 
 def _numeric_classes(
-    s: list[int], k: int, mq: Matrix
+    s: list[int], k: int, geom: int, mq: Matrix
 ) -> tuple[list[EigenClass], list[str]]:
-    """Classes of the roots of the square-free factor s (multiplicity k) that
-    no exact path resolved, with a note per merged cluster.
+    """Classes of the roots of the square-free piece s (multiplicity k, every
+    root of geometric multiplicity geom) that no exact path resolved, with a
+    note per merged cluster.
 
     np.roots runs LAPACK's xGEEV on the real companion matrix, which returns
     complex roots in exact conjugate pairs, so only the real axis (clustered by
     real part) and the upper half-plane are clustered; an upper cluster stands
     for itself and its mirror image. Roots closer than the guard merge into one
-    class of pessimistic multiplicity. A single root is semisimple when the
-    exact test dim ker s(D) = k * deg s passes; otherwise SVD ranks decide.
+    class of pessimistic multiplicity, whose geometric multiplicity SVD ranks
+    decide; a single root keeps the exact geom.
     """
     import numpy as np
 
@@ -395,64 +401,59 @@ def _numeric_classes(
                 break
         else:
             clusters.append([r])
-    exact = k > 1 and _kernel_dim(s, mq) == k * (len(s) - 1)
-    mf = np.array(mq, dtype=float)
     classes, notes = [], []
     for cl in clusters:
-        center, alg = sum(cl) / len(cl), k * len(cl)
+        center, alg, g = complex(sum(cl) / len(cl)), k * len(cl), geom
+        al, be = center.real, center.imag
         if len(cl) > 1:
             notes.append(
                 f"numeric roots near {center:.6g} are closer than the cluster "
                 f"guard {guard:.1e}; multiplicity {len(cl)} assigned pessimistically"
             )
-        al, be = center.real, center.imag
-        if len(cl) == 1 and (k == 1 or exact):
-            geom = alg
-        elif be == 0:
-            geom = n - _numeric_rank(mf - al * np.eye(n))
-        else:
-            quad = mf @ mf - 2 * al * mf + (al * al + be * be) * np.eye(n)
-            geom = (n - _numeric_rank(quad)) // 2
-        geom, v = min(max(geom, 1), alg), complex(center)
-        classes += [EigenClass(z, alg, geom)
-                    for z in ([v] if be == 0 else [v, v.conjugate()])]
+            mf = np.array(mq, dtype=float)
+            if be == 0:
+                g = n - _numeric_rank(mf - al * np.eye(n))
+            else:
+                quad = mf @ mf - 2 * al * mf + (al * al + be * be) * np.eye(n)
+                g = (n - _numeric_rank(quad)) // 2
+            g = min(max(g, 1), alg)
+        classes += [EigenClass(z, alg, g)
+                    for z in ([center] if be == 0 else [center, center.conjugate()])]
     return classes, notes
 
 
 def spectrum(mat) -> Spectrum:
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
-    Each Yun factor s_k gives up its rational roots, then an irreducible
+    Each Yun factor s_k splits into pieces t of one exact geometric
+    multiplicity. Each piece gives up its rational roots, then an irreducible
     quadratic rest, or for an even rest the rational roots mu of
-    s(lambda) = h(lambda^2); whatever is left goes to the numeric path. Exact
-    classes carry their rational certificates; numeric classes set
-    ill_conditioned, with a note, wherever roots of one factor could not be
-    told apart at CLUSTER_GUARD instead of silently committing to a
-    multiplicity.
+    t(lambda) = h(lambda^2); whatever is left goes to the numeric path. Exact
+    classes carry their rational certificates; ill_conditioned is set, with a
+    note, wherever numeric roots of one piece merge at CLUSTER_GUARD.
     """
     mq = coerce_matrix(mat)
     n = len(mq)
     classes: list[EigenClass] = []
     notes: list[str] = []
     for s, k in _square_free(_integer_char_poly(mq)):
-        for r in _rational_roots(s):
-            f = [-r.numerator, r.denominator]
-            s = _quo(s, f)
-            geom = _kernel_dim(f, mq) if k > 1 else 1
-            classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
-        if len(s) > 3 and not any(s[1::2]):
-            h = s[0::2]
-            for mu in _rational_roots(h):
-                h = _quo(h, [-mu.numerator, mu.denominator])
-                classes += _pair_classes([-mu.numerator, 0, mu.denominator], k, mq)
-            s = [0] * (2 * len(h) - 1)
-            s[0::2] = h
-        if len(s) == 3:
-            classes += _pair_classes(s, k, mq)
-        elif len(s) > 1:
-            got, got_notes = _numeric_classes(s, k, mq)
-            classes += got
-            notes += got_notes
+        for t, geom in _geometric_pieces(s, k, mq):
+            for r in _rational_roots(t):
+                t = _quo(t, [-r.numerator, r.denominator])
+                classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
+            if len(t) > 3 and not any(t[1::2]):
+                h = t[0::2]
+                for mu in _rational_roots(h):
+                    h = _quo(h, [-mu.numerator, mu.denominator])
+                    classes += _pair_classes([-mu.numerator, 0, mu.denominator], k, geom)
+                t = [0] * (2 * len(h) - 1)
+                t[0::2] = h
+            if len(t) == 3:
+                classes += _pair_classes(t, k, geom)
+            elif len(t) > 1:
+                got, got_notes = _numeric_classes(t, k, geom, mq)
+                classes += got
+                notes += got_notes
     classes.sort(key=lambda c: (c.value.real, c.value.imag))
     total = sum(c.alg_mult for c in classes)
     if total != n:

@@ -14,7 +14,7 @@ from lieflow import (
     permute_basis,
     validate_algebra,
 )
-from lieflow._linalg import mat_mul, spans_equal
+from lieflow._linalg import spans_equal
 from lieflow.catalog import (
     CATALOG_NAMES,
     PARAMETRIC_NAMES,

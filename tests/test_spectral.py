@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 
 from lieflow import char_poly, inner_derivation, poly_eval_matrix, spectrum
-from lieflow._linalg import mat_identity, mat_mul
 from lieflow.catalog import get_entry
+
+
+def mat_mul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), F(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def mat_identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 # --- independent char-poly oracle: Laplace expansion over a polynomial ring ----
@@ -683,3 +691,89 @@ def test_repeated_numeric_factor_semisimplicity_is_exact():
     s = spectrum(m)
     assert not s.ill_conditioned
     assert all(c.alg_mult == 2 and c.geom_mult == 1 and not c.semisimple for c in s.classes)
+
+
+# --- geometric multiplicities: one exact rule for every piece ------------------
+
+
+EPS = (F(1), F(1, 10**6), F(1, 10**10), F(1, 10**14), F(1, 10**30))
+
+
+def companion(*low):
+    """Companion matrix of the monic polynomial with low coefficients `low`."""
+    n = len(low)
+    return [[F(int(i == j + 1)) if j < n - 1 else F(-low[i]) for j in range(n)]
+            for i in range(n)]
+
+
+CUBE2, CUBE3 = companion(-2, 0, 0), companion(-3, 0, 0)  # l^3 - 2, l^3 - 3
+QUARTIC = companion(1, 1, 0, 0)  # l^4 + l + 1, irreducible over Q
+
+
+def coupled(eps, *blocks):
+    """block_diag(*blocks) plus eps * I from the first block to the second,
+    which has the same size: one Jordan chain of length 2 per root."""
+    m = block_diag(*blocks)
+    d = len(blocks[0])
+    for i in range(d):
+        m[i][d + i] = F(eps)
+    return m
+
+
+def multiplicities(s):
+    return sorted((c.alg_mult, c.geom_mult) for c in s.classes)
+
+
+def test_weakly_coupled_cubic_is_not_semisimple():
+    # [[C, eps I], [0, C]], C = companion(l^3 - 2): a singular value of
+    # (D - r)(D - r') near eps made an SVD rank at 1e-9 call it semisimple.
+    for eps in EPS:
+        s = spectrum(coupled(eps, CUBE2, CUBE2))
+        assert not s.ill_conditioned, eps
+        assert multiplicities(s) == [(2, 1)] * 3, eps
+
+
+def test_one_yun_factor_with_two_geometric_multiplicities():
+    # (l^3 - 2)^2 (l^3 - 3)^2: one Yun factor s of multiplicity 2, whose
+    # roots of l^3 - 2 are coupled and those of l^3 - 3 semisimple.
+    for eps in EPS:
+        m = coupled(eps, CUBE2, CUBE2, CUBE3, CUBE3)
+        s = spectrum(m)
+        assert not s.ill_conditioned, eps
+        for c in s.classes:
+            cube = round(abs(c.value) ** 3, 9)
+            assert (cube, c.alg_mult, c.geom_mult) in ((2, 2, 1), (3, 2, 2)), (eps, c)
+        assert multiplicities(s) == [(2, 1)] * 3 + [(2, 2)] * 3
+
+    from lieflow.spectral import _geometric_pieces, _integer_char_poly, _square_free
+
+    ((s, k),) = _square_free(_integer_char_poly(m))
+    assert (s, k) == (int_poly_mul([-2, 0, 0, 1], [-3, 0, 0, 1]), 2)
+    assert _geometric_pieces(s, k, tuple(map(tuple, m))) == [([-2, 0, 0, 1], 1), ([-3, 0, 0, 1], 2)]
+
+
+def test_quartic_three_copies_one_coupling():
+    for eps in EPS:
+        s = spectrum(coupled(eps, QUARTIC, QUARTIC, QUARTIC))
+        assert not s.ill_conditioned, eps
+        assert multiplicities(s) == [(3, 2)] * 4, eps
+
+
+def test_single_numeric_roots_need_no_svd(monkeypatch):
+    # Only a merged numeric cluster reads an SVD rank; a piece's single
+    # roots, exact or numeric, take its exact geometric multiplicity.
+    from lieflow import spectral
+
+    def no_svd(a):
+        raise AssertionError("SVD rank outside a merged cluster")
+
+    monkeypatch.setattr(spectral, "_numeric_rank", no_svd)
+    rng = random.Random(1616)
+    k = ((0, 0, 1), (1, 0, 3), (0, 1, 0))  # l^3 - 3l - 1
+    mats = [coupled(F(1, 10**12), k, k), block_diag(k, k)]
+    for eps in EPS:
+        mats += [coupled(eps, CUBE2, CUBE2), coupled(eps, CUBE2, CUBE2, CUBE3, CUBE3),
+                 coupled(eps, QUARTIC, QUARTIC, QUARTIC)]
+    mats += [unimodular_conjugate(rng, m) for m in mats[2::4]]
+    for m in mats:
+        assert not spectrum(m).ill_conditioned

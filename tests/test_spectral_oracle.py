@@ -1,11 +1,11 @@
 """spectrum() against SymPy as an independent oracle.
 
 Block-diagonal rational matrices are planted from repeated irreducible
-quadratic and cubic factors (as copies or as coupled [[K, I], [0, K]]
+quadratic and cubic factors (as copies or as coupled [[K, eps I], [0, K]]
 chains), rational Jordan blocks and rotations, then conjugated by a
 unimodular matrix. SymPy factors the characteristic polynomial over Q; each
 irreducible factor f of multiplicity m gives every one of its roots algebraic
-multiplicity m, and those roots are semisimple iff rank f(D) = n - m deg f.
+multiplicity m and geometric multiplicity (n - rank f(D)) / deg f.
 """
 
 from fractions import Fraction as F
@@ -23,6 +23,9 @@ MAX_DIM = 8
 # the numeric path never has to merge roots of one square-free factor.
 CUBICS = ((-2, 0, 0), (-1, -3, 0), (1, 1, 0), (-1, -1, 0), (-5, 0, 1))  # c0, c1, c2
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Couplings of the [[K, eps I], [0, K]] chains, down to far below any float
+# rank tolerance.
+COUPLINGS = (F(1), F(1, 10**6), F(1, 10**10), F(1, 10**30))
 
 
 def companion(c):
@@ -32,8 +35,8 @@ def companion(c):
             for i in range(n)]
 
 
-def repeated(k, copies, coupled):
-    """copies of k on the diagonal; coupled adds identity blocks above it."""
+def repeated(k, copies, coupling):
+    """copies of k on the diagonal, with coupling * I blocks above it."""
     d = len(k)
     n = d * copies
     m = [[F(0)] * n for _ in range(n)]
@@ -41,8 +44,8 @@ def repeated(k, copies, coupled):
         for i in range(d):
             for j in range(d):
                 m[b * d + i][b * d + j] = k[i][j]
-            if coupled and b + 1 < copies:
-                m[b * d + i][(b + 1) * d + i] = F(1)
+            if b + 1 < copies:
+                m[b * d + i][(b + 1) * d + i] = coupling
     return m
 
 
@@ -56,14 +59,14 @@ def blocks(draw):
     if kind == "rotation":
         beta = draw(SMALL.filter(bool))
         return [[F(0), -beta], [beta, F(0)]]
-    coupled = draw(st.booleans())
+    coupling = draw(st.sampled_from(COUPLINGS)) if draw(st.booleans()) else F(0)
     if kind == "quadratic":
         # l^2 + b l + c with disc -4t: a complex pair for t > 0, real surds below.
         b, t = draw(SMALL), draw(st.sampled_from((F(1), F(3, 4), F(2), F(-2), F(-3))))
-        return repeated(companion((b * b / 4 + t, b)), draw(st.integers(1, 2)), coupled)
-    # Always repeated: the numeric roots of a repeated factor are the case
-    # that the exact test rank s(D) = n - k deg s decides.
-    return repeated(companion(draw(st.sampled_from(CUBICS))), 2, coupled)
+        return repeated(companion((b * b / 4 + t, b)), draw(st.integers(1, 2)), coupling)
+    # Always repeated: numeric roots of a factor of multiplicity 2, whose
+    # geometric multiplicity the restriction of D to ker s(D) decides.
+    return repeated(companion(draw(st.sampled_from(CUBICS))), 2, coupling)
 
 
 @st.composite
@@ -84,7 +87,7 @@ def planted(draw):
 
 
 def oracle(m):
-    """[(roots as complex, rational root or None, multiplicity, semisimple)]."""
+    """[(roots as complex, rational root or None, alg_mult, geom_mult)]."""
     lam = sympy.Symbol("lam")
     n = m.shape[0]
     _, factors = sympy.factor_list(m.charpoly(lam).as_expr(), lam)
@@ -94,11 +97,11 @@ def oracle(m):
         f_of_m = sympy.zeros(n, n)
         for c in poly.all_coeffs():
             f_of_m = f_of_m * m + c * sympy.eye(n)
-        semisimple = f_of_m.rank() == n - mult * poly.degree()
+        geom = (n - f_of_m.rank()) // poly.degree()
         rational = (F(str(-poly.all_coeffs()[1] / poly.all_coeffs()[0]))
                     if poly.degree() == 1 else None)
         for root in poly.nroots(n=30):
-            out.append((complex(root), rational, mult, semisimple))
+            out.append((complex(root), rational, mult, geom))
     return out
 
 
@@ -111,9 +114,8 @@ def test_spectrum_matches_sympy_oracle(m):
     assert not s.ill_conditioned, s.notes
     assert len(s.classes) == len(expected)
     for c in s.classes:
-        root, rational, mult, semisimple = min(expected, key=lambda e: abs(e[0] - c.value))
+        root, rational, mult, geom = min(expected, key=lambda e: abs(e[0] - c.value))
         assert abs(root - c.value) < 1e-6 * max(1.0, abs(root))
-        assert c.alg_mult == mult
-        assert c.semisimple == semisimple
+        assert (c.alg_mult, c.geom_mult) == (mult, geom)
         if rational is not None:
             assert (c.exact_re, c.exact_im_sq) == (rational, 0)
