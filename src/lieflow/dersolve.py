@@ -89,11 +89,14 @@ def leibniz_residual(
 
     D is scaled by the lcm s of its denominators, so with the integer table
     every difference is den * s times the rational one: the worst integer
-    difference over den * s is the residual, at the same pair.
+    difference over den * s is the residual, at the same pair. On a
+    bracket-free algebra every matrix of the right size is a derivation.
     """
     m = coerce_matrix(mat, sc.dim)
-    n = sc.dim
     table = sc._table
+    if not table:
+        return Fraction(0), None
+    n = sc.dim
     nonzero = [[(r, v) for r in range(n) if (v := m[r][j])] for j in range(n)]
     s = lcm(*[v.denominator for col in nonzero for _, v in col])
     cols = [[(r, v.numerator * (s // v.denominator)) for r, v in col] for col in nonzero]

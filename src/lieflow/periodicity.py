@@ -6,10 +6,13 @@ imaginary parts, and the zero eigenvalue (if present) is semisimple as well;
 a nilpotent block would contribute a polynomial-in-t term. classify_flow
 decides all of it exactly, with no eigenvalue computed and no tolerance read,
 in integers on B = dD, d the lcm of D's denominators, from one coercion: the
-primitive characteristic polynomial by Berkowitz on B, rad(p)(D) = 0 by
-Horner on B, rational roots by Sturm bisection over integer lattice indices
-(Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006,
-ch. 2 and 9, for the Sturm counts). Verdicts:
+primitive characteristic polynomial p by Berkowitz on B, rad(p)(D) = 0 by
+Horner on B, and, since a D whose nonzero eigenvalues are all +-i*alpha has
+rad(p) = h(lambda^2) up to its root 0, everything else from one Sturm
+sequence of h, of half the degree: its real and positive roots counted, its
+rational roots isolated by bisection over integer lattice indices (Basu,
+Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2,
+9 and 10). Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
 * PeriodicFlow{T}       - every non-fixed orbit on the simply connected group
@@ -38,12 +41,16 @@ from .spectral import (
     _gcd,
     _horner,
     _imaginary_axis_gcd,
+    _infinity_variations,
     _integer_char_poly,
     _is_rational_square,
     _quo,
     _rational_roots,
     _real_root_count,
+    _sign,
     _sqrt,
+    _sturm,
+    _variations,
 )
 
 REASON_NONZERO_REAL_PART = "NonzeroRealPart"
@@ -193,30 +200,40 @@ def classify_flow(mat) -> FlowVerdict:
 
     Multiplicities never enter the criterion: the roots of rad(p) are the
     distinct eigenvalues of D, and D is semisimple exactly when rad(p)(D) = 0.
-    Failing reasons in a fixed order: NonzeroRealPart (the Sturm counts of the
-    real roots and of the roots on the imaginary axis, the root 0 counted
-    once, fall short of deg rad(p)), RealNonzeroEigenvalue,
+    Failing reasons in a fixed order: NonzeroRealPart, RealNonzeroEigenvalue,
     NonSemisimpleEigenvalue (p has a repeated root and rad(p)(D) != 0),
-    IrrationalRatio (rad(p) without its root 0 is h(lambda^2); h must split
-    over Q with rational-square root ratios).
+    IrrationalRatio. The first two are read from rest, rad(p) without its
+    root 0. When rest is even, rest = h(lambda^2), and the lambda over a root
+    mu of h are off both axes for a non-real mu, real for mu > 0 and +-i*alpha
+    for mu = -alpha^2 < 0; one Sturm sequence of h, read at -oo, 0 and +oo,
+    counts its real and its positive roots, and h must then split over Q with
+    rational-square root ratios. An odd rest has a root that is not +-i*alpha,
+    and the Sturm counts of the real roots of rad(p) and of its roots on the
+    imaginary axis, the root 0 counted once, tell NonzeroRealPart (they fall
+    short of deg rad(p)) from RealNonzeroEigenvalue.
     """
     p = _integer_char_poly(mat)
     rad = _quo(p, _gcd(p, _deriv(p)))
     zero = rad[0] == 0
-    real = _real_root_count(rad)
-    if real + _real_root_count(_imaginary_axis_gcd(rad)) - zero < len(rad) - 1:
-        return no_periodic_orbits(REASON_NONZERO_REAL_PART)
-    if real > zero:
+    rest = rad[1:] if zero else rad
+    if any(rest[1::2]):
+        imag = _real_root_count(_imaginary_axis_gcd(rad))
+        if _real_root_count(rad) + imag - zero < len(rad) - 1:
+            return no_periodic_orbits(REASON_NONZERO_REAL_PART)
         return no_periodic_orbits(REASON_REAL_NONZERO)
+    h = rest[0::2]
+    if len(h) > 1:
+        seq = _sturm(h)
+        below, above = _infinity_variations(seq)
+        if below - above < len(h) - 1:
+            return no_periodic_orbits(REASON_NONZERO_REAL_PART)
+        if _variations([_sign(q[0]) for q in seq]) > above:
+            return no_periodic_orbits(REASON_REAL_NONZERO)
     if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
         return no_periodic_orbits(REASON_NON_SEMISIMPLE)
-
-    rest = rad[1:] if zero else rad
-    if len(rest) == 1:
+    if len(h) == 1:
         return identity_flow()
-    # Every root is now +-i*alpha, so the rest is even: rest = h(lambda^2).
-    h = rest[0::2]
-    mus = _rational_roots(h)
+    mus = _rational_roots(h, seq)
     if len(mus) < len(h) - 1:
         return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
     try:

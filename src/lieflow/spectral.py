@@ -9,8 +9,10 @@ ker s(D) is semisimple, and the Yun decomposition of its characteristic
 polynomial splits s into pieces whose roots share one geometric
 multiplicity. Roots of a piece are extracted exactly wherever the
 factorization stays rational or quadratic (every rational root, by Sturm
-bisection over rational-root lattice indices; irreducible quadratic factors;
-rational roots of mu = lambda^2 for even pieces) and numerically otherwise.
+bisection over rational-root lattice indices, halved by the sign of the
+polynomial alone once an interval holds one root; irreducible quadratic
+factors; rational roots of mu = lambda^2 for even pieces) and numerically
+otherwise.
 Only numeric roots of one piece closer than CLUSTER_GUARD merge into one
 class, whose geometric multiplicity an SVD rank at RANK_TOL decides; such a
 merged cluster is the one kind of ill-conditioning spectrum() flags, and
@@ -110,8 +112,7 @@ def char_poly(mat) -> CharPoly:
         for _ in range(r):
             toeplitz.append(-sum(map(operator.mul, row, col)))
             col = [sum(map(operator.mul, brow, col)) for brow in block]
-        p = [sum(toeplitz[i - j] * p[j] for j in range(min(i, r) + 1))
-             for i in range(r + 2)]
+        p = [sum(map(operator.mul, toeplitz[i::-1], p)) for i in range(r + 2)]
     return CharPoly(ints=tuple(_primitive([c * d**k for k, c in enumerate(reversed(p))])))
 
 
@@ -224,13 +225,17 @@ def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
     return factors
 
 
+def _sign(c: int) -> int:
+    return (c > 0) - (c < 0)
+
+
 def _sign_at(ints: list[int], u: int, v: int) -> int:
     """Sign of an integer polynomial at u/v, v > 0, in integer arithmetic."""
     acc, vp = ints[-1], 1
     for c in reversed(ints[:-1]):
         vp *= v
         acc = acc * u + c * vp  # v^deg * p(u/v), which has the sign of p(u/v)
-    return (acc > 0) - (acc < 0)
+    return _sign(acc)
 
 
 def _sturm(s: list[int]) -> list[list[int]]:
@@ -251,14 +256,20 @@ def _variations(signs) -> int:
     return count
 
 
+def _infinity_variations(seq: list[list[int]]) -> tuple[int, int]:
+    """Sign variations of a Sturm sequence at -oo and at +oo, read off the
+    leading coefficients alone."""
+    lead = [_sign(q[-1]) for q in seq]
+    return _variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]), _variations(lead)
+
+
 def _real_root_count(s: list[int]) -> int:
     """Number of real roots of the square-free s: the Sturm variations at -oo
-    minus those at +oo, read off the leading coefficients alone."""
+    minus those at +oo."""
     if len(s) < 2:
         return 0
-    seq = _sturm(s)
-    lead = [1 if q[-1] > 0 else -1 for q in seq]
-    return _variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]) - _variations(lead)
+    neg, pos = _infinity_variations(_sturm(s))
+    return neg - pos
 
 
 def _imaginary_axis_gcd(s: list[int]) -> list[int]:
@@ -270,34 +281,47 @@ def _imaginary_axis_gcd(s: list[int]) -> list[int]:
     return _gcd(re, im)
 
 
-def _rational_roots(s: list[int]) -> list[Fraction]:
-    """Every rational root of the primitive square-free polynomial s, ascending.
+def _rational_roots(s: list[int], seq: list[list[int]] | None = None) -> list[Fraction]:
+    """Every rational root of the primitive square-free polynomial s, ascending;
+    seq is s's Sturm sequence, when the caller has built it already.
 
     By the rational root theorem they lie on the lattice (1/a)Z, a = |lc(s)|.
-    Sturm counts bisect the lattice indices k of the points k/a in (-aB, aB],
-    B the Cauchy bound, at (lo + hi) // 2, all in integers, down to intervals
-    (lo, hi] with hi - lo <= 1 around the real roots, whose one point hi is
-    tested exactly; only a root found becomes a Fraction.
+    The lattice indices k of the points k/a in (-aB, aB], B the Cauchy bound,
+    are bisected at (lo + hi) // 2, all in integers. The Sturm variations
+    change only at roots of s, so at -aB and aB they are those at -oo and +oo,
+    and an interval (lo, hi] holding two or more roots is split by the Sturm
+    counts. An interval holding exactly one root is halved by the sign of s
+    alone: s changes sign once in it, so just right of lo it has the sign
+    opposite to s(hi) (Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, 2nd ed., 2006, ch. 10). The root is rational exactly when s
+    vanishes at a lattice point of its interval, and only a root found becomes
+    a Fraction.
     """
-    seq = _sturm(s)
+    if seq is None:
+        seq = _sturm(s)
     a = abs(s[-1])
-
-    def variations(k: int) -> int:
-        return _variations([_sign_at(q, k, a) for q in seq])
-
     bound = a * (1 - (-max(abs(c) for c in s[:-1]) // a))
     roots = []
-    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    stack = [(-bound, bound, *_infinity_variations(seq))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
-        if vlo == vhi:  # no root in (lo, hi]
-            continue
-        if hi - lo > 1:
+        if vlo - vhi > 1 and hi - lo > 1:
             mid = (lo + hi) // 2
-            vmid = variations(mid)
+            vmid = _variations([_sign_at(q, mid, a) for q in seq])
             stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-        elif _sign_at(s, hi, a) == 0:
-            roots.append(Fraction(hi, a))
+        elif vlo > vhi:
+            shi = _sign_at(s, hi, a)
+            while shi and hi - lo > 1:  # one root r, lo < r < hi
+                mid = (lo + hi) // 2
+                smid = _sign_at(s, mid, a)
+                if smid == shi:
+                    hi = mid
+                elif smid:
+                    lo = mid
+                else:
+                    hi, shi = mid, 0
+            if not shi:
+                roots.append(Fraction(hi, a))
     return sorted(roots)
 
 

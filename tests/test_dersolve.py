@@ -15,7 +15,7 @@ from lieflow import (
     validate_algebra,
 )
 from lieflow.catalog import get_entry
-from lieflow.dersolve import coerce_matrix, constraint_rows
+from lieflow.dersolve import coerce_matrix, constraint_rows, leibniz_residual
 
 from test_liealg import all_catalog_structures, basis_vec, rand_vector
 
@@ -156,6 +156,14 @@ def test_matrix_dimension_mismatch():
     sc = get_entry("aff2").structure
     with pytest.raises(ValueError):
         is_derivation(sc, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_every_matrix_is_a_derivation_of_a_bracket_free_algebra():
+    sc = StructureConstants(3)
+    assert leibniz_residual(sc, ((1, F(-7, 3), 0), (2, 0, F(1, 5)), (0, 9, -4))) == (0, None)
+    for bad in (((1, 0), (0, 1)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+        with pytest.raises(ValueError):
+            leibniz_residual(sc, bad)
 
 
 # --- closed-form dim Der of generated families ------------------------------------

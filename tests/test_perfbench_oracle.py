@@ -5,7 +5,9 @@ cli-cold document.
 code and JSON document against the expectation that `perfbench/gen.py`
 planted in the input; a wrong answer there marks a benchmark run as
 incorrect. The same inputs and the same judges run here, on a few seeds,
-with both files loaded read-only; the CLI runs in-process.
+with both files loaded read-only; the CLI runs in-process. On the same
+inputs `classify_flow` also meets a reference rule that reads every reason
+off rad(p) and finds the rational roots of h by brute force.
 """
 
 import importlib.util
@@ -17,8 +19,26 @@ import sys
 import pytest
 
 from lieflow.cli import main
+from lieflow.dersolve import coerce_matrix
 from lieflow.liealg import algebra_from_dict
-from lieflow.periodicity import classify_linear_flow
+from lieflow.periodicity import (
+    IrrationalRatioError,
+    classify_flow,
+    classify_linear_flow,
+    minimal_period_over_pi,
+    rational_ratio_profile,
+)
+from lieflow.spectral import (
+    _deriv,
+    _gcd,
+    _horner,
+    _imaginary_axis_gcd,
+    _integer_char_poly,
+    _quo,
+    _real_root_count,
+)
+
+from test_spectral import rational_roots_oracle
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,3 +92,48 @@ def test_cli_cold_passes_the_benchmark_judge(run_module, seed, tmp_path, capsys)
         if kind is not None:
             failures.append((x["argv"], kind))
     assert failures == []
+
+
+def reference_verdict(mat, divisors) -> tuple:
+    """(tag, reason, T/pi) with every reason read off rad(p): the Sturm counts
+    of its real roots and of its roots on the imaginary axis, the root 0
+    counted once, rad(p)(D) = 0, and the rational roots of h(mu), rad(p)
+    without its root 0 being h(lambda^2), by the rational root theorem."""
+    p = _integer_char_poly(mat)
+    rad = _quo(p, _gcd(p, _deriv(p)))
+    zero = rad[0] == 0
+    real = _real_root_count(rad)
+    if real + _real_root_count(_imaginary_axis_gcd(rad)) - zero < len(rad) - 1:
+        return "NoPeriodicOrbits", "NonzeroRealPart", None
+    if real > zero:
+        return "NoPeriodicOrbits", "RealNonzeroEigenvalue", None
+    if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
+        return "NoPeriodicOrbits", "NonSemisimpleEigenvalue", None
+    rest = rad[1:] if zero else rad
+    if len(rest) == 1:
+        return "IdentityFlow", None, None
+    h = rest[0::2]
+    mus = rational_roots_oracle(h, divisors)
+    if len(mus) < len(h) - 1:
+        return "NoPeriodicOrbits", "IrrationalRatio", None
+    try:
+        profile = rational_ratio_profile([-mu for mu in mus])
+    except IrrationalRatioError:
+        return "NoPeriodicOrbits", "IrrationalRatio", None
+    return "PeriodicFlow", None, minimal_period_over_pi(profile)
+
+
+@pytest.mark.parametrize("pool", ["classify_inputs", "evidence_inputs"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_flow_matches_the_reference_rule(run_module, seed, pool):
+    # Some h have constant terms near 10^14: SymPy's factoring lists their
+    # divisors where trial division up to the square root would take seconds.
+    divisors = pytest.importorskip("sympy").divisors
+    gen = run_module.gen
+    tags = set()
+    for x in getattr(gen, pool)(random.Random(seed)):
+        mat = gen.from_json_matrix(x["matrix"])
+        v = classify_flow(mat)
+        assert (v.tag, v.reason, v.period_over_pi) == reference_verdict(mat, divisors), x["recipe"]
+        tags.add((v.tag, v.reason))
+    assert len(tags) >= 5

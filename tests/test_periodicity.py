@@ -127,6 +127,33 @@ def test_zero_eigenvalue_must_be_semisimple():
     assert v.reason == "NonSemisimpleEigenvalue"
 
 
+def companion(*low):
+    """Companion matrix of the monic polynomial with low coefficients `low`."""
+    n = len(low)
+    return [[int(i == j + 1) if j < n - 1 else -low[i] for j in range(n)] for i in range(n)]
+
+
+# An even rest h(lambda^2) is decided on h alone. The Sturm sequences of these
+# h have constant terms other than +-1, so a sign must be read from each.
+@pytest.mark.parametrize("mat, tag, reason", [
+    # h = (mu - 4)(mu + 9): the positive root mu = 4 gives +-2.
+    (blkdiag([[2]], [[-2]], rot_block(3)), "NoPeriodicOrbits", "RealNonzeroEigenvalue"),
+    # h = mu^2 + mu + 1 has no real root: lambda^4 + lambda^2 + 1 is off both axes.
+    (companion(1, 0, 1, 0), "NoPeriodicOrbits", "NonzeroRealPart"),
+    (blkdiag(companion(1, 0, 1, 0), [[0]]), "NoPeriodicOrbits", "NonzeroRealPart"),
+    # h = (mu - 9)(mu^2 + 4): +-3 with +-(1 +- i); the off-axis roots come first.
+    (blkdiag([[3]], [[-3]], [[1, -1], [1, 1]], [[-1, -1], [1, -1]]),
+     "NoPeriodicOrbits", "NonzeroRealPart"),
+    # h = (mu + 4)(mu^2 + 3 mu + 1): one rational root of three.
+    (blkdiag(rot_block(2), companion(1, 0, 3, 0)), "NoPeriodicOrbits", "IrrationalRatio"),
+    # rad = lambda: h is a constant.
+    ([[0] * 3] * 3, "IdentityFlow", None),
+])
+def test_even_rest_is_decided_on_h(mat, tag, reason):
+    v = classify_flow(mat)
+    assert (v.tag, v.reason) == (tag, reason)
+
+
 def test_two_rational_rotations_make_2pi():
     v = classify_flow(blkdiag(rot_block(2), rot_block(3)))
     assert v.tag == "PeriodicFlow"

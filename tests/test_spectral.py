@@ -486,6 +486,8 @@ def test_rational_roots_are_found_not_guessed():
     assert _rational_roots(p) == [F(1, 123457), F(2, 123457)]
     assert _rational_roots([-2, 0, 1]) == []  # x^2 - 2
     assert _rational_roots([0, 1]) == [F(0)]
+    # Two irrational roots, sqrt(2) and sqrt(3), in one lattice cell (1, 2].
+    assert _rational_roots(int_poly_mul([-2, 0, 1], [-3, 0, 1])) == []
 
 
 def divisors(n):
@@ -494,11 +496,12 @@ def divisors(n):
     return sorted(set(small + [n // d for d in small]))
 
 
-def rational_roots_oracle(s):
+def rational_roots_oracle(s, divisors=divisors):
     """Every rational root of s by the rational root theorem: after the root 0
     is split off, a root u/v in lowest terms has u | s_0 and v | lc(s), and
     |u/v| < 1 + M/|lc(s)|, M the largest |coefficient| (Cauchy); each such
-    candidate is evaluated exactly as v^deg s(u/v)."""
+    candidate is evaluated exactly as v^deg s(u/v). `divisors(n)` lists the
+    positive divisors of n."""
     lowest = next(k for k, c in enumerate(s) if c)
     t, roots = s[lowest:], [F(0)] if lowest else []
     deg, lead, most = len(t) - 1, abs(t[-1]), max(abs(c) for c in t)
@@ -551,7 +554,7 @@ def planted_square_free(rng, big):
 
 
 def test_rational_roots_match_the_rational_root_theorem():
-    from lieflow.spectral import _rational_roots
+    from lieflow.spectral import _rational_roots, _sturm
 
     rng = random.Random(1313)
     cases = [planted_square_free(rng, big=i % 3 == 0) for i in range(60)]
@@ -588,6 +591,43 @@ def test_rational_roots_match_the_rational_root_theorem():
         expected = rational_roots_oracle(s)
         assert expected == sorted(planted), s
         assert _rational_roots(s) == expected, s
+        assert _rational_roots(s, _sturm(s)) == expected, s
+
+
+def sign_refinement_midpoints(s, u):
+    """The lattice indices at which halving (-K, K] by the sign of s tests a
+    point, K = |lc(s)| times the Cauchy bound, when the one real root of s
+    is u / |lc(s)|."""
+    a = abs(s[-1])
+    hi = a * (1 + -(-max(abs(c) for c in s[:-1]) // a))
+    lo, out = -hi, []
+    while hi - lo > 1 and u not in out:
+        mid = (lo + hi) // 2
+        out.append(mid)
+        lo, hi = (lo, mid) if u <= mid else (mid, hi)
+    return out
+
+
+def test_sign_refinement_finds_a_root_at_a_midpoint():
+    # One real root u/a: the first interval already holds exactly one root, so
+    # only the sign of s halves it, and the root is met as a midpoint, not as
+    # an interval's end.
+    from lieflow.spectral import _rational_roots
+
+    found = 0
+    for a in (1, 7, 997):
+        for u in range(-40 * a, 40 * a + 1, 1 + 3 * a):
+            if math.gcd(u, a) != 1:
+                continue
+            s = primitive(int_poly_mul([-u, a], [1, 0, 1]))
+            mids = sign_refinement_midpoints(s, u)
+            if mids[-1] == u and len(mids) > 2:
+                assert _rational_roots(s) == [F(u, a)], s
+                found += 1
+    assert found >= 10
+    # x^3 - 3x^2 + x - 3 = (x - 3)(x^2 + 1): (-4, 4] halves at 0, 2, then 3.
+    assert sign_refinement_midpoints([-3, 1, -3, 1], 3) == [0, 2, 3]
+    assert _rational_roots([-3, 1, -3, 1]) == [F(3)]
 
 
 def fraction_horner(f, m):
