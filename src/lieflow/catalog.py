@@ -53,10 +53,6 @@ class LinearPattern:
                 seen.update(cell)
         return tuple(sorted(seen))
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def instantiate(self, assign: Mapping[str, Scalar]) -> Matrix:
         values = {k: as_scalar(v) for k, v in assign.items()}
         return tuple(

@@ -341,7 +341,10 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
                 notes.append(
                     "no matrix representation available; simulated at algebra level"
                 )
-        flowsim.write_orbit_csv(samples, args.csv)
+        try:
+            flowsim.write_orbit_csv(samples, args.csv)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.csv}: {exc}")
         doc["csv"] = args.csv
         lines.append(f"orbit written to {args.csv} ({doc['orbit']})")
 

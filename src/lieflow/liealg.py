@@ -197,8 +197,9 @@ def permute_basis(sc: StructureConstants, perm: Sequence[int]) -> StructureConst
 # { "dim": n, "basis": ["E1", ...],
 #   "brackets": [ {"i": 1, "j": 2, "k": 3, "c": "1"}, ... ] }
 #
-# Indices are 1-based; entries with i >= j are rejected; "c" must be an
-# integer or "p/q" string. Unlisted pairs bracket to zero.
+# "dim" and the 1-based indices are integers (or integer text); entries with
+# i >= j are rejected; "c" must be an integer or "p/q" string. Unlisted pairs
+# bracket to zero.
 
 
 def algebra_to_dict(sc: StructureConstants) -> dict:
@@ -209,10 +210,21 @@ def algebra_to_dict(sc: StructureConstants) -> dict:
     return {"dim": sc.dim, "basis": list(sc.basis_labels), "brackets": brackets}
 
 
+def _integer(data: Mapping, name: str) -> int:
+    """data[name] as an int, never truncated: no bool or fractional number."""
+    value = data[name]
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"algebra file needs an integer {name!r}") from None
+
+
 def algebra_from_dict(data: Mapping) -> StructureConstants:
     try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = _integer(data, "dim")
+    except (KeyError, TypeError) as exc:
         raise ValueError("algebra file needs an integer 'dim'") from exc
     basis = data.get("basis")
     entries: dict[tuple[int, int, int], Fraction] = {}
@@ -222,7 +234,7 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
     for item in brackets:
         if not isinstance(item, Mapping):
             raise ValueError(f"bracket entry {item!r} is not an object")
-        i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
+        i, j, k = (_integer(item, name) for name in "ijk")
         if i >= j:
             raise ValueError(
                 f"bracket entry (i={i}, j={j}) violates the strict i < j convention"

@@ -7,12 +7,13 @@ a nilpotent block would contribute a polynomial-in-t term. classify_flow
 decides all of it exactly, with no eigenvalue computed and no tolerance read,
 in integers on B = dD, d the lcm of D's denominators, from one coercion: the
 primitive characteristic polynomial p by Berkowitz on B, rad(p)(D) = 0 by
-Horner on B, and, since a D whose nonzero eigenvalues are all +-i*alpha has
-rad(p) = h(lambda^2) up to its root 0, everything else from one Sturm
-sequence of h, of half the degree: its real and positive roots counted, its
-rational roots isolated by bisection over integer lattice indices (Basu,
-Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2,
-9 and 10). Verdicts:
+Horner on B, and everything else from one Sturm sequence of the square map
+h(mu), whose roots are the squares mu = lambda^2 of the nonzero eigenvalues
+(for a D whose nonzero eigenvalues are all +-i*alpha, rad(p) = h(lambda^2)
+up to its root 0): its real and positive roots counted, its rational roots
+isolated by bisection over integer lattice indices (Basu, Pollack & Roy,
+Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2, 9 and 10).
+Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
 * PeriodicFlow{T}       - every non-fixed orbit on the simply connected group
@@ -40,17 +41,16 @@ from .spectral import (
     _deriv,
     _gcd,
     _horner,
-    _imaginary_axis_gcd,
     _infinity_variations,
-    _integer_char_poly,
     _is_rational_square,
     _quo,
     _rational_roots,
-    _real_root_count,
     _sign,
     _sqrt,
+    _squares,
     _sturm,
     _variations,
+    char_poly,
 )
 
 REASON_NONZERO_REAL_PART = "NonzeroRealPart"
@@ -202,26 +202,18 @@ def classify_flow(mat) -> FlowVerdict:
     distinct eigenvalues of D, and D is semisimple exactly when rad(p)(D) = 0.
     Failing reasons in a fixed order: NonzeroRealPart, RealNonzeroEigenvalue,
     NonSemisimpleEigenvalue (p has a repeated root and rad(p)(D) != 0),
-    IrrationalRatio. The first two are read from rest, rad(p) without its
-    root 0. When rest is even, rest = h(lambda^2), and the lambda over a root
-    mu of h are off both axes for a non-real mu, real for mu > 0 and +-i*alpha
-    for mu = -alpha^2 < 0; one Sturm sequence of h, read at -oo, 0 and +oo,
+    IrrationalRatio. All but the third are read from h = _squares(rest), rest
+    being rad(p) without its root 0. The roots of h are the squares
+    mu = lambda^2 of the eigenvalues lambda != 0, which lie off both axes for
+    a non-real mu, are real for mu > 0 and are +-i*alpha for
+    mu = -alpha^2 < 0. One Sturm sequence of h, read at -oo, 0 and +oo,
     counts its real and its positive roots, and h must then split over Q with
-    rational-square root ratios. An odd rest has a root that is not +-i*alpha,
-    and the Sturm counts of the real roots of rad(p) and of its roots on the
-    imaginary axis, the root 0 counted once, tell NonzeroRealPart (they fall
-    short of deg rad(p)) from RealNonzeroEigenvalue.
+    rational-square root ratios. A rest that is not even always stops at one
+    of the first two reasons: were all its roots +-i*alpha, it would be even.
     """
-    p = _integer_char_poly(mat)
+    p = char_poly(mat).ints
     rad = _quo(p, _gcd(p, _deriv(p)))
-    zero = rad[0] == 0
-    rest = rad[1:] if zero else rad
-    if any(rest[1::2]):
-        imag = _real_root_count(_imaginary_axis_gcd(rad))
-        if _real_root_count(rad) + imag - zero < len(rad) - 1:
-            return no_periodic_orbits(REASON_NONZERO_REAL_PART)
-        return no_periodic_orbits(REASON_REAL_NONZERO)
-    h = rest[0::2]
+    h = _squares(rad[1:] if rad[0] == 0 else rad)
     if len(h) > 1:
         seq = _sturm(h)
         below, above = _infinity_variations(seq)

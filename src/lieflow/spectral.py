@@ -11,14 +11,15 @@ multiplicity. Roots of a piece are extracted exactly wherever the
 factorization stays rational or quadratic (every rational root, by Sturm
 bisection over rational-root lattice indices, halved by the sign of the
 polynomial alone once an interval holds one root; irreducible quadratic
-factors; rational roots of mu = lambda^2 for even pieces) and numerically
-otherwise.
+factors; the pairs +-sqrt(mu) over the rational roots mu of the square map
+h(mu), whose roots are the squares lambda^2 of a piece's roots, for every
+piece) and numerically otherwise.
 Only numeric roots of one piece closer than CLUSTER_GUARD merge into one
 class, whose geometric multiplicity an SVD rank at RANK_TOL decides; such a
 merged cluster is the one kind of ill-conditioning spectrum() flags, and
 spectrum() serves display only: flow verdicts and the catalog cross-check
-read only the exact characteristic polynomial, the verdicts through the
-Sturm root counts below.
+read only the exact characteristic polynomial, the verdicts through one
+Sturm sequence of the square map.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ def char_poly(mat) -> CharPoly:
             col = [sum(map(operator.mul, brow, col)) for brow in block]
         p = [sum(map(operator.mul, toeplitz[i::-1], p)) for i in range(r + 2)]
     return CharPoly(ints=tuple(_primitive([c * d**k for k, c in enumerate(reversed(p))])))
-
-
-def _integer_char_poly(mat) -> list[int]:
-    """char_poly(mat) as a primitive integer polynomial, lowest degree first."""
-    return list(char_poly(mat).ints)
 
 
 def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
@@ -225,6 +221,21 @@ def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
     return factors
 
 
+def _squares(s: list[int]) -> list[int]:
+    """The primitive square-free h(mu) whose roots are the squares of the roots
+    of s: s(lambda)s(-lambda) = H(lambda^2) by Dandelin-Graeffe root squaring
+    (V. Pan, SIAM Review 39(2), 1997), and h = H / gcd(H, H'). An even s is
+    h(lambda^2) already."""
+    if not any(s[1::2]):
+        return s[0::2]
+    big = [0] * (2 * len(s) - 1)
+    for i, a in enumerate(s):
+        for j, b in enumerate(s):
+            big[i + j] += -a * b if j % 2 else a * b
+    big = big[0::2]
+    return _primitive(_quo(big, _gcd(big, _deriv(big))))
+
+
 def _sign(c: int) -> int:
     return (c > 0) - (c < 0)
 
@@ -261,24 +272,6 @@ def _infinity_variations(seq: list[list[int]]) -> tuple[int, int]:
     leading coefficients alone."""
     lead = [_sign(q[-1]) for q in seq]
     return _variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]), _variations(lead)
-
-
-def _real_root_count(s: list[int]) -> int:
-    """Number of real roots of the square-free s: the Sturm variations at -oo
-    minus those at +oo."""
-    if len(s) < 2:
-        return 0
-    neg, pos = _infinity_variations(_sturm(s))
-    return neg - pos
-
-
-def _imaginary_axis_gcd(s: list[int]) -> list[int]:
-    """g(y) = gcd(Re s(iy), Im s(iy)); its real roots y are exactly the points
-    iy of the imaginary axis where s vanishes (i^j has signs +, +, -, -)."""
-    turned = [c if j % 4 < 2 else -c for j, c in enumerate(s)]
-    re = _trim([0 if j % 2 else c for j, c in enumerate(turned)])
-    im = _trim([c if j % 2 else 0 for j, c in enumerate(turned)])
-    return _gcd(re, im)
 
 
 def _rational_roots(s: list[int], seq: list[list[int]] | None = None) -> list[Fraction]:
@@ -368,7 +361,7 @@ def _geometric_pieces(s: list[int], k: int, mq: Matrix) -> list[tuple[list[int],
     nonzeros = [[(c, v) for c, v in enumerate(vec) if v]
                 for vec in _linalg.nullspace(rows, len(mq))]
     r = [[sum(mq[nz[-1][0]][c] * v for c, v in vec) for vec in nonzeros] for nz in nonzeros]
-    return _square_free(_integer_char_poly(r))
+    return _square_free(char_poly(r).ints)
 
 
 def _pair_classes(f: list[int], k: int, geom: int) -> list[EigenClass]:
@@ -450,28 +443,28 @@ def spectrum(mat) -> Spectrum:
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
     Each Yun factor s_k splits into pieces t of one exact geometric
-    multiplicity. Each piece gives up its rational roots, then an irreducible
-    quadratic rest, or for an even rest the rational roots mu of
-    t(lambda) = h(lambda^2); whatever is left goes to the numeric path. Exact
-    classes carry their rational certificates; ill_conditioned is set, with a
-    note, wherever numeric roots of one piece merge at CLUSTER_GUARD.
+    multiplicity. Each piece gives up its rational roots; then, if it is of
+    degree above 2, a pair +-sqrt(mu) for each rational root mu of
+    _squares(t): t has no rational root left, so lambda^2 - mu is irreducible
+    and divides it. An irreducible quadratic rest is exact too; whatever is
+    left goes to the numeric path. Exact classes carry their rational
+    certificates; ill_conditioned is set, with a note, wherever numeric roots
+    of one piece merge at CLUSTER_GUARD.
     """
     mq = coerce_matrix(mat)
     n = len(mq)
     classes: list[EigenClass] = []
     notes: list[str] = []
-    for s, k in _square_free(_integer_char_poly(mq)):
+    for s, k in _square_free(char_poly(mq).ints):
         for t, geom in _geometric_pieces(s, k, mq):
             for r in _rational_roots(t):
                 t = _quo(t, [-r.numerator, r.denominator])
                 classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
-            if len(t) > 3 and not any(t[1::2]):
-                h = t[0::2]
-                for mu in _rational_roots(h):
-                    h = _quo(h, [-mu.numerator, mu.denominator])
-                    classes += _pair_classes([-mu.numerator, 0, mu.denominator], k, geom)
-                t = [0] * (2 * len(h) - 1)
-                t[0::2] = h
+            if len(t) > 3:
+                for mu in _rational_roots(_squares(t)):
+                    pair = [-mu.numerator, 0, mu.denominator]
+                    t = _quo(t, pair)
+                    classes += _pair_classes(pair, k, geom)
             if len(t) == 3:
                 classes += _pair_classes(t, k, geom)
             elif len(t) > 1:

@@ -435,12 +435,19 @@ def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
      {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": None}]}),
     (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--samples", "100000000000"],
      None),
+    (["derivations", "--file", "{algebra}"],
+     {"dim": 2.7, "brackets": [{"i": 1.5, "j": 2, "k": 2, "c": "1"}]}),
+    (["derivations", "--file", "{algebra}"], {"dim": True}),
+    (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--csv", "{tmp}"], None),
+    (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--csv", "{tmp}/no/orbit.csv"],
+     None),
 ], ids=["matrix-overflows-float", "brackets-object", "bracket-entry-list",
-        "bracket-coefficient-null", "samples-too-many"])
+        "bracket-coefficient-null", "samples-too-many", "fractional-indices",
+        "bool-dim", "csv-to-directory", "csv-to-missing-directory"])
 def test_more_bad_input_exits_2_without_traceback(argv, algebra, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(algebra))
-    proc = cli_subprocess(*(a.format(algebra=path) for a in argv))
+    proc = cli_subprocess(*(a.format(algebra=path, tmp=tmp_path) for a in argv))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -229,6 +229,22 @@ def test_algebra_dict_rejects_decimal_scalars():
         )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.7), ("dim", True), ("dim", float("inf")), ("dim", "2.0"),
+    ("i", 1.5), ("j", False), ("k", 2.5), ("k", [2]),
+])
+def test_algebra_dict_rejects_non_integer_indices(field, value):
+    data = {"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 2, "c": "1"}]}
+    (data if field == "dim" else data["brackets"][0])[field] = value
+    with pytest.raises(ValueError, match=f"needs an integer '{field}'"):
+        algebra_from_dict(data)
+
+
+def test_algebra_dict_accepts_integer_text_and_integral_numbers():
+    sc = algebra_from_dict({"dim": "3", "brackets": [{"i": "1", "j": 2.0, "k": 3, "c": "1"}]})
+    assert sc.dim == 3 and sc.entries == {(0, 1, 2): F(1)}
+
+
 def test_algebra_dict_accepts_rational_strings():
     sc = algebra_from_dict(
         {"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 2, "c": "3/7"}]}

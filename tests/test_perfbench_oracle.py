@@ -6,8 +6,10 @@ code and JSON document against the expectation that `perfbench/gen.py`
 planted in the input; a wrong answer there marks a benchmark run as
 incorrect. The same inputs and the same judges run here, on a few seeds,
 with both files loaded read-only; the CLI runs in-process. On the same
-inputs `classify_flow` also meets a reference rule that reads every reason
-off rad(p) and finds the rational roots of h by brute force.
+inputs, and on seeded random rational matrices, `classify_flow` also meets a
+reference rule with its own reason-reading code: Sturm counts of the roots
+of rad(p) on the real and imaginary axes, and the rational roots of h by
+brute force.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -28,17 +31,9 @@ from lieflow.periodicity import (
     minimal_period_over_pi,
     rational_ratio_profile,
 )
-from lieflow.spectral import (
-    _deriv,
-    _gcd,
-    _horner,
-    _imaginary_axis_gcd,
-    _integer_char_poly,
-    _quo,
-    _real_root_count,
-)
+from lieflow.spectral import _deriv, _gcd, _horner, _primitive, _quo, _rem, _trim, char_poly
 
-from test_spectral import rational_roots_oracle
+from test_spectral import rand_matrix, rational_roots_oracle
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,16 +89,41 @@ def test_cli_cold_passes_the_benchmark_judge(run_module, seed, tmp_path, capsys)
     assert failures == []
 
 
+def real_root_count(s) -> int:
+    """Number of real roots of the square-free s: the sign variations of its
+    Sturm sequence at -oo minus those at +oo, read off leading coefficients."""
+    if len(s) < 2:
+        return 0
+    seq = [list(s), _primitive(_deriv(s))]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _rem(seq[-2], seq[-1])])
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    lead = [1 if q[-1] > 0 else -1 for q in seq]
+    return variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]) - variations(lead)
+
+
+def imaginary_axis_gcd(s) -> list:
+    """g(y) = gcd(Re s(iy), Im s(iy)); its real roots y are exactly the points
+    iy of the imaginary axis where s vanishes (i^j has signs +, +, -, -)."""
+    turned = [c if j % 4 < 2 else -c for j, c in enumerate(s)]
+    re = _trim([0 if j % 2 else c for j, c in enumerate(turned)])
+    im = _trim([c if j % 2 else 0 for j, c in enumerate(turned)])
+    return _gcd(re, im)
+
+
 def reference_verdict(mat, divisors) -> tuple:
     """(tag, reason, T/pi) with every reason read off rad(p): the Sturm counts
     of its real roots and of its roots on the imaginary axis, the root 0
     counted once, rad(p)(D) = 0, and the rational roots of h(mu), rad(p)
     without its root 0 being h(lambda^2), by the rational root theorem."""
-    p = _integer_char_poly(mat)
+    p = list(char_poly(mat).ints)
     rad = _quo(p, _gcd(p, _deriv(p)))
     zero = rad[0] == 0
-    real = _real_root_count(rad)
-    if real + _real_root_count(_imaginary_axis_gcd(rad)) - zero < len(rad) - 1:
+    real = real_root_count(rad)
+    if real + real_root_count(imaginary_axis_gcd(rad)) - zero < len(rad) - 1:
         return "NoPeriodicOrbits", "NonzeroRealPart", None
     if real > zero:
         return "NoPeriodicOrbits", "RealNonzeroEigenvalue", None
@@ -123,17 +143,39 @@ def reference_verdict(mat, divisors) -> tuple:
     return "PeriodicFlow", None, minimal_period_over_pi(profile)
 
 
-@pytest.mark.parametrize("pool", ["classify_inputs", "evidence_inputs"])
+def random_rationals(rng, count=170) -> list:
+    """Small rational matrices, n <= 6, where rad(p) without its root 0 is
+    mostly not even: dense ones, sparse ones (roots 0 and Jordan blocks) and
+    skew-symmetric ones (+-i*alpha, so periodic or irrational ratios)."""
+    mats = []
+    for i in range(count):
+        n = rng.randint(1, 6)
+        if i % 3 == 0:
+            mats.append(rand_matrix(rng, n))
+            continue
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else Fraction(0)
+              for _ in range(n)] for _ in range(n)]
+        if i % 3 == 2:
+            m = [[m[r][c] - m[c][r] for c in range(n)] for r in range(n)]
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("pool", ["classify_inputs", "evidence_inputs", "random_rationals"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_classify_flow_matches_the_reference_rule(run_module, seed, pool):
     # Some h have constant terms near 10^14: SymPy's factoring lists their
     # divisors where trial division up to the square root would take seconds.
     divisors = pytest.importorskip("sympy").divisors
     gen = run_module.gen
+    if pool == "random_rationals":
+        cases = [(f"random {i}", m) for i, m in enumerate(random_rationals(random.Random(seed)))]
+    else:
+        cases = [(x["recipe"], gen.from_json_matrix(x["matrix"]))
+                 for x in getattr(gen, pool)(random.Random(seed))]
     tags = set()
-    for x in getattr(gen, pool)(random.Random(seed)):
-        mat = gen.from_json_matrix(x["matrix"])
+    for name, mat in cases:
         v = classify_flow(mat)
-        assert (v.tag, v.reason, v.period_over_pi) == reference_verdict(mat, divisors), x["recipe"]
+        assert (v.tag, v.reason, v.period_over_pi) == reference_verdict(mat, divisors), name
         tags.add((v.tag, v.reason))
     assert len(tags) >= 5

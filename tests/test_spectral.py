@@ -643,7 +643,7 @@ def fraction_horner(f, m):
 def test_integer_kernels_match_fraction_references():
     from lieflow import CharPoly, classify_flow
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _deriv, _gcd, _horner, _integer_char_poly, _quo
+    from lieflow.spectral import _deriv, _gcd, _horner, _quo
 
     rng = random.Random(1414)
     mats = [rand_matrix(rng, n, den=7) for n in range(1, 7) for _ in range(6)]
@@ -664,9 +664,9 @@ def test_integer_kernels_match_fraction_references():
         mq = coerce_matrix(m)
         ref = faddeev_leverrier(mq)
         den = math.lcm(*[c.denominator for c in ref])
-        assert _integer_char_poly(m) == primitive([int(c * den) for c in ref])
+        assert list(char_poly(m).ints) == primitive([int(c * den) for c in ref])
         assert char_poly(m).coeffs == ref
-        p = _integer_char_poly(m)
+        p = char_poly(m).ints
         rad = _quo(p, _gcd(p, _deriv(p)))
         value, scale = _horner(rad, mq)
         f_of_m = fraction_horner(rad, mq)
@@ -677,7 +677,7 @@ def test_integer_kernels_match_fraction_references():
     for expected, m in planted:
         verdict = classify_flow(m)
         assert expected in (verdict.tag, verdict.reason)
-        p = _integer_char_poly(m)
+        p = char_poly(m).ints
         rad = _quo(p, _gcd(p, _deriv(p)))
         assert any(map(any, _horner(rad, coerce_matrix(m))[0])) == (verdict.tag != "PeriodicFlow")
 
@@ -785,9 +785,9 @@ def test_one_yun_factor_with_two_geometric_multiplicities():
             assert (cube, c.alg_mult, c.geom_mult) in ((2, 2, 1), (3, 2, 2)), (eps, c)
         assert multiplicities(s) == [(2, 1)] * 3 + [(2, 2)] * 3
 
-    from lieflow.spectral import _geometric_pieces, _integer_char_poly, _square_free
+    from lieflow.spectral import _geometric_pieces, _square_free
 
-    ((s, k),) = _square_free(_integer_char_poly(m))
+    ((s, k),) = _square_free(char_poly(m).ints)
     assert (s, k) == (int_poly_mul([-2, 0, 0, 1], [-3, 0, 0, 1]), 2)
     assert _geometric_pieces(s, k, tuple(map(tuple, m))) == [([-2, 0, 0, 1], 1), ([-3, 0, 0, 1], 2)]
 
@@ -817,3 +817,74 @@ def test_single_numeric_roots_need_no_svd(monkeypatch):
     mats += [unimodular_conjugate(rng, m) for m in mats[2::4]]
     for m in mats:
         assert not spectrum(m).ill_conditioned
+
+
+# --- the square map h(mu), mu = lambda^2 --------------------------------------
+
+
+SQUARE_FACTORS = (
+    [-1, 1], [2, 1], [-3, 2],  # rational roots 1, -2, 3/2
+    [-2, 0, 1], [-1, 0, 1], [-9, 0, 4],  # +-r pairs
+    [1, 0, 1], [2, 0, 1], [9, 0, 4],  # +-i*alpha
+    [2, 2, 1], [1, 1, 1], [-2, 0, 0, 1], [1, 1, 0, 0, 1],  # off both axes
+)
+
+
+def squares_oracle(sympy, s):
+    """The primitive square-free part of Res_x(s(x), mu - x^2), whose roots are
+    the squares of the roots of s, with a positive leading coefficient."""
+    x, mu = sympy.symbols("x mu")
+    res = sympy.resultant(sympy.Poly(s[::-1], x).as_expr(), mu - x**2, x)
+    h = sympy.Poly(res, mu).sqf_part().primitive()[1]
+    return [int(c) for c in reversed(h.all_coeffs())]
+
+
+def test_squares_match_the_resultant():
+    sympy = pytest.importorskip("sympy")
+    from lieflow.spectral import _squares
+
+    x = sympy.symbols("x")
+    rng = random.Random(1818)
+    cases = [[1], [-1], [-3, 2], [5, -1], [0, 1], [1, 0, 1], [-2, 0, 1]]
+    for _ in range(60):
+        prod = int_poly_mul(*rng.sample(SQUARE_FACTORS, rng.randint(1, 4)))
+        s = sympy.Poly(prod[::-1], x).sqf_part().primitive()[1]
+        s = [int(c) for c in reversed(s.all_coeffs())]
+        cases.append([-c for c in s] if rng.random() < 0.5 else s)
+    assert {bool(any(s[1::2])) for s in cases if len(s) > 2} == {False, True}
+    for s in cases:
+        h = _squares(s)
+        assert ([-c for c in h] if h[-1] < 0 else h) == squares_oracle(sympy, s), s
+
+
+def planted_pieces(*blocks):
+    """A unimodular conjugate of block_diag(*blocks): one Yun factor with no
+    rational roots, made of the blocks' characteristic polynomials."""
+    return unimodular_conjugate(random.Random(1919), block_diag(*blocks))
+
+
+def test_odd_piece_splits_off_an_imaginary_pair():
+    # (l^2 + 2)(l^3 - 2): the pair +-i*sqrt(2) is exact, the cubic numeric.
+    s = spectrum(planted_pieces(companion(2, 0), CUBE2))
+    exact = [c for c in s.classes if c.exact]
+    assert [(c.exact_re, c.exact_im_sq) for c in exact] == [(0, 2), (0, 2)]
+    assert sorted(c.value.imag for c in exact) == [-math.sqrt(2), math.sqrt(2)]
+    assert len(s.classes) == 5 and not s.ill_conditioned
+    assert all(c.alg_mult == c.geom_mult == 1 for c in s.classes)
+
+
+def test_odd_piece_splits_off_a_real_surd_pair():
+    # (l^2 - 3)(l^3 - 2): +-sqrt(3) carry exact_im_sq = 0, the cubic does not.
+    s = spectrum(planted_pieces(companion(-3, 0), CUBE2))
+    pair = [c for c in s.classes if c.exact_im_sq is not None]
+    assert sorted(c.value.real for c in pair) == [-math.sqrt(3), math.sqrt(3)]
+    assert all(c.exact_im_sq == 0 and c.exact_re is None and c.value.imag == 0 for c in pair)
+    assert len(s.classes) == 5 and not s.ill_conditioned
+
+
+def test_even_degree_piece_that_is_not_even_is_exact():
+    # (l^2 + 2)(l^2 + l + 1): the pair +-i*sqrt(2), then an exact quadratic.
+    s = spectrum(planted_pieces(companion(2, 0), C))
+    assert all(c.exact for c in s.classes) and len(s.classes) == 4
+    assert sorted((c.exact_re, c.exact_im_sq) for c in s.classes) == [
+        (F(-1, 2), F(3, 4)), (F(-1, 2), F(3, 4)), (0, 2), (0, 2)]
