@@ -1,9 +1,11 @@
-"""Exact rational linear algebra: RREF, rank, nullspace, span tests.
+"""Exact rational linear algebra: RREF, rank, nullspace.
 
-Nothing here touches floating point. `rref`, `rank` and their callers take
-dense rows of `fractions.Fraction` (or int); `nullspace` takes sparse integer
-rows {col: int}. All run one fraction-free elimination on sparse primitive
-integer rows, `_reduce`, and build Fractions only for the output.
+Nothing here touches floating point. `rref` and `rank` take dense rows of
+`fractions.Fraction` (or int), scaled to integers by one rule, `scaled`;
+`nullspace` takes sparse integer rows {col: int}. All run one fraction-free
+elimination on sparse primitive integer rows, `_reduce`, and build Fractions
+only for the output. Every span question is a rank: a vector lies in the
+span of independent rows exactly when adding it keeps their rank.
 Matrices are lists of row lists; vectors are sequences.
 """
 
@@ -14,6 +16,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Row = list[Fraction]
+
+
+def scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The integer rows dA and d, the lcm of the denominators of A's entries
+    (Fractions or ints). Zeros, most entries of a sparse A, skip the scaling."""
+    d = lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (d // v.denominator) if v else 0 for v in row] for row in rows], d
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -81,17 +90,11 @@ def _reduce(pending: list[dict[int, int]], ncols: int) -> list[tuple[int, dict[i
 
 
 def _reduce_dense(dense: list[Sequence[Fraction]]) -> list[tuple[int, dict[int, int]]]:
-    """`_reduce` on dense rows of Fractions or ints, each scaled to a primitive
-    sparse integer row first; no Fraction is built."""
-    pending: list[dict[int, int]] = []
-    for r in dense:
-        nz = {c: v for c, v in enumerate(r) if v}
-        if nz:
-            d = lcm(*[v.denominator for v in nz.values()])
-            pending.append(
-                _primitive({c: v.numerator * (d // v.denominator) for c, v in nz.items()})
-            )
-    return _reduce(pending, len(dense[0]) if dense else 0)
+    """`_reduce` on dense rows of Fractions or ints, scaled to integers by one
+    common factor and each made a primitive sparse row; no Fraction is built."""
+    ints, _ = scaled(dense)
+    pending = [_primitive({c: v for c, v in enumerate(r) if v}) for r in ints]
+    return _reduce([r for r in pending if r], len(dense[0]) if dense else 0)
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
@@ -142,24 +145,6 @@ def nullspace(rows: Iterable[Mapping[int, int]], ncols: int) -> list[tuple[Fract
             if k != c:
                 basis[k][c] = Fraction(-v, p)
     return [tuple(vec) for vec in basis.values()]
-
-
-def solve_coordinates(
-    basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """Coordinates of `target` in span(basis), or None if outside the span."""
-    if not basis:
-        return () if all(t == 0 for t in target) else None
-    n = len(target)
-    aug = [[Fraction(b[i]) for b in basis] + [Fraction(target[i])] for i in range(n)]
-    reduced, pivots = rref(aug)
-    k = len(basis)
-    if k in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    coords = [Fraction(0)] * k
-    for row_idx, p in enumerate(pivots):
-        coords[p] = reduced[row_idx][k]
-    return tuple(coords)
 
 
 def spans_equal(

@@ -640,14 +640,14 @@ def cross_check(entry: CatalogEntry) -> CrossCheckReport:
 
     pattern_vecs = [flatten(m) for m in entry.claimed_pattern.basis_matrices()]
     space_vecs = [flatten(b.entries) for b in space.basis]
-    dsm = _linalg.spans_equal(pattern_vecs, space_vecs)
+    # The space's basis is independent: the family lies in it exactly when
+    # the joint rank stays at space.dim, and equals it when its own rank
+    # reaches space.dim too.
+    both = _linalg.rank(space_vecs + pattern_vecs)
+    dsm = _linalg.rank(pattern_vecs) == space.dim == both
     if not dsm:
-        contained = all(
-            _linalg.solve_coordinates(space_vecs, v) is not None
-            for v in pattern_vecs
-        )
         relation = (
-            "a strict subfamily of" if contained else "not even contained in"
+            "a strict subfamily of" if both == space.dim else "not even contained in"
         )
         discrepancies.append(
             Discrepancy(

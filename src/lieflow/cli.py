@@ -352,6 +352,13 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         period = parse_period(args.check_period)
         report = flowsim.flow_period_residual(mat, period, cfg=cfg)
         passed = report.max_residual <= cfg.period_tol
+        # e^{TD} = I with D != 0 needs an eigenvalue 2*pi*i*k/T, k != 0, so
+        # T*||D||_1 >= T*rho(D) >= 2*pi; a shorter T passes only by its
+        # residual, about T*||D||, being small.
+        norm = max(sum(abs(row[j]) for row in mat) for j in range(len(mat)))
+        if passed and norm and Fraction(period) * norm < Fraction(2 * math.pi * (1 - 1e-12)):
+            passed = False
+            notes.append("T*||D||_1 < 2*pi: no period of a nonzero D is that short")
         doc["period_checked"] = period
         doc["max_residual"], nonfinite = _nulled(report.max_residual)
         if nonfinite:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import _linalg
@@ -97,9 +96,8 @@ def leibniz_residual(
     if not table:
         return Fraction(0), None
     n = sc.dim
-    nonzero = [[(r, v) for r in range(n) if (v := m[r][j])] for j in range(n)]
-    s = lcm(*[v.denominator for col in nonzero for _, v in col])
-    cols = [[(r, v.numerator * (s // v.denominator)) for r, v in col] for col in nonzero]
+    b, s = _linalg.scaled(m)
+    cols = [[(r, v) for r in range(n) if (v := b[r][j])] for j in range(n)]
     worst = 0
     worst_pair: tuple[int, int] | None = None
     for i in range(n):
@@ -189,9 +187,8 @@ def flatten(mat: Matrix) -> list[Fraction]:
 
 
 def in_derivation_span(space: DerivationSpace, mat) -> bool:
-    """Exact membership of a matrix in span(space.basis)."""
-    if not space.basis:
-        return all(v == 0 for row in coerce_matrix(mat) for v in row)
+    """Exact membership of a matrix in span(space.basis): the basis is
+    independent, so a member keeps the rank at space.dim."""
     m = coerce_matrix(mat, space.basis[0].dim)
-    basis_flat = [flatten(b.entries) for b in space.basis]
-    return _linalg.solve_coordinates(basis_flat, flatten(m)) is not None
+    rows = [flatten(b.entries) for b in space.basis] + [flatten(m)]
+    return _linalg.rank(rows) == space.dim

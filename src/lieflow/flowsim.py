@@ -168,13 +168,16 @@ def _closure_residuals(
     exps = expm(arr, np.concatenate([ts, periods]))
     flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
-    flows = flows / scale[:, None, None]
-    squares = np.empty((len(gaps), samples))
+    flows /= scale[:, None, None]
+    # One periods x samples array: the products are formed one period at a
+    # time, and the root and the scale are taken in place.
+    res = np.empty((len(gaps), samples))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, gap in enumerate(gaps):  # one period at a time keeps peak memory flat
+        for j, gap in enumerate(gaps):
             prod = gap @ flows
-            squares[j] = np.einsum("tab,tab->t", prod, prod)
-        res = np.sqrt(squares) * scale
+            res[j] = np.einsum("tab,tab->t", prod, prod)
+        np.sqrt(res, out=res)
+        res *= scale
     worst = np.argmax(res, axis=1)
     return res[np.arange(len(gaps)), worst], ts[worst]
 

@@ -197,9 +197,11 @@ def permute_basis(sc: StructureConstants, perm: Sequence[int]) -> StructureConst
 # { "dim": n, "basis": ["E1", ...],
 #   "brackets": [ {"i": 1, "j": 2, "k": 3, "c": "1"}, ... ] }
 #
-# "dim" and the 1-based indices are integers (or integer text); entries with
-# i >= j are rejected; "c" must be an integer or "p/q" string. Unlisted pairs
-# bracket to zero.
+# "dim" and the 1-based indices are integers (or integer text), "dim" at most
+# MAX_DIM; entries with i >= j are rejected; "c" must be an integer or "p/q"
+# string. Unlisted pairs bracket to zero.
+
+MAX_DIM = 32  # the Jacobi check alone visits dim^3/6 basis triples
 
 
 def algebra_to_dict(sc: StructureConstants) -> dict:
@@ -226,6 +228,8 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
         dim = _integer(data, "dim")
     except (KeyError, TypeError) as exc:
         raise ValueError("algebra file needs an integer 'dim'") from exc
+    if dim > MAX_DIM:
+        raise ValueError(f"algebra file 'dim' is {dim}; at most {MAX_DIM} is supported")
     basis = data.get("basis")
     entries: dict[tuple[int, int, int], Fraction] = {}
     brackets = data.get("brackets", [])

@@ -108,21 +108,6 @@ class FlowVerdict:
     caveats: tuple[str, ...] = field(default_factory=tuple)
     note: str | None = None
 
-    def with_caveat(self, caveat: str) -> "FlowVerdict":
-        return replace(self, caveats=self.caveats + (caveat,))
-
-
-def identity_flow() -> FlowVerdict:
-    return FlowVerdict(tag="IdentityFlow")
-
-
-def no_periodic_orbits(reason: str) -> FlowVerdict:
-    return FlowVerdict(tag="NoPeriodicOrbits", reason=reason)
-
-
-def inconclusive(note: str) -> FlowVerdict:
-    return FlowVerdict(tag="SpectralPeriodicInconclusive", note=note)
-
 
 # --- rational ratio machinery ------------------------------------------------
 
@@ -218,20 +203,20 @@ def classify_flow(mat) -> FlowVerdict:
         seq = _sturm(h)
         below, above = _infinity_variations(seq)
         if below - above < len(h) - 1:
-            return no_periodic_orbits(REASON_NONZERO_REAL_PART)
+            return FlowVerdict("NoPeriodicOrbits", reason=REASON_NONZERO_REAL_PART)
         if _variations([_sign(q[0]) for q in seq]) > above:
-            return no_periodic_orbits(REASON_REAL_NONZERO)
+            return FlowVerdict("NoPeriodicOrbits", reason=REASON_REAL_NONZERO)
     if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
-        return no_periodic_orbits(REASON_NON_SEMISIMPLE)
+        return FlowVerdict("NoPeriodicOrbits", reason=REASON_NON_SEMISIMPLE)
     if len(h) == 1:
-        return identity_flow()
+        return FlowVerdict("IdentityFlow")
     mus = _rational_roots(h, seq)
     if len(mus) < len(h) - 1:
-        return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
+        return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
     try:
         profile = rational_ratio_profile([-mu for mu in mus])
     except IrrationalRatioError:
-        return no_periodic_orbits(REASON_IRRATIONAL_RATIO)
+        return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
     return FlowVerdict(
         tag="PeriodicFlow",
         period=minimal_period(profile),
@@ -268,12 +253,12 @@ def classify_invariant_flow(sc: StructureConstants, x: Sequence[Scalar]) -> Flow
     """
     der = inner_derivation(sc, x)
     if all(v == 0 for row in der.entries for v in row):
-        return inconclusive(
+        return FlowVerdict("SpectralPeriodicInconclusive", note=(
             "the field's derivation -ad(X) vanishes (central X or abelian "
             "algebra); e^{tD} is constant but exp(tX) itself may be a "
             "non-periodic one-parameter subgroup"
-        )
+        ))
     verdict = classify_flow(der)
     if verdict.tag == "PeriodicFlow":
-        return verdict.with_caveat(INVARIANT_FLOW_CAVEAT)
+        return replace(verdict, caveats=(INVARIANT_FLOW_CAVEAT,))
     return verdict

@@ -88,12 +88,6 @@ class Spectrum:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
-    """The integer matrix B = dM and d, the lcm of M's denominators."""
-    d = math.lcm(*[v.denominator for row in m for v in row])
-    return [[v.numerator * (d // v.denominator) for v in row] for row in m], d
-
-
 def char_poly(mat) -> CharPoly:
     """Exact characteristic polynomial by Berkowitz's division-free recursion
     (S. J. Berkowitz, Inf. Process. Lett. 18(3), 1984) on the integer matrix
@@ -103,7 +97,7 @@ def char_poly(mat) -> CharPoly:
     matrix with first column (1, -a, -RS, -RB_rS, ..., -RB_r^(r-1)S). Since
     det(xI - B) = d^n p(x/d), the integer polynomial d^n p has coefficients
     b_k d^k, b_k those of det(xI - B)."""
-    b, d = _scaled(coerce_matrix(mat))
+    b, d = _linalg.scaled(coerce_matrix(mat))
     n = len(b)
     p = [1]  # det(xI - B_r), highest degree first
     for r in range(n):
@@ -122,7 +116,7 @@ def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
     degree N (lowest degree first), d the lcm of M's denominators: Horner on
     B = dM with f_j d^(N-j) added on the diagonal, since
     d^N f(M) = sum_j f_j d^(N-j) B^j."""
-    b, d = _scaled(m)
+    b, d = _linalg.scaled(m)
     cols = list(zip(*b))
     n, dp = len(b), 1
     acc = [[f[-1] if i == j else 0 for j in range(n)] for i in range(n)]

@@ -219,6 +219,28 @@ def test_simulate_check_period_pass_and_fail(capsys):
     assert code == 1 and doc["passed"] is False
 
 
+TOO_SHORT = "T*||D||_1 < 2*pi: no period of a nonzero D is that short"
+
+
+@pytest.mark.parametrize("argv, passed", [
+    # Residuals near 4.6e-9 and 1.4e-9, within --tol-period, yet the period
+    # of the first flow is pi and the second is 10^10 times slower.
+    (["--catalog", "sl2", "--inner", "1,0,0", "--check-period", "1e-9"], False),
+    (["--catalog", "sl2", "--inner", "1/10000000000,0,0", "--check-period", "pi"], False),
+    # T*||D||_1 = 2*pi exactly, up to rounding: a true period passes.
+    (["--catalog", "abelian2", "--matrix=0,-1,1,0", "--check-period", "2pi"], True),
+    # D = 0: every T is a period.
+    (["--catalog", "abelian2", "--matrix", "0,0,0,0", "--check-period", "1e-9"], True),
+], ids=["tiny-period", "slow-flow", "rotation-2pi", "zero-derivation"])
+def test_simulate_check_period_needs_a_period_of_at_least_2pi_over_the_norm(
+    capsys, argv, passed
+):
+    code, doc, _ = run_json(capsys, "simulate", *argv)
+    assert (code, doc["passed"]) == ((0, True) if passed else (1, False))
+    assert doc["max_residual"] <= 1e-8
+    assert (TOO_SHORT in doc["notes"]) == (not passed)
+
+
 def test_simulate_default_verifies_verdict(capsys):
     code, doc, _ = run_json(
         capsys, "simulate", "--catalog", "g31_heisenberg", "--inner", "0,0,1",
@@ -438,12 +460,15 @@ def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
     (["derivations", "--file", "{algebra}"],
      {"dim": 2.7, "brackets": [{"i": 1.5, "j": 2, "k": 2, "c": "1"}]}),
     (["derivations", "--file", "{algebra}"], {"dim": True}),
+    (["derivations", "--file", "{algebra}"], {"dim": 100000}),
+    (["classify", "--file", "{algebra}", "--inner", "1"], {"dim": 1e9}),
     (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--csv", "{tmp}"], None),
     (["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--csv", "{tmp}/no/orbit.csv"],
      None),
 ], ids=["matrix-overflows-float", "brackets-object", "bracket-entry-list",
         "bracket-coefficient-null", "samples-too-many", "fractional-indices",
-        "bool-dim", "csv-to-directory", "csv-to-missing-directory"])
+        "bool-dim", "dim-100000", "dim-1e9", "csv-to-directory",
+        "csv-to-missing-directory"])
 def test_more_bad_input_exits_2_without_traceback(argv, algebra, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(algebra))

@@ -27,6 +27,7 @@ from lieflow import (
 from lieflow import flowsim
 from lieflow.catalog import get_entry, verdict_table
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
+from lieflow.periodicity import FlowVerdict
 
 from test_cli import checkout_env
 
@@ -328,10 +329,9 @@ def test_verify_identity_verdict():
 
 def test_verify_rejects_inconclusive_tag():
     sc = get_entry("abelian3").structure
-    from lieflow.periodicity import inconclusive
-
+    verdict = FlowVerdict("SpectralPeriodicInconclusive", note="n/a")
     with pytest.raises(ValueError):
-        verify_verdict(sc, ((0,) * 3,) * 3, inconclusive("n/a"))
+        verify_verdict(sc, ((0,) * 3,) * 3, verdict)
 
 
 # --- CSV export ------------------------------------------------------------------------
@@ -457,6 +457,26 @@ def test_kernel_matches_literal_residual_on_verdict_table():
             want, scale = literal_residual(m, period, horizon, 9)
             assert abs(residual - want) <= 1e-10 * max(want, scale), (
                 row.entry, row.label, period)
+
+
+def test_evidence_grid_holds_one_periods_by_samples_array():
+    # NoPeriodicOrbits checks `samples` trial periods on a grid of `samples`
+    # times: the residual kernel may hold one such array of floats, not three.
+    import tracemalloc
+
+    sc = get_entry("aff2").structure
+    mat = ((0, 0), (0, 1))
+    samples = 1000
+    cfg = replace(DEFAULT_CONFIG, samples=samples)
+    verdict = classify_linear_flow(sc, mat)
+    tracemalloc.start()
+    try:
+        evidence = verify_verdict(sc, mat, verdict, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.tag == "NoPeriodicOrbits" and evidence.passed
+    assert peak < 1.5 * samples * samples * 8, peak
 
 
 def test_flow_period_residual_reports_the_worst_grid_time():

@@ -17,8 +17,8 @@ from lieflow import (
     permute_basis,
     validate_algebra,
 )
-from lieflow._linalg import solve_coordinates
 from lieflow.catalog import CATALOG_NAMES, PARAMETRIC_NAMES, get_entry
+from lieflow.liealg import MAX_DIM
 
 
 def heisenberg():
@@ -122,10 +122,11 @@ def test_jacobi_identity_on_random_vectors():
 
 
 def test_sl2_brackets_match_commutator_oracle():
+    sympy = pytest.importorskip("sympy")
     entry = get_entry("sl2")
     sc = entry.structure
     rep = entry.representation
-    flat = [[m[r][c] for r in range(2) for c in range(2)] for m in rep]
+    flat = sympy.Matrix([[m[r][c] for r in range(2) for c in range(2)] for m in rep]).T
     for i in range(3):
         for j in range(3):
             ab = [
@@ -136,10 +137,11 @@ def test_sl2_brackets_match_commutator_oracle():
                 ]
                 for r in range(2)
             ]
-            target = [ab[r][c] for r in range(2) for c in range(2)]
-            coords = solve_coordinates(flat, target)
-            assert coords is not None
-            assert bracket(sc, basis_vec(3, i), basis_vec(3, j)) == coords
+            target = sympy.Matrix([ab[r][c] for r in range(2) for c in range(2)])
+            coords, free = flat.gauss_jordan_solve(target)  # ValueError outside the span
+            assert free.shape == (0, 1)
+            assert bracket(sc, basis_vec(3, i), basis_vec(3, j)) == tuple(
+                F(int(v.p), int(v.q)) for v in coords)
 
 
 def test_sl2_bracket_y_h():
@@ -238,6 +240,17 @@ def test_algebra_dict_rejects_non_integer_indices(field, value):
     (data if field == "dim" else data["brackets"][0])[field] = value
     with pytest.raises(ValueError, match=f"needs an integer '{field}'"):
         algebra_from_dict(data)
+
+
+@pytest.mark.parametrize("dim", [33, 100000, 1e9, "1000000000"])
+def test_algebra_dict_rejects_a_dim_above_the_bound(dim):
+    with pytest.raises(ValueError, match=r"algebra file 'dim' is \d+; at most 32"):
+        algebra_from_dict({"dim": dim})
+
+
+def test_algebra_dict_accepts_the_largest_dim():
+    sc = algebra_from_dict({"dim": MAX_DIM, "brackets": [{"i": 1, "j": MAX_DIM, "k": 1, "c": 1}]})
+    assert sc.dim == MAX_DIM == 32 and validate_algebra(sc).jacobi_ok
 
 
 def test_algebra_dict_accepts_integer_text_and_integral_numbers():

@@ -20,10 +20,11 @@ from lieflow import (
     ad,
     bracket,
     derivation_space,
+    in_derivation_span,
     leibniz_residual,
     validate_algebra,
 )
-from lieflow._linalg import nullspace, rank, rref, solve_coordinates, spans_equal
+from lieflow._linalg import nullspace, rank, rref, spans_equal
 from lieflow.catalog import get_entry
 from lieflow.dersolve import constraint_rows
 
@@ -63,6 +64,15 @@ def dense_rref(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def coordinates(cols, target):
+    """The coordinates of `target` in the independent vectors `cols`, read off
+    the reference RREF of the augmented system."""
+    k = len(cols)
+    reduced, pivots = dense_rref([[c[i] for c in cols] + [target[i]] for i in range(len(target))])
+    assert pivots == list(range(k)), "target outside the span"
+    return [row[k] for row in reduced[:k]]
 
 
 def naive_bracket(sc, x, y):
@@ -272,7 +282,7 @@ def rational_change_of_basis(sc, rng):
     entries = {}
     for a in range(n):
         for b in range(a + 1, n):
-            for k, c in enumerate(solve_coordinates(cols, bracket(sc, cols[a], cols[b]))):
+            for k, c in enumerate(coordinates(cols, bracket(sc, cols[a], cols[b]))):
                 if c:
                     entries[(a, b, k)] = c
     return StructureConstants(n, entries)
@@ -352,15 +362,27 @@ def test_rank_counts_pivots_without_building_a_fraction(monkeypatch):
     assert rank([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]]) == 1
 
 
-def test_solve_coordinates_recovers_random_combinations():
+def test_in_derivation_span_decides_random_combinations():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(99)
-    for _ in range(20):
-        basis = rand_matrix(rng, 3, 7, 0.8)
-        coeffs = [rand_scalar(rng, 1.0) for _ in basis]
-        target = [sum((a * b[i] for a, b in zip(coeffs, basis)), F(0)) for i in range(7)]
-        coords = solve_coordinates(basis, target)
-        assert coords is not None
-        assert [sum((a * b[i] for a, b in zip(coords, basis)), F(0)) for i in range(7)] == target
+    for name in ("g31_heisenberg", "g32", "g34_a", "sl2", "aff2"):
+        space = derivation_space(get_entry(name, 2 if name == "g34_a" else None).structure)
+        n = space.basis[0].dim
+        flat = [[v for row in b.entries for v in row] for b in space.basis]
+        outside = 0
+        for _ in range(20):
+            coeffs = [rand_scalar(rng, 1.0) for _ in flat]
+            member = [sum((a * b[i] for a, b in zip(coeffs, flat)), F(0)) for i in range(n * n)]
+            assert in_derivation_span(space, [member[r * n:r * n + n] for r in range(n)]), name
+            # The combination plus another matrix is a member exactly when
+            # that matrix is, as SymPy's rank decides.
+            other = rand_matrix(rng, 1, n * n, 0.3)[0]
+            candidate = [u + v for u, v in zip(member, other)]
+            inside = sympy.Matrix(flat + [other]).rank() == space.dim
+            outside += not inside
+            got = in_derivation_span(space, [candidate[r * n:r * n + n] for r in range(n)])
+            assert got == inside, name
+        assert outside, name
 
 
 # --- structure-table kernels ------------------------------------------------------
