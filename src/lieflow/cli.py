@@ -388,6 +388,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         )
         code = EXIT_OK if evidence.passed else EXIT_FAIL
     doc["notes"] = notes
+    lines += [f"note: {note}" for note in notes]
     return code, doc, "\n".join(lines)
 
 

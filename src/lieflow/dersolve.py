@@ -7,8 +7,9 @@ that constraint system, generated generically from the structure constants
 flattened row-major; W. de Graaf, Lie Algebras: Theory and Algorithms,
 2000). The work is in integers from the structure constants on: the rows are
 sparse integer rows built from the integer bracket table, the elimination is
-fraction-free, and the Leibniz residual scales D to an integer matrix. Column
-j of every matrix holds the coordinates of D(E_j).
+fraction-free, and one Leibniz sweep checks a whole basis, each matrix scaled
+to integers by its own denominators. Column j of every matrix holds the
+coordinates of D(E_j).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import _linalg
@@ -81,42 +83,63 @@ def coerce_matrix(entries, dim: int | None = None) -> Matrix:
     return mat
 
 
-def leibniz_residual(
-    sc: StructureConstants, mat
-) -> tuple[Fraction, tuple[int, int] | None]:
-    """Max-norm Leibniz violation over basis pairs, with the offending pair.
+def flatten(mat: Matrix) -> list[Fraction]:
+    """The entries of a square matrix row-major, the order of the unknowns."""
+    return [v for row in mat for v in row]
 
-    D is scaled by the lcm s of its denominators, so with the integer table
-    every difference is den * s times the rational one: the worst integer
-    difference over den * s is the residual, at the same pair. On a
-    bracket-free algebra every matrix of the right size is a derivation.
-    """
-    m = coerce_matrix(mat, sc.dim)
+
+def _leibniz_sweep(
+    sc: StructureConstants, vecs: Sequence[Sequence[Fraction]]
+) -> tuple[int, tuple[int, int] | None, list[int]]:
+    """The worst integer Leibniz difference, its pair and the scales s_k, from
+    one sweep over the basis pairs for the generic member sum_k x_k B_k of the
+    row-major matrices `vecs`. The identity is linear in each x_k, so each B_k
+    is scaled to integers by the lcm s_k of its own denominators and the
+    differences are kept apart by (component, k): each is den * s_k times one
+    of B_k's, and all are 0 exactly when every B_k is a derivation."""
+    n, nk = sc.dim, len(vecs)
     table = sc._table
-    if not table:
-        return Fraction(0), None
-    n = sc.dim
-    b, s = _linalg.scaled(m)
-    cols = [[(r, v) for r in range(n) if (v := b[r][j])] for j in range(n)]
-    worst = 0
-    worst_pair: tuple[int, int] | None = None
+    cols: list[list] = [[] for _ in range(n)]  # cols[c]: (r * nk + k, r, k, s_k * B_k[r][c])
+    scales = []
+    for k, vec in enumerate(vecs):
+        nonzero = [(t, v) for t, v in enumerate(vec) if v]
+        # From a list: see the lcm(*[...]) note in StructureConstants.
+        scales.append(s := lcm(*[v.denominator for _, v in nonzero]))
+        for t, v in nonzero:
+            r, c = divmod(t, n)
+            cols[c].append((r * nk + k, r, k, v.numerator * (s // v.denominator)))
+    worst, worst_pair = 0, None
     for i in range(n):
         for j in range(i + 1, n):
             # D[E_i,E_j] - [D E_i, E_j] - [E_i, D E_j], sparse in both factors
             diff: dict[int, int] = {}
-            for k, c in table.get((i, j), ()):
-                for r, v in cols[k]:
-                    diff[r] = diff.get(r, 0) + c * v
-            for a, v in cols[i]:
-                for k, c in table.get((a, j), ()):
-                    diff[k] = diff.get(k, 0) - v * c
-            for b, v in cols[j]:
-                for k, c in table.get((i, b), ()):
-                    diff[k] = diff.get(k, 0) - v * c
-            res = max((abs(v) for v in diff.values()), default=0)
+            for m, c in table.get((i, j), ()):
+                for key, _, _, v in cols[m]:
+                    diff[key] = diff.get(key, 0) + c * v
+            for _, a, k, v in cols[i]:
+                for r, c in table.get((a, j), ()):
+                    key = r * nk + k
+                    diff[key] = diff.get(key, 0) - v * c
+            for _, b, k, v in cols[j]:
+                for r, c in table.get((i, b), ()):
+                    key = r * nk + k
+                    diff[key] = diff.get(key, 0) - v * c
+            res = max(map(abs, diff.values()), default=0)
             if res > worst:
-                worst = res
-                worst_pair = (i, j)
+                worst, worst_pair = res, (i, j)
+    return worst, worst_pair, scales
+
+
+def leibniz_residual(
+    sc: StructureConstants, mat
+) -> tuple[Fraction, tuple[int, int] | None]:
+    """Max-norm Leibniz violation over basis pairs, with the offending pair:
+    the sweep of one matrix. Every matrix of the right size is a derivation of
+    a bracket-free algebra."""
+    m = coerce_matrix(mat, sc.dim)
+    if not sc._table:
+        return Fraction(0), None
+    worst, worst_pair, (s,) = _leibniz_sweep(sc, [flatten(m)])
     return Fraction(worst, sc.den * s), worst_pair
 
 
@@ -165,25 +188,16 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
 
     Basis vectors correspond to the free unknowns of the RREF'd constraint
     system in ascending row-major order, each normalized to 1 in its free
-    slot; dim = n^2 - rank(constraints).
+    slot; dim = n^2 - rank(constraints). One Leibniz sweep checks the basis.
     """
     n = sc.dim
-    rows = constraint_rows(sc)
-    basis_vectors = _linalg.nullspace(rows, n * n)
-    basis = []
-    for vec in basis_vectors:
-        # From a list: see the lcm(*[...]) note in StructureConstants.
-        mat = tuple([vec[r * n : r * n + n] for r in range(n)])
-        der = DerivationMatrix(entries=mat)
-        if leibniz_residual(sc, der)[0] != 0:
-            raise AssertionError("nullspace member violates Leibniz; solver bug")
-        basis.append(der)
-    return DerivationSpace(basis=tuple(basis), dim=len(basis))
-
-
-def flatten(mat: Matrix) -> list[Fraction]:
-    """The entries of a square matrix row-major, the order of the unknowns."""
-    return [v for row in mat for v in row]
+    vecs = _linalg.nullspace(constraint_rows(sc), n * n)
+    if _leibniz_sweep(sc, vecs)[0]:
+        raise AssertionError("nullspace member violates Leibniz; solver bug")
+    # From lists: see the lcm(*[...]) note in StructureConstants.
+    basis = tuple([DerivationMatrix(tuple([vec[r * n : r * n + n] for r in range(n)]))
+                   for vec in vecs])
+    return DerivationSpace(basis=basis, dim=len(basis))
 
 
 def in_derivation_span(space: DerivationSpace, mat) -> bool:

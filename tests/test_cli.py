@@ -274,6 +274,18 @@ def test_simulate_without_representation_notes_algebra_level(capsys, tmp_path):
     assert any("algebra level" in n for n in doc["notes"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "sl2", "--inner", "1,0,0", "--check-period", "1e-9"],
+    ["--catalog", "g33", "--inner", "0,0,1", "--check-period", "1.0", "--csv", "{csv}"],
+], ids=["too-short", "algebra-level"])
+def test_simulate_text_prints_every_note(capsys, tmp_path, argv):
+    argv = [a.replace("{csv}", str(tmp_path / "orbit.csv")) for a in argv]
+    _, doc, _ = run_json(capsys, "simulate", *argv)
+    assert doc["notes"]
+    _, out, _ = run_cli(capsys, "simulate", *argv, "--format", "text")
+    assert out.splitlines()[-len(doc["notes"]):] == [f"note: {n}" for n in doc["notes"]]
+
+
 def test_simulate_matrix_check_period(capsys):
     # Heisenberg rotation derivation given directly as a matrix.
     code, doc, _ = run_json(

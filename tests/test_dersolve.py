@@ -8,6 +8,7 @@ import pytest
 from lieflow import (
     StructureConstants,
     bracket,
+    dersolve,
     derivation_space,
     in_derivation_span,
     inner_derivation,
@@ -15,7 +16,13 @@ from lieflow import (
     validate_algebra,
 )
 from lieflow.catalog import get_entry
-from lieflow.dersolve import coerce_matrix, constraint_rows, leibniz_residual
+from lieflow.dersolve import (
+    _leibniz_sweep,
+    coerce_matrix,
+    constraint_rows,
+    flatten,
+    leibniz_residual,
+)
 
 from test_liealg import all_catalog_structures, basis_vec, rand_vector
 
@@ -185,19 +192,22 @@ def sl2_plus_abelian(m):
     return StructureConstants(3 + m, sl2.entries)
 
 
-def dense_change_of_basis(sc):
-    """The algebra in the basis F_a = sum_i P[i][a] E_i, P[i][j] = min(i, j) + 1.
-
-    P = L U with U unit upper triangular of ones and L = U^T, so P is
-    unimodular with P^{-1} = U^{-1} L^{-1}, both bidiagonal with -1 off the
-    diagonal.
-    """
+def change_of_basis(sc, low):
+    """The algebra in the basis F_a = sum_i P[i][a] E_i, P = low low^T for a
+    unit lower triangular integer matrix `low`, so P is unimodular and
+    P^{-1} v comes from one forward and one back substitution."""
     n = sc.dim
-    p_cols = [[F(min(i, a) + 1) for i in range(n)] for a in range(n)]
+    p_cols = [[sum(low[i][t] * low[a][t] for t in range(n)) for i in range(n)]
+              for a in range(n)]
 
     def p_inverse(v):
-        w = [v[i] - (v[i - 1] if i else 0) for i in range(n)]  # L^{-1} v
-        return [w[i] - (w[i + 1] if i + 1 < n else 0) for i in range(n)]  # U^{-1} w
+        w = []
+        for i in range(n):  # low w = v
+            w.append(v[i] - sum(low[i][t] * w[t] for t in range(i)))
+        x = [0] * n
+        for i in reversed(range(n)):  # low^T x = w
+            x[i] = w[i] - sum(low[t][i] * x[t] for t in range(i + 1, n))
+        return x
 
     entries = {}
     for a in range(n):
@@ -206,6 +216,20 @@ def dense_change_of_basis(sc):
                 if c:
                     entries[(a, b, k)] = c
     return StructureConstants(n, entries)
+
+
+def dense_change_of_basis(sc):
+    """`change_of_basis` with ones on and below the diagonal of `low`:
+    P[i][j] = min(i, j) + 1."""
+    return change_of_basis(sc, [[int(j <= i) for j in range(sc.dim)] for i in range(sc.dim)])
+
+
+def seeded_change_of_basis(sc, seed):
+    """`change_of_basis` with seeded entries in -2..2 below the diagonal of `low`."""
+    rng = random.Random(seed)
+    n = sc.dim
+    return change_of_basis(sc, [[1 if j == i else rng.randint(-2, 2) if j < i else 0
+                                 for j in range(n)] for i in range(n)])
 
 
 DIM_DER_FAMILIES = (
@@ -251,3 +275,68 @@ def test_coerce_matrix_converts_every_entry_exactly():
     assert coerce_matrix([[0.1]]) == ((F(0.1),),)
     with pytest.raises(ValueError):
         coerce_matrix([[True]])
+
+
+# --- the whole-basis Leibniz sweep ----------------------------------------------
+
+
+def basis_vectors(sc):
+    return [flatten(b.entries) for b in derivation_space(sc).basis]
+
+
+def moved(vec, t):
+    return [v + F(1, 3) * (s == t) for s, v in enumerate(vec)]
+
+
+def free_columns(vecs):
+    """The free column of each nullspace vector: its last nonzero, since a
+    pivot row has nonzeros right of its pivot only."""
+    return {max(t for t, v in enumerate(vec) if v) for vec in vecs}
+
+
+@pytest.mark.parametrize("kind", ["pivot", "free"])
+def test_derivation_space_refuses_a_basis_that_violates_leibniz(monkeypatch, kind):
+    sc = filiform_algebra(5)
+    n, vecs = sc.dim, basis_vectors(sc)
+    free = free_columns(vecs)
+    k, t = next((k, t) for k, vec in enumerate(vecs) for t in range(n * n)
+                if (t in free) == (kind == "free")
+                and leibniz_residual(sc, [moved(vec, t)[r * n:r * n + n] for r in range(n)])[0])
+    nullspace = dersolve._linalg.nullspace
+
+    def bad_nullspace(rows, ncols):
+        out = nullspace(rows, ncols)
+        out[k] = tuple(moved(out[k], t))
+        return out
+
+    monkeypatch.setattr(dersolve._linalg, "nullspace", bad_nullspace)
+    with pytest.raises(AssertionError, match="violates Leibniz"):
+        derivation_space(sc)
+
+
+SWEEP_ALGEBRAS = (
+    [(f"h_{2 * k + 1}", heisenberg_algebra(k)) for k in (1, 2, 3)]
+    + [(f"L_{n}", filiform_algebra(n)) for n in range(4, 9)]
+    + [(f"sl2+R^{m}", sl2_plus_abelian(m)) for m in (1, 2, 3)]
+)
+SWEEP_CASES = (
+    [(name, sc) for name, sc in SWEEP_ALGEBRAS]
+    + [(f"{name}[seeded]", seeded_change_of_basis(sc, 40 + i))
+       for i, (name, sc) in enumerate(SWEEP_ALGEBRAS)]
+    + [("R^3", StructureConstants(3))]
+)
+
+
+@pytest.mark.parametrize("name,sc", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+def test_whole_basis_sweep_agrees_with_the_residual_of_each_matrix(name, sc):
+    """Every entry position moved by 1/3 once, in basis vector t mod dim Der:
+    the sweep over the whole basis accepts it exactly when that matrix's own
+    residual is 0."""
+    n, vecs = sc.dim, basis_vectors(sc)
+    assert _leibniz_sweep(sc, vecs)[0] == 0
+    for t in range(n * n):
+        k = t % len(vecs)
+        vec = moved(vecs[k], t)
+        mutant = vecs[:k] + [vec] + vecs[k + 1:]
+        alone = leibniz_residual(sc, [vec[r * n:r * n + n] for r in range(n)])[0]
+        assert (_leibniz_sweep(sc, mutant)[0] == 0) == (alone == 0), (k, t)
