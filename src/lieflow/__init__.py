@@ -17,21 +17,15 @@ from .liealg import (
     algebra_to_dict,
     as_scalar,
     as_vector,
-    bracket,
     ad,
-    dump_algebra,
     load_algebra,
-    permute_basis,
     validate_algebra,
 )
 from .dersolve import (
-    DerivationCheck,
     DerivationMatrix,
     DerivationSpace,
     derivation_space,
-    in_derivation_span,
     inner_derivation,
-    is_derivation,
     leibniz_residual,
 )
 from .spectral import (
@@ -39,7 +33,6 @@ from .spectral import (
     EigenClass,
     Spectrum,
     char_poly,
-    poly_eval_matrix,
     spectrum,
 )
 from .periodicity import (
@@ -62,7 +55,6 @@ from .flowsim import (
     ResidualReport,
     ToleranceConfig,
     VerdictEvidence,
-    conjugation_orbit,
     expm,
     flow_period_residual,
     invariant_orbit,
@@ -83,65 +75,3 @@ from .catalog import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "ToleranceConfig",
-    "StructureConstants",
-    "ValidationReport",
-    "algebra_from_dict",
-    "algebra_to_dict",
-    "as_scalar",
-    "as_vector",
-    "bracket",
-    "ad",
-    "dump_algebra",
-    "load_algebra",
-    "permute_basis",
-    "validate_algebra",
-    "DerivationCheck",
-    "DerivationMatrix",
-    "DerivationSpace",
-    "derivation_space",
-    "in_derivation_span",
-    "inner_derivation",
-    "is_derivation",
-    "leibniz_residual",
-    "CharPoly",
-    "EigenClass",
-    "Spectrum",
-    "char_poly",
-    "poly_eval_matrix",
-    "spectrum",
-    "FlowVerdict",
-    "IrrationalRatioError",
-    "NotADerivationError",
-    "PeriodTooLargeError",
-    "RationalProfile",
-    "classify_flow",
-    "classify_invariant_flow",
-    "classify_linear_flow",
-    "minimal_period",
-    "minimal_period_over_pi",
-    "rational_ratio_profile",
-    "ExpmOverflowError",
-    "FlowSample",
-    "ResidualReport",
-    "VerdictEvidence",
-    "conjugation_orbit",
-    "expm",
-    "flow_period_residual",
-    "invariant_orbit",
-    "verify_verdict",
-    "write_orbit_csv",
-    "CatalogEntry",
-    "CrossCheckReport",
-    "Discrepancy",
-    "ParamOutOfRangeError",
-    "UnknownEntryError",
-    "CATALOG_NAMES",
-    "cross_check",
-    "cross_check_all",
-    "get_entry",
-    "verdict_table",
-]

@@ -46,13 +46,6 @@ class DerivationSpace:
     dim: int
 
 
-@dataclass(frozen=True)
-class DerivationCheck:
-    is_derivation: bool
-    leibniz_residual: Fraction
-    worst_pair: tuple[int, int] | None
-
-
 def _exact(v) -> Fraction:
     """One entry as a Fraction: a Fraction as it is, any other rational (int,
     NumPy integer) from its integer numerator and denominator, any other real
@@ -143,11 +136,6 @@ def leibniz_residual(
     return Fraction(worst, sc.den * s), worst_pair
 
 
-def is_derivation(sc: StructureConstants, mat) -> DerivationCheck:
-    res, pair = leibniz_residual(sc, mat)
-    return DerivationCheck(is_derivation=res == 0, leibniz_residual=res, worst_pair=pair)
-
-
 def inner_derivation(sc: StructureConstants, x: Sequence[Scalar]) -> DerivationMatrix:
     """-ad(x), a derivation by the Jacobi identity, so Leibniz is not checked."""
     xv = as_vector(x, sc.dim)
@@ -199,10 +187,3 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
                    for vec in vecs])
     return DerivationSpace(basis=basis, dim=len(basis))
 
-
-def in_derivation_span(space: DerivationSpace, mat) -> bool:
-    """Exact membership of a matrix in span(space.basis): the basis is
-    independent, so a member keeps the rank at space.dim."""
-    m = coerce_matrix(mat, space.basis[0].dim)
-    rows = [flatten(b.entries) for b in space.basis] + [flatten(m)]
-    return _linalg.rank(rows) == space.dim

@@ -1,4 +1,4 @@
-"""Matrix exponentials, flow-closure residuals, and group-level orbits.
+"""Matrix exponentials, flow-closure residuals, and invariant orbits exp(tX)g0.
 
 Everything here is double precision and serves as numerical evidence for the
 exact verdicts: closure residuals certify periods, and bounded-below
@@ -169,17 +169,22 @@ def _closure_residuals(
     flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
     flows /= scale[:, None, None]
-    # One periods x samples array: the products are formed one period at a
-    # time, and the root and the scale are taken in place.
-    res = np.empty((len(gaps), samples))
+    # The periods x samples residuals, in blocks of at most ~8 MB (one at the
+    # default grids): products one period at a time, root and scale in place.
+    rows = 2**20 // samples or 1
+    peaks, worst = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, gap in enumerate(gaps):
-            prod = gap @ flows
-            res[j] = np.einsum("tab,tab->t", prod, prod)
-        np.sqrt(res, out=res)
-        res *= scale
-    worst = np.argmax(res, axis=1)
-    return res[np.arange(len(gaps)), worst], ts[worst]
+        for lo in range(0, len(gaps), rows):
+            res = np.empty((len(gaps[lo:lo + rows]), samples))
+            for j, gap in enumerate(gaps[lo:lo + rows]):
+                prod = gap @ flows
+                res[j] = np.einsum("tab,tab->t", prod, prod)
+            np.sqrt(res, out=res)
+            res *= scale
+            worst.append(np.argmax(res, axis=1))
+            peaks.append(res[np.arange(len(res)), worst[-1]])
+            del res  # before the next block is allocated
+    return np.concatenate(peaks), ts[np.concatenate(worst)]
 
 
 def flow_period_residual(
@@ -212,28 +217,6 @@ def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:
     for coeff, m in zip(x, mats):
         out = out + float(coeff) * m
     return out
-
-
-def conjugation_orbit(
-    rep: Sequence, x: Sequence, g0, ts: Sequence[float]
-) -> list[FlowSample]:
-    """Group-level linear-flow orbit g(t) = exp(-tX) g0 exp(tX).
-
-    This is the automorphism flow of the inner field: its differential at the
-    identity is Ad(exp(-tX)) = e^{tD} for D = -ad(X), matching the
-    algebra-level flow the verdicts are about (the opposite conjugation order
-    would produce e^{-tD}).
-    """
-    import numpy as np
-
-    g = np.asarray(g0, dtype=float)
-    if abs(np.linalg.det(g)) < 1e-300:
-        raise ValueError("g0 must be invertible")
-    xh = rep_matrix(rep, x)
-    ts = np.asarray(ts, dtype=float)
-    exps = expm(xh, np.concatenate([-ts, ts]))
-    mats = exps[: len(ts)] @ g @ exps[len(ts):]
-    return [FlowSample(t=float(t), matrix=m) for t, m in zip(ts, mats)]
 
 
 def invariant_orbit(

@@ -96,15 +96,6 @@ class StructureConstants:
     def entries(self) -> dict[tuple[int, int, int], Fraction]:
         return dict(self._entries)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[E_i, E_j] as a coordinate vector, for any i, j."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise ValueError(f"basis index out of range for dim {self.dim}")
-        out = [Fraction(0)] * self.dim
-        for k, c in self._table.get((i, j), ()):
-            out[k] = Fraction(c, self.den)
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim}, basis={list(self.basis_labels)})"
 
@@ -118,20 +109,6 @@ class ValidationReport:
 
 def _nonzero(vec: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(i, v) for i, v in enumerate(vec) if v]
-
-
-def bracket(sc: StructureConstants, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-    """Bilinear antisymmetric expansion of [x, y] in the fixed basis."""
-    xv = as_vector(x, sc.dim)
-    yv = as_vector(y, sc.dim)
-    table = sc._table
-    out = [Fraction(0)] * sc.dim
-    ys = _nonzero(yv)
-    for i, a in _nonzero(xv):
-        for j, b in ys:
-            for k, c in table.get((i, j), ()):
-                out[k] += c * a * b
-    return tuple([v / sc.den for v in out])
 
 
 def ad(sc: StructureConstants, x: Sequence[Scalar]) -> Matrix:
@@ -174,32 +151,15 @@ def validate_algebra(sc: StructureConstants) -> ValidationReport:
     return ValidationReport(jacobi_ok=worst_res == 0, worst_triple=worst, residual=residual)
 
 
-def permute_basis(sc: StructureConstants, perm: Sequence[int]) -> StructureConstants:
-    """Algebra in the reordered basis F_t = E_perm[t]."""
-    if sorted(perm) != list(range(sc.dim)):
-        raise ValueError("perm must be a permutation of 0..dim-1")
-    inv = [0] * sc.dim
-    for t, p in enumerate(perm):
-        inv[p] = t
-    new: dict[tuple[int, int, int], Fraction] = {}
-    for a in range(sc.dim):
-        for b in range(a + 1, sc.dim):
-            vec = sc.bracket_basis(perm[a], perm[b])
-            for k, c in enumerate(vec):
-                if c != 0:
-                    new[(a, b, inv[k])] = c
-    labels = [sc.basis_labels[p] for p in perm]
-    return StructureConstants(sc.dim, new, labels)
-
-
 # --- algebra file format -----------------------------------------------------
 #
 # { "dim": n, "basis": ["E1", ...],
 #   "brackets": [ {"i": 1, "j": 2, "k": 3, "c": "1"}, ... ] }
 #
 # "dim" and the 1-based indices are integers (or integer text), "dim" at most
-# MAX_DIM; entries with i >= j are rejected; "c" must be an integer or "p/q"
-# string. Unlisted pairs bracket to zero.
+# MAX_DIM; "basis", when given, is a list of dim strings; entries with i >= j
+# are rejected; "c" must be an integer or "p/q" string. Unlisted pairs bracket
+# to zero.
 
 MAX_DIM = 32  # the Jacobi check alone visits dim^3/6 basis triples
 
@@ -231,6 +191,10 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
     if dim > MAX_DIM:
         raise ValueError(f"algebra file 'dim' is {dim}; at most {MAX_DIM} is supported")
     basis = data.get("basis")
+    if basis is not None and not (
+        isinstance(basis, list) and len(basis) == dim and all(isinstance(b, str) for b in basis)
+    ):
+        raise ValueError(f"'basis' must be a list of {dim} strings")
     entries: dict[tuple[int, int, int], Fraction] = {}
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
@@ -256,8 +220,3 @@ def load_algebra(path: str) -> StructureConstants:
     with open(path, "r", encoding="utf-8") as fh:
         return algebra_from_dict(json.load(fh))
 
-
-def dump_algebra(sc: StructureConstants, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(sc), fh, indent=2)
-        fh.write("\n")

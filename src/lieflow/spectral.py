@@ -128,15 +128,6 @@ def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
     return acc, dp
 
 
-def poly_eval_matrix(p: CharPoly, mat) -> Matrix:
-    """p(M) in exact arithmetic (Cayley-Hamilton gives zero for p = char_poly):
-    the integer Horner of p's primitive form, divided once by its leading
-    coefficient times d^N."""
-    acc, scale = _horner(list(p.ints), coerce_matrix(mat))
-    den = p.ints[-1] * scale
-    return tuple([tuple([Fraction(v, den) for v in row]) for row in acc])
-
-
 # --- exact polynomial algebra ------------------------------------------------
 # Polynomials are lists of integer coefficients, lowest degree first, without
 # trailing zeros ([] is the zero polynomial). Over Q they stand for their

@@ -20,7 +20,6 @@ from lieflow import (
     flow_period_residual,
     inner_derivation,
     invariant_orbit,
-    conjugation_orbit,
     verify_verdict,
     write_orbit_csv,
 )
@@ -208,12 +207,17 @@ def test_flow_period_residual_validates_input():
 # --- orbits ----------------------------------------------------------------------
 
 
+# The conjugation orbit g(t) = exp(-tX) g0 exp(tX) is the automorphism flow of
+# the inner field: its differential at the identity is Ad(exp(-tX)) = e^{tD}
+# for D = -ad(X), the algebra-level flow that the verdicts are about.
+
+
 def test_conjugation_orbit_sl2_closes_at_pi():
     entry = get_entry("sl2")
-    rep = rep_float(entry)
+    xh = rep_matrix(rep_float(entry), [1.0, 0.0, 0.0])
     ts = np.linspace(0.0, 2 * math.pi, 129)
     g0 = np.diag([2.0, 0.5])
-    orbit = conjugation_orbit(rep, [1.0, 0.0, 0.0], g0, ts)
+    orbit = [FlowSample(t, m) for t, m in zip(ts, expm(xh, -ts) @ g0 @ expm(xh, ts))]
     assert orbit_closure_residual(orbit, math.pi) <= 1e-8
     # And it genuinely moves: half period differs.
     mid = min(orbit, key=lambda s: abs(s.t - math.pi / 2))
@@ -222,26 +226,27 @@ def test_conjugation_orbit_sl2_closes_at_pi():
 
 def test_conjugation_orbit_fixes_identity():
     entry = get_entry("sl2")
-    orbit = conjugation_orbit(rep_float(entry), [1.0, 0.0, 0.0], np.eye(2),
-                              np.linspace(0, 5, 11))
-    for s in orbit:
-        assert np.linalg.norm(s.matrix - np.eye(2)) < 1e-12
+    xh = rep_matrix(rep_float(entry), [1.0, 0.0, 0.0])
+    ts = np.linspace(0, 5, 11)
+    for g in expm(xh, -ts) @ np.eye(2) @ expm(xh, ts):
+        assert np.linalg.norm(g - np.eye(2)) < 1e-12
 
 
 def test_conjugation_orbit_heisenberg_never_closes():
     entry = get_entry("g31_heisenberg")
     rep = rep_float(entry)
     g0 = scipy.linalg.expm(rep[1])  # exp of the E2 generator
+    xh = rep_matrix(rep, [0.0, 0.0, 1.0])
     ts = np.linspace(0.0, 100.0, 201)
-    orbit = conjugation_orbit(rep, [0.0, 0.0, 1.0], g0, ts)
+    orbit = [FlowSample(t, m) for t, m in zip(ts, expm(xh, -ts) @ g0 @ expm(xh, ts))]
     for period in (0.5, 5.0, 50.0):
         assert orbit_closure_residual(orbit, period) >= 0.4 * period
 
 
-def test_conjugation_orbit_rejects_singular_start():
+def test_invariant_orbit_rejects_singular_start():
     entry = get_entry("sl2")
-    with pytest.raises(ValueError):
-        conjugation_orbit(rep_float(entry), [1, 0, 0], np.zeros((2, 2)), [0.0, 1.0])
+    with pytest.raises(ValueError, match="g0 must be invertible"):
+        invariant_orbit(rep_float(entry), [1, 0, 0], np.zeros((2, 2)), [0.0, 1.0])
 
 
 def test_invariant_orbit_sl2_y_closes_at_2pi():
@@ -287,9 +292,9 @@ def test_conjugation_orbit_log_matches_linear_flow():
     v = np.array([0.05, 0.03, -0.04])
     d = np.asarray(inner_derivation(entry.structure, (1, 0, 0)).entries, dtype=float)
     g0 = scipy.linalg.expm(rep_matrix(rep, v))
+    xh = rep_matrix(rep, [1.0, 0.0, 0.0])
     for t in (0.0, 0.4, 1.1, 2.0):
-        (sample,) = conjugation_orbit(rep, [1.0, 0.0, 0.0], g0, [t])
-        logm = scipy.linalg.logm(sample.matrix)
+        logm = scipy.linalg.logm(expm(xh, -t) @ g0 @ expm(xh, t))
         coords, *_ = np.linalg.lstsq(basis_flat, logm.real.flatten(), rcond=None)
         expected = scipy.linalg.expm(t * d) @ v
         assert np.linalg.norm(coords - expected) < 1e-8
@@ -459,14 +464,13 @@ def test_kernel_matches_literal_residual_on_verdict_table():
                 row.entry, row.label, period)
 
 
-def test_evidence_grid_holds_one_periods_by_samples_array():
-    # NoPeriodicOrbits checks `samples` trial periods on a grid of `samples`
-    # times: the residual kernel may hold one such array of floats, not three.
+def evidence_peak(samples):
+    """Peak traced allocation of the NoPeriodicOrbits evidence on a grid of
+    `samples` times and as many trial periods."""
     import tracemalloc
 
     sc = get_entry("aff2").structure
     mat = ((0, 0), (0, 1))
-    samples = 1000
     cfg = replace(DEFAULT_CONFIG, samples=samples)
     verdict = classify_linear_flow(sc, mat)
     tracemalloc.start()
@@ -476,7 +480,21 @@ def test_evidence_grid_holds_one_periods_by_samples_array():
     finally:
         tracemalloc.stop()
     assert verdict.tag == "NoPeriodicOrbits" and evidence.passed
+    return peak
+
+
+def test_evidence_grid_holds_one_periods_by_samples_array():
+    # The residual kernel may hold one periods x samples array of floats,
+    # not three.
+    samples = 1000
+    peak = evidence_peak(samples)
     assert peak < 1.5 * samples * samples * 8, peak
+
+
+def test_evidence_grid_fills_residuals_in_blocks():
+    # At 3000 samples the whole array would take 72 MB; a block takes 8 MB.
+    peak = evidence_peak(3000)
+    assert peak < 12 * 2**20, peak
 
 
 def test_flow_period_residual_reports_the_worst_grid_time():
