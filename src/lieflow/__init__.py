@@ -37,16 +37,12 @@ from .spectral import (
 )
 from .periodicity import (
     FlowVerdict,
-    IrrationalRatioError,
     NotADerivationError,
     PeriodTooLargeError,
     RationalProfile,
     classify_flow,
     classify_invariant_flow,
     classify_linear_flow,
-    minimal_period,
-    minimal_period_over_pi,
-    rational_ratio_profile,
 )
 from .flowsim import (
     DEFAULT_CONFIG,

@@ -29,11 +29,12 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
-from .dersolve import derivation_space, inner_derivation
+from .dersolve import derivation_space, inner_derivation, leibniz_residual
 from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
 from .periodicity import (
     NotADerivationError,
     PeriodTooLargeError,
+    classify_flow,
     classify_invariant_flow,
     classify_linear_flow,
 )
@@ -72,7 +73,9 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_scalar_list(text: str, expected: int, what: str) -> list[Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise CliError(f"{what} has an empty entry")
     if len(parts) != expected:
         raise CliError(f"{what} needs {expected} entries, got {len(parts)}")
     return [_parse_rational(p) for p in parts]
@@ -165,7 +168,7 @@ def _resolve_algebra(args) -> tuple[StructureConstants, cat.CatalogEntry | None,
         return entry.structure, entry, args.catalog
     try:
         sc = load_algebra(args.file)
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: null for a scalar
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # null; deep nesting
         raise CliError(f"cannot load algebra from {args.file}: {exc}")
     report = validate_algebra(sc)
     if not report.jacobi_ok:
@@ -318,6 +321,9 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
     else:
         mat = _parse_matrix(args.matrix, sc.dim)
         coeffs = None
+        residual, worst = leibniz_residual(sc, mat)
+        if residual != 0:  # before the orbit and the period check read it
+            raise NotADerivationError(residual, worst)
 
     doc: dict = {"algebra": source}
     notes = []
@@ -370,7 +376,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         )
         code = EXIT_OK if passed else EXIT_FAIL
     else:
-        verdict = classify_linear_flow(sc, mat)
+        verdict = classify_flow(mat)  # mat is -ad(X) or passed the gate above
         evidence = flowsim.verify_verdict(sc, mat, verdict, cfg)
         doc["verdict"] = verdict
         details, nonfinite = _nulled(evidence.details)

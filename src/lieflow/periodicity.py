@@ -20,8 +20,11 @@ Verdicts:
                           is periodic, with period dividing the minimal T of
                           e^{tD}. Periods are statements about non-fixed
                           orbits only.
-* NoPeriodicOrbits      - no non-fixed orbit is periodic, with the first
-                          failing reason in a fixed deterministic order.
+* NoPeriodicOrbits      - e^{tD} is not periodic, with the first failing
+                          reason in a fixed deterministic order. Orbits in a
+                          rotation plane of D can still be periodic: on
+                          abelian3, D = [[0,1,0],[-1,0,0],[0,0,1]] gives
+                          RealNonzeroEigenvalue, yet e^{2*pi*D}E1 = E1.
 * SpectralPeriodicInconclusive - invariant-flow classification only: the
                           derivation of the field vanishes (central field or
                           abelian algebra), so the spectrum says nothing
@@ -74,13 +77,6 @@ class NotADerivationError(Exception):
         )
 
 
-class IrrationalRatioError(Exception):
-    def __init__(self, index: int, ratio: float, message: str):
-        self.index = index
-        self.ratio = ratio
-        super().__init__(message)
-
-
 class PeriodTooLargeError(Exception):
     """The minimal period T is not a positive finite float."""
 
@@ -107,73 +103,6 @@ class FlowVerdict:
     profile: RationalProfile | None = None
     caveats: tuple[str, ...] = field(default_factory=tuple)
     note: str | None = None
-
-
-# --- rational ratio machinery ------------------------------------------------
-
-
-def rational_ratio_profile(squares: Sequence[Fraction]) -> RationalProfile:
-    """Exact rational ratios p_i/q_i = alpha_i / alpha_1 of the frequencies
-    alpha_i = sqrt(squares[i]).
-
-    The ratio is rational iff alpha_i^2 / alpha_1^2 is a perfect rational
-    square, which is decidable, so no tolerance is read. Frequencies are
-    sorted ascending, so the base alpha_1 is the smallest; the minimal period
-    is order-independent. Raises ValueError when a square is not positive and
-    IrrationalRatioError when a ratio is irrational.
-    """
-    if not squares:
-        raise ValueError("need at least one frequency")
-    if any(sq <= 0 for sq in squares):
-        raise ValueError("frequencies must be positive")
-    squares = sorted(squares)
-    base_sq = squares[0]
-    ratios: list[tuple[int, int]] = []
-    for i, sq in enumerate(squares):
-        root = _is_rational_square(sq / base_sq)
-        if root is None:
-            raise IrrationalRatioError(
-                i,
-                _sqrt(sq / base_sq),
-                f"ratio alpha_{i + 1}/alpha_1 = sqrt({sq / base_sq}) is irrational",
-            )
-        ratios.append((root.numerator, root.denominator))
-    return RationalProfile(
-        base_alpha=_sqrt(base_sq),
-        base_alpha_exact=_is_rational_square(base_sq),
-        ratios=tuple(ratios),
-    )
-
-
-def _combined_lcm(profile: RationalProfile) -> int:
-    return math.lcm(*[q for _, q in profile.ratios])
-
-
-def minimal_period(profile: RationalProfile) -> float:
-    """Smallest T > 0 with alpha_i * T in 2*pi*Z for every frequency.
-
-    T = (2*pi / alpha_1) * lcm(q_1..q_r): alpha_i T = 2*pi*p_i*lcm/q_i, and any
-    smaller multiple of 2*pi/alpha_1 misses some q_i.
-    """
-    lcm_value = _combined_lcm(profile)
-    alpha = profile.base_alpha
-    try:
-        period = 2.0 * math.pi * lcm_value / alpha if alpha > 0 else math.inf
-    except OverflowError:  # lcm_value beyond the float range
-        period = math.inf
-    if not 0 < period < math.inf:
-        raise PeriodTooLargeError(
-            lcm_value,
-            f"minimal period 2*pi*{lcm_value}/{alpha!r} is not a positive finite float",
-        )
-    return period
-
-
-def minimal_period_over_pi(profile: RationalProfile) -> Fraction | None:
-    """T / pi as an exact rational, when the base frequency is rational."""
-    if profile.base_alpha_exact is None:
-        return None
-    return Fraction(2 * _combined_lcm(profile)) / profile.base_alpha_exact
 
 
 # --- classification ----------------------------------------------------------
@@ -213,15 +142,30 @@ def classify_flow(mat) -> FlowVerdict:
     mus = _rational_roots(h, seq)
     if len(mus) < len(h) - 1:
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
-    try:
-        profile = rational_ratio_profile([-mu for mu in mus])
-    except IrrationalRatioError:
+    # mus ascend below 0, so alpha_1^2 = -mus[-1] is the smallest square, and
+    # alpha_j / alpha_1 = p_j / q_j is rational iff mu_j / mus[-1] is a
+    # rational square. T = 2*pi*lcm(q_j) / alpha_1 is the least T > 0 with
+    # every alpha_j T in 2*pi*Z.
+    ratios = [_is_rational_square(mu / mus[-1]) for mu in reversed(mus)]
+    if None in ratios:
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
+    lcm = math.lcm(*[r.denominator for r in ratios])
+    alpha, alpha_exact = _sqrt(-mus[-1]), _is_rational_square(-mus[-1])
+    try:
+        period = 2.0 * math.pi * lcm / alpha if alpha > 0 else math.inf
+    except OverflowError:  # lcm beyond the float range
+        period = math.inf
+    if not 0 < period < math.inf:
+        raise PeriodTooLargeError(
+            lcm, f"minimal period 2*pi*{lcm}/{alpha!r} is not a positive finite float"
+        )
     return FlowVerdict(
         tag="PeriodicFlow",
-        period=minimal_period(profile),
-        period_over_pi=minimal_period_over_pi(profile),
-        profile=profile,
+        period=period,
+        period_over_pi=None if alpha_exact is None else 2 * lcm / alpha_exact,
+        profile=RationalProfile(
+            alpha, alpha_exact, tuple((r.numerator, r.denominator) for r in ratios)
+        ),
     )
 
 
@@ -230,7 +174,7 @@ def classify_linear_flow(sc: StructureConstants, mat) -> FlowVerdict:
 
     PeriodicFlow means every non-fixed orbit of the flow on the simply
     connected group is periodic with period dividing T; NoPeriodicOrbits means
-    no non-fixed orbit is periodic.
+    that e^{tD} is not periodic, though orbits in a rotation plane of D can be.
     """
     # A DerivationMatrix passes coerce_matrix unchanged: gate and verdict read
     # this one coercion, and the verdict only once the gate confirmed it.

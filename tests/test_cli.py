@@ -376,14 +376,26 @@ ZERO_DENOMINATOR_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c":
     ["derivations", "--file", "{algebra}"],
     ["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--samples", "1"],
     ["simulate", "--catalog", "sl2", "--inner", "1,0,0", "--check-period", "0"],
-], ids=["inner-zero-denominator", "file-zero-denominator", "samples-1", "check-period-0"])
+    ["classify", "--catalog", "sl2", "--inner", "1,,0,0"],
+    # Not a derivation of sl2 (classify exits 2 on it): neither the period
+    # check nor the orbit may run on it.
+    ["simulate", "--catalog", "sl2", "--matrix=0,-1,0,1,0,0,0,0,0", "--check-period", "2pi"],
+    ["simulate", "--catalog", "sl2", "--matrix=0,-1,0,1,0,0,0,0,0", "--csv", "{csv}"],
+    ["derivations", "--file", "{deep}"],
+], ids=["inner-zero-denominator", "file-zero-denominator", "samples-1", "check-period-0",
+        "inner-empty-field", "check-period-non-derivation", "csv-non-derivation",
+        "file-nested-100000-deep"])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     path = tmp_path / "zero_denominator.json"
     path.write_text(json.dumps(ZERO_DENOMINATOR_ALGEBRA))
-    proc = cli_subprocess(*(a.format(algebra=path) for a in argv))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    csv = tmp_path / "orbit.csv"
+    proc = cli_subprocess(*(a.format(algebra=path, deep=deep, csv=csv) for a in argv))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert not csv.exists()
 
 
 def strict_json(text):

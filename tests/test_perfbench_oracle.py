@@ -7,13 +7,14 @@ planted in the input; a wrong answer there marks a benchmark run as
 incorrect. The same inputs and the same judges run here, on a few seeds,
 with both files loaded read-only; the CLI runs in-process. On the same
 inputs, and on seeded random rational matrices, `classify_flow` also meets a
-reference rule with its own reason-reading code: Sturm counts of the roots
-of rad(p) on the real and imaginary axes, and the rational roots of h by
-brute force.
+reference rule with its own reason-reading and period code: Sturm counts of
+the roots of rad(p) on the real and imaginary axes, the rational roots of h
+by brute force, and T/pi = 2 / gcd of the rational frequencies.
 """
 
 import importlib.util
 import json
+import math
 import pathlib
 import random
 import sys
@@ -24,13 +25,7 @@ import pytest
 from lieflow.cli import main
 from lieflow.dersolve import coerce_matrix
 from lieflow.liealg import algebra_from_dict
-from lieflow.periodicity import (
-    IrrationalRatioError,
-    classify_flow,
-    classify_linear_flow,
-    minimal_period_over_pi,
-    rational_ratio_profile,
-)
+from lieflow.periodicity import classify_flow, classify_linear_flow
 from lieflow.spectral import _deriv, _gcd, _horner, _primitive, _quo, _rem, _trim, char_poly
 
 from test_spectral import rand_matrix, rational_roots_oracle
@@ -114,11 +109,21 @@ def imaginary_axis_gcd(s) -> list:
     return _gcd(re, im)
 
 
+def rational_sqrt(x: Fraction) -> Fraction | None:
+    """sqrt(x) for a rational x > 0 when it is rational, else None."""
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(n, d) if n * n == x.numerator and d * d == x.denominator else None
+
+
 def reference_verdict(mat, divisors) -> tuple:
     """(tag, reason, T/pi) with every reason read off rad(p): the Sturm counts
     of its real roots and of its roots on the imaginary axis, the root 0
     counted once, rad(p)(D) = 0, and the rational roots of h(mu), rad(p)
-    without its root 0 being h(lambda^2), by the rational root theorem."""
+    without its root 0 being h(lambda^2), by the rational root theorem. The
+    frequencies alpha_j = sqrt(-mu_j) are commensurable when every mu_j / mu_1
+    is a rational square; then T/pi = 2 / gcd_Q(alpha_j) when every alpha_j
+    is rational, since every alpha_j T must lie in 2*pi*Z, and None when they
+    are surds."""
     p = list(char_poly(mat).ints)
     rad = _quo(p, _gcd(p, _deriv(p)))
     zero = rad[0] == 0
@@ -136,11 +141,15 @@ def reference_verdict(mat, divisors) -> tuple:
     mus = rational_roots_oracle(h, divisors)
     if len(mus) < len(h) - 1:
         return "NoPeriodicOrbits", "IrrationalRatio", None
-    try:
-        profile = rational_ratio_profile([-mu for mu in mus])
-    except IrrationalRatioError:
+    if any(rational_sqrt(mu / mus[0]) is None for mu in mus):
         return "NoPeriodicOrbits", "IrrationalRatio", None
-    return "PeriodicFlow", None, minimal_period_over_pi(profile)
+    alphas = [rational_sqrt(-mu) for mu in mus]
+    if None in alphas:
+        return "PeriodicFlow", None, None
+    # gcd_Q(a_j / b_j) = gcd(a_j) / lcm(b_j) for fractions in lowest terms.
+    gcd = Fraction(math.gcd(*(a.numerator for a in alphas)),
+                   math.lcm(*(a.denominator for a in alphas)))
+    return "PeriodicFlow", None, 2 / gcd
 
 
 def random_rationals(rng, count=170) -> list:

@@ -1,4 +1,5 @@
-"""Flow classification, rational ratio profiles, minimal periods."""
+"""Flow classification, the rational ratio profiles and minimal periods of
+its verdicts."""
 
 import inspect
 import json
@@ -12,7 +13,6 @@ import pytest
 
 from lieflow import (
     FlowVerdict,
-    IrrationalRatioError,
     NotADerivationError,
     PeriodTooLargeError,
     RationalProfile,
@@ -21,12 +21,10 @@ from lieflow import (
     classify_invariant_flow,
     classify_linear_flow,
     inner_derivation,
-    minimal_period,
-    minimal_period_over_pi,
-    rational_ratio_profile,
 )
 from lieflow.catalog import get_entry
 from lieflow.cli import _json_value
+from lieflow.spectral import _sqrt
 
 
 def abelian(n):
@@ -170,10 +168,11 @@ def test_irrational_ratio_verdict_from_numeric_spectrum():
 
 
 def test_proven_irrational_ratio_from_exact_surds():
-    # Exact frequencies 1 and sqrt(2): the ratio square 2 is not a rational
-    # square, so irrationality is decided without tolerances.
-    with pytest.raises(IrrationalRatioError):
-        rational_ratio_profile([F(1), F(2)])
+    # Exact frequencies 2 and 2*sqrt(3): h = (mu + 4)(mu + 12) splits over Q,
+    # but the ratio square 3 is not a rational square, so irrationality is
+    # decided without tolerances.
+    v = classify_flow(blkdiag(rot_block(2), [[0, -12], [1, 0]]))
+    assert (v.tag, v.reason, v.profile) == ("NoPeriodicOrbits", "IrrationalRatio", None)
 
 
 def test_ill_conditioned_spectrum_refuses_classification():
@@ -199,75 +198,74 @@ def test_not_a_derivation_raises():
     assert err.value.residual != 0
 
 
-# --- rational ratio profile ------------------------------------------------------
+# --- the period and the rational ratio profile ---------------------------------
+
+
+def assert_periodic(v, period, period_over_pi, profile):
+    assert (v.tag, v.period, v.period_over_pi, v.profile) == (
+        "PeriodicFlow", period, period_over_pi, profile)
 
 
 def test_profile_single_frequency():
-    p = rational_ratio_profile([F(4)])
-    assert p.ratios == ((1, 1),)
-    assert p.base_alpha_exact == 2
+    # alpha = 2: T = 2*pi/2, with every float step exact.
+    assert_periodic(classify_flow(rot_block(2)), math.pi, 1,
+                    RationalProfile(2.0, 2, ((1, 1),)))
 
 
 def test_profile_two_frequencies_exact():
-    p = rational_ratio_profile([F(4), F(9)])
-    assert p.ratios == ((1, 1), (3, 2))
-    assert p.base_alpha_exact == 2
-
-
-def test_profile_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        rational_ratio_profile([F(0), F(1)])
+    # alpha = 2, 3: the base is the smaller, and 3/2 makes lcm = 2.
+    assert_periodic(classify_flow(blkdiag(rot_block(2), rot_block(3))), 2 * math.pi, 2,
+                    RationalProfile(2.0, 2, ((1, 1), (3, 2))))
 
 
 def test_profile_surd_base_has_no_exact_base():
-    p = rational_ratio_profile([F(3)])
-    assert p.base_alpha_exact is None
-    assert p.ratios == ((1, 1),)
-
-
-# --- minimal period ---------------------------------------------------------------
+    # lambda^2 + 3: alpha = sqrt(3) is a surd, so T/pi is not rational.
+    v = classify_flow([[0, -3], [1, 0]])
+    assert_periodic(v, 2 * math.pi / math.sqrt(3), None,
+                    RationalProfile(math.sqrt(3), None, ((1, 1),)))
 
 
 def test_minimal_period_examples():
-    p2 = rational_ratio_profile([F(4)])
-    assert abs(minimal_period(p2) - math.pi) < 1e-15
-    p23 = rational_ratio_profile([F(4), F(9)])
-    assert abs(minimal_period(p23) - 2 * math.pi) < 1e-15
-    p1 = rational_ratio_profile([F(1)])
-    assert abs(minimal_period(p1) - 2 * math.pi) < 1e-15
+    assert_periodic(classify_flow(rot_block(1)), 2 * math.pi, 2,
+                    RationalProfile(1.0, 1, ((1, 1),)))
+    # alpha = 1/3, 1/2: T = 2*pi*2/(1/3) = 12*pi, in the library's float order.
+    v = classify_flow(blkdiag(rot_block(F(1, 2)), rot_block(F(1, 3))))
+    assert_periodic(v, 2 * math.pi * 2 / (1 / 3), 12,
+                    RationalProfile(1 / 3, F(1, 3), ((1, 1), (3, 2))))
 
 
 def test_minimal_period_order_independent():
     rng = random.Random(31)
-    sqs = [F(1), F(4), F(9), F(25)]
-    reference = minimal_period(rational_ratio_profile(sqs))
+    blocks = [rot_block(b) for b in (1, 2, 3, 5)]
+    reference = classify_flow(blkdiag(*blocks))
+    assert_periodic(reference, 2 * math.pi, 2,
+                    RationalProfile(1.0, 1, ((1, 1), (2, 1), (3, 1), (5, 1))))
     for _ in range(5):
-        idx = list(range(4))
-        rng.shuffle(idx)
-        shuffled = minimal_period(rational_ratio_profile([sqs[i] for i in idx]))
-        assert shuffled == reference
+        rng.shuffle(blocks)
+        assert classify_flow(blkdiag(*blocks)) == reference
 
 
 def test_minimal_period_over_pi_symbolic():
-    p = rational_ratio_profile([F(4), F(9)])
-    assert minimal_period_over_pi(p) == 2
+    v = classify_flow(blkdiag(rot_block(2), rot_block(3)))
+    assert v.period_over_pi == 2
+    assert v.period == float(v.period_over_pi) * math.pi
 
 
 def test_period_too_large_guard():
-    def profile(*denominators):
-        ratios = ((1, 1),) + tuple((q + 1, q) for q in denominators)
-        return RationalProfile(base_alpha=1.0, ratios=ratios, base_alpha_exact=F(1))
-
-    # No bound on the lcm: lcm(100003, 100019) = 100003 * 100019 > 10**9 is
-    # an exact period like any other.
-    big = profile(100003, 100019)
-    assert minimal_period_over_pi(big) == 2 * 100003 * 100019
-    assert minimal_period(big) == 2 * math.pi * (100003 * 100019)
+    # No bound on the lcm: frequencies 1, 100004/100003 and 100020/100019
+    # give lcm(100003, 100019) = 100003 * 100019 > 10**9, an exact period
+    # like any other.
+    lcm = 100003 * 100019
+    v = classify_flow(blkdiag(rot_block(1), rot_block(F(100004, 100003)),
+                              rot_block(F(100020, 100019))))
+    assert v.period_over_pi == 2 * lcm
+    assert v.period == 2 * math.pi * lcm
+    assert v.profile.ratios == ((1, 1), (100020, 100019), (100004, 100003))  # ascending
     # Only a T outside the float range is refused, with its lcm.
+    q = 10**400
     with pytest.raises(PeriodTooLargeError) as err:
-        minimal_period(profile(10**400))
-    assert err.value.lcm == 10**400
-    assert minimal_period_over_pi(profile(10**400)) == 2 * 10**400
+        classify_flow(blkdiag(rot_block(1), rot_block(F(q + 1, q))))
+    assert err.value.lcm == q
 
 
 def test_base_frequency_is_the_correctly_rounded_root():
@@ -276,7 +274,7 @@ def test_base_frequency_is_the_correctly_rounded_root():
     for _ in range(2000):
         x = F(rng.getrandbits(rng.randint(1, 400)) + 1, rng.getrandbits(rng.randint(1, 400)) + 1)
         want = float(ctx.sqrt(ctx.divide(x.numerator, x.denominator)))
-        assert rational_ratio_profile([x]).base_alpha == want, x
+        assert _sqrt(x) == want, x
 
 
 @pytest.mark.parametrize("beta", [F(1, 10**160), F(10**300), F(1, 10**300)],
@@ -301,9 +299,6 @@ def test_huge_irrational_ratio_is_a_verdict():
     a = 10**200
     v = classify_flow(blkdiag(rot_block(1), [[0, -2 * a], [a, 0]]))
     assert v.reason == "IrrationalRatio"
-    with pytest.raises(IrrationalRatioError) as err:
-        rational_ratio_profile([F(1), F(2 * a * a)])
-    assert math.isclose(err.value.ratio, math.sqrt(2) * 1e200)
 
 
 # --- invariants -------------------------------------------------------------------
