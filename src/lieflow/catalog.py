@@ -47,11 +47,7 @@ class LinearPattern:
 
     @property
     def params(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for row in self.rows:
-            for cell in row:
-                seen.update(cell)
-        return tuple(sorted(seen))
+        return tuple(sorted({p for row in self.rows for cell in row for p in cell}))
 
     def instantiate(self, assign: Mapping[str, Scalar]) -> Matrix:
         values = {k: as_scalar(v) for k, v in assign.items()}
@@ -64,14 +60,11 @@ class LinearPattern:
         )
 
     def basis_matrices(self) -> list[Matrix]:
-        out = []
-        for p in self.params:
-            out.append(
-                tuple(
-                    tuple(F(cell.get(p, 0)) for cell in row) for row in self.rows
-                )
-            )
-        return out
+        params = self.params
+        return [
+            self.instantiate({q: F(1) if q == p else F(0) for q in params})
+            for p in params
+        ]
 
     def render(self) -> str:
         def cell_text(cell: Mapping[str, Fraction]) -> str:
@@ -116,8 +109,6 @@ class Discrepancy:
 class CatalogEntry:
     name: str
     display_name: str
-    group_name: str
-    param: Fraction | None
     structure: StructureConstants
     claimed_pattern: LinearPattern
     claimed_eigenvalue_text: str
@@ -125,7 +116,11 @@ class CatalogEntry:
     # polynomial, at an assignment of the pattern's free parameters.
     claimed_factors: Callable[[Mapping[str, Fraction]], list[Poly]]
     published_claim: str
+    param: Fraction | None = None
     periodicity_condition: Callable[[Matrix], bool] | None = None
+    # Exact derivations on one side of periodicity_condition:
+    # side_sampler(t, periodic_side) for t = 0, 1, 2, ...
+    side_sampler: Callable[[Fraction, bool], Matrix] | None = None
     representation: tuple[Matrix, ...] | None = None
     known_print_issues: tuple[Discrepancy, ...] = field(default_factory=tuple)
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -202,14 +197,13 @@ def _build_abelian2(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="abelian2",
         display_name="2D abelian",
-        group_name="R^2",
-        param=None,
         structure=StructureConstants(2),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{((a+d) - sqrt((a-d)^2+4bc))/2, ((a+d) + sqrt((a-d)^2+4bc))/2}",
         claimed_factors=factors,
         published_claim="periodic orbits iff a+d = 0 and (a-d)^2 + 4bc < 0",
         periodicity_condition=_rotation_block(0),
+        side_sampler=_abelian2_side,
     )
 
 
@@ -222,8 +216,6 @@ def _build_aff2(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="aff2",
         display_name="aff(2)",
-        group_name="Aff(2)_0",
-        param=None,
         structure=StructureConstants(2, {(0, 1, 1): 1}, ("H", "Z")),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, d}",
@@ -271,8 +263,6 @@ def _build_abelian3(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="abelian3",
         display_name="3g_1 (3D abelian)",
-        group_name="R^3",
-        param=None,
         structure=_family3(F(0), F(0), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="roots of -l^3 + tr(D) l^2 + A l + det(D), "
@@ -280,6 +270,7 @@ def _build_abelian3(_: Fraction | None) -> CatalogEntry:
         claimed_factors=factors,
         published_claim="periodic orbits iff tr(D) = det(D) = 0 and A < 0",
         periodicity_condition=condition,
+        side_sampler=_abelian3_side,
         representation=rep,
         known_print_issues=(
             Discrepancy(
@@ -299,27 +290,29 @@ def _build_abelian3(_: Fraction | None) -> CatalogEntry:
     )
 
 
+# g_{2,1} + g_1 and g^0_{3,4} print one derivation family, whose upper 2x2
+# block swaps x1 and x2, and one eigenvalue formula.
+_SWAP_PATTERN = _pattern(
+    [
+        [{"x1": 1}, {"x2": 1}, {"x3": 1}],
+        [{"x2": 1}, {"x1": 1}, {"y3": 1}],
+        [{}, {}, {}],
+    ]
+)
+
+
+def _swap_factors(v):
+    return [_root(F(0)), _root(v["x1"] - v["x2"]), _root(v["x1"] + v["x2"])]
+
+
 def _build_g21_plus_g1(_: Fraction | None) -> CatalogEntry:
-    pattern = _pattern(
-        [
-            [{"x1": 1}, {"x2": 1}, {"x3": 1}],
-            [{"x2": 1}, {"x1": 1}, {"y3": 1}],
-            [{}, {}, {}],
-        ]
-    )
-
-    def factors(v):
-        return [_root(F(0)), _root(v["x1"] - v["x2"]), _root(v["x1"] + v["x2"])]
-
     return CatalogEntry(
         name="g21_plus_g1",
         display_name="g_{2,1} + g_1",
-        group_name="Aff(R)_0 x R",
-        param=None,
         structure=_family3(F(1), F(1), F(-1), F(0)),
-        claimed_pattern=pattern,
+        claimed_pattern=_SWAP_PATTERN,
         claimed_eigenvalue_text="{0, x1-x2, x1+x2}",
-        claimed_factors=factors,
+        claimed_factors=_swap_factors,
         published_claim="no linear flow has periodic orbits",
         notes=(
             "the source sentence calls the group semisimple; it is solvable, "
@@ -346,8 +339,6 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="g31_heisenberg",
         display_name="g_{3,1} (Heisenberg)",
-        group_name="H_3",
-        param=None,
         structure=_family3(F(0), F(1), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{y2+z3, ((y2+z3) -+ sqrt((y2-z3)^2 + 4*x3*z2))/2}",
@@ -355,6 +346,7 @@ def _build_g31(_: Fraction | None) -> CatalogEntry:
         published_claim="periodic orbits iff y2+z3 = 0 and the block "
         "discriminant is negative",
         periodicity_condition=_rotation_block(1),
+        side_sampler=_g31_side,
         representation=rep,
     )
 
@@ -374,8 +366,6 @@ def _build_g32(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="g32",
         display_name="g_{3,2}",
-        group_name="G_{3,2}",
-        param=None,
         structure=_family3(F(1), F(1), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, 0, 0}",
@@ -400,8 +390,6 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="g33",
         display_name="g_{3,3}",
-        group_name="G_{3,3}",
-        param=None,
         structure=_family3(F(1), F(0), F(0), F(0)),
         claimed_pattern=pattern,
         claimed_eigenvalue_text="{0, ((x1+y2) -+ sqrt((x2-y2)^2 + 4*x2*y1))/2}",
@@ -409,33 +397,19 @@ def _build_g33(_: Fraction | None) -> CatalogEntry:
         published_claim="periodic orbits iff x1+y2 = 0 and the block "
         "discriminant is negative",
         periodicity_condition=_rotation_block(0),
+        side_sampler=_g33_side,
     )
 
 
 def _build_g34_zero(_: Fraction | None) -> CatalogEntry:
-    pattern = _pattern(
-        [
-            [{"x1": 1}, {"x2": 1}, {"x3": 1}],
-            [{"x2": 1}, {"x1": 1}, {"y3": 1}],
-            [{}, {}, {}],
-        ]
-    )
-
-    def factors(v):
-        return [_root(F(0)), _root(v["x1"] - v["x2"]), _root(v["x1"] + v["x2"])]
-
-    boost = _mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    neg_boost = tuple(tuple(-v for v in row) for row in boost)
-    rep = (_e(3, 0, 2), _e(3, 1, 2), neg_boost)
+    rep = (_e(3, 0, 2), _e(3, 1, 2), _mat([[0, -1, 0], [-1, 0, 0], [0, 0, 0]]))
     return CatalogEntry(
         name="g34_zero",
         display_name="g^0_{3,4} (se(1,1))",
-        group_name="SE(1,1)",
-        param=None,
         structure=_family3(F(0), F(1), F(-1), F(0)),
-        claimed_pattern=pattern,
+        claimed_pattern=_SWAP_PATTERN,
         claimed_eigenvalue_text="{0, x1-x2, x1+x2}",
-        claimed_factors=factors,
+        claimed_factors=_swap_factors,
         published_claim="no linear flow has periodic orbits",
         representation=rep,
     )
@@ -461,7 +435,6 @@ def _build_g34_a(a: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="g34_a",
         display_name=f"g^a_{{3,4}} (a = {a})",
-        group_name=f"G^{a}_{{3,4}}",
         param=a,
         structure=_family3(a, F(1), F(-1), F(0)),
         claimed_pattern=pattern,
@@ -489,7 +462,6 @@ def _build_g35_a(a: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="g35_a",
         display_name=f"g^a_{{3,5}} (a = {a})",
-        group_name=f"G^{a}_{{3,5}}",
         param=a,
         structure=_family3(a, F(1), F(1), F(0)),
         claimed_pattern=pattern,
@@ -506,23 +478,23 @@ def _build_g35_a(a: Fraction | None) -> CatalogEntry:
     )
 
 
-def _build_sl2(_: Fraction | None) -> CatalogEntry:
-    pattern = _pattern(
-        [
-            [{"b": 2}, {"a": -2}, {}],
-            [{"c": -1}, {}, {"a": 1}],
-            [{"b": 4}, {"a": -4, "c": 2}, {"b": -2}],
-        ]
-    )
+# -ad(aY + bH + cZ) in the basis Y, H, Z: every derivation of sl(2,R) is inner.
+_SL2_PATTERN = _pattern(
+    [
+        [{"b": 2}, {"a": -2}, {}],
+        [{"c": -1}, {}, {"a": 1}],
+        [{"b": 4}, {"a": -4, "c": 2}, {"b": -2}],
+    ]
+)
 
+
+def _build_sl2(_: Fraction | None) -> CatalogEntry:
     def factors(v):
         q = -v["a"] ** 2 + v["a"] * v["c"] + v["b"] ** 2
         return [_root(F(0)), _pm_sqrt(4 * q)]
 
     def condition(m: Matrix) -> bool:
-        a = m[1][2]
-        b = m[0][0] / 2
-        c = -m[1][0]
+        a, b, c = m[1][2], m[0][0] / 2, -m[1][0]
         return a * a > a * c + b * b
 
     rep = (
@@ -538,15 +510,14 @@ def _build_sl2(_: Fraction | None) -> CatalogEntry:
     return CatalogEntry(
         name="sl2",
         display_name="sl(2,R)",
-        group_name="SL(2,R)",
-        param=None,
         structure=structure,
-        claimed_pattern=pattern,
+        claimed_pattern=_SL2_PATTERN,
         claimed_eigenvalue_text="{0, -2*sqrt(-a^2+ac+b^2), 2*sqrt(-a^2+ac+b^2)}",
         claimed_factors=factors,
         published_claim="orbits of the linear flow of -ad(aY+bH+cZ) that are "
         "not fixed points are periodic iff a^2 > ac + b^2",
         periodicity_condition=condition,
+        side_sampler=_sl2_side,
         representation=rep,
         known_print_issues=(
             Discrepancy(
@@ -695,15 +666,17 @@ def cross_check(entry: CatalogEntry) -> CrossCheckReport:
     )
 
 
+def _sampled_entries() -> list[CatalogEntry]:
+    """Every entry once, each parametric family at every SAMPLE_PARAMS value."""
+    return [
+        get_entry(name, a)
+        for name in CATALOG_NAMES
+        for a in (SAMPLE_PARAMS if name in PARAMETRIC_NAMES else (None,))
+    ]
+
+
 def cross_check_all() -> list[CrossCheckReport]:
-    reports = []
-    for name in CATALOG_NAMES:
-        if name in PARAMETRIC_NAMES:
-            for a in SAMPLE_PARAMS:
-                reports.append(cross_check(get_entry(name, a)))
-        else:
-            reports.append(cross_check(get_entry(name)))
-    return reports
+    return [cross_check(entry) for entry in _sampled_entries()]
 
 
 # --- verdict table ------------------------------------------------------------
@@ -722,29 +695,25 @@ class VerdictRow:
 
 def space_samples(entry: CatalogEntry) -> list[tuple[str, Matrix]]:
     """Deterministic nonzero members of the exact derivation space."""
-    space = derivation_space(entry.structure)
-    basis = [b.entries for b in space.basis]
-    n = entry.structure.dim
-    samples: list[tuple[str, Matrix]] = []
-
-    def add(label: str, coeffs: Sequence[Fraction]) -> None:
-        mat = tuple(
-            tuple(
-                sum((c * b[r][col] for c, b in zip(coeffs, basis)), F(0))
-                for col in range(n)
-            )
+    basis = [b.entries for b in derivation_space(entry.structure).basis]
+    n, k = entry.structure.dim, len(basis)
+    # The generic member sum_t x_t basis[t], its cells the nonzero entries.
+    generic = LinearPattern(
+        tuple(
+            tuple({str(t): b[r][c] for t, b in enumerate(basis) if b[r][c]} for c in range(n))
             for r in range(n)
         )
+    )
+    combinations = {
+        "sum": [F(1)] * k,
+        "alternating": [F(1) if t % 2 == 0 else F(-1) for t in range(k)],
+        "weighted": [F(t + 1, 2) for t in range(k)],
+    }
+    samples = [(f"basis[{i}]", b) for i, b in enumerate(basis)]
+    for label, coeffs in combinations.items():
+        mat = generic.instantiate({str(t): x for t, x in enumerate(coeffs)})
         if any(v != 0 for row in mat for v in row):
             samples.append((label, mat))
-
-    k = len(basis)
-    for i in range(k):
-        coeffs = [F(1) if t == i else F(0) for t in range(k)]
-        add(f"basis[{i}]", coeffs)
-    add("sum", [F(1)] * k)
-    add("alternating", [F(1) if t % 2 == 0 else F(-1) for t in range(k)])
-    add("weighted", [F(t + 1, 2) for t in range(k)])
     return samples
 
 
@@ -754,12 +723,10 @@ def condition_side_samples(
     """Exact sample derivations on one side of a periodicity condition."""
     if entry.periodicity_condition is None:
         raise ValueError(f"entry {entry.name} has no periodicity condition")
-    maker = _SIDE_SAMPLERS[entry.name]
     out = []
     for i in range(count):
-        m = maker(F(i), periodic_side)
-        expected = entry.periodicity_condition(m)
-        if expected != periodic_side:
+        m = entry.side_sampler(F(i), periodic_side)
+        if entry.periodicity_condition(m) != periodic_side:
             raise AssertionError(
                 f"sampler for {entry.name} produced a point on the wrong side"
             )
@@ -804,9 +771,7 @@ def _g31_side(t: Fraction, periodic: bool) -> Matrix:
 
 def _g33_side(t: Fraction, periodic: bool) -> Matrix:
     if periodic:
-        return _mat(
-            [[t, t + 1, 1], [-(t * t + 1), -t, t], [0, 0, 0]]
-        )
+        return _mat([[t, t + 1, 1], [-(t * t + 1), -t, t], [0, 0, 0]])
     shapes = [
         _mat([[t + 1, 0, 1], [0, 0, 0], [0, 0, 0]]),
         _mat([[0, t + 1, 0], [t + 1, 0, 1], [0, 0, 0]]),
@@ -815,40 +780,12 @@ def _g33_side(t: Fraction, periodic: bool) -> Matrix:
     return shapes[int(t) % 3]
 
 
-def _sl2_inner_matrix(a: Fraction, b: Fraction, c: Fraction) -> Matrix:
-    return _mat(
-        [
-            [2 * b, -2 * a, 0],
-            [-c, 0, a],
-            [4 * b, -4 * a + 2 * c, -2 * b],
-        ]
-    )
-
-
 def _sl2_side(t: Fraction, periodic: bool) -> Matrix:
     if periodic:
-        triples = [
-            (t + 1, F(0), F(0)),
-            (t + 1, t, F(0)),
-            (t + 2, F(0), -(t + 1)),
-        ]
+        triples = [(t + 1, 0, 0), (t + 1, t, 0), (t + 2, 0, -(t + 1))]
     else:
-        triples = [
-            (F(0), t + 1, F(0)),
-            (t, t + 1, F(0)),
-            (F(0), F(0), t + 1),
-        ]
-    a, b, c = triples[int(t) % 3]
-    return _sl2_inner_matrix(a, b, c)
-
-
-_SIDE_SAMPLERS: dict[str, Callable[[Fraction, bool], Matrix]] = {
-    "abelian2": _abelian2_side,
-    "abelian3": _abelian3_side,
-    "g31_heisenberg": _g31_side,
-    "g33": _g33_side,
-    "sl2": _sl2_side,
-}
+        triples = [(0, t + 1, 0), (t, t + 1, 0), (0, 0, t + 1)]
+    return _SL2_PATTERN.instantiate(dict(zip("abc", triples[int(t) % 3])))
 
 
 def verdict_table() -> list[VerdictRow]:
@@ -861,37 +798,22 @@ def verdict_table() -> list[VerdictRow]:
     agrees_with_published=False rather than being filtered out.
     """
     rows: list[VerdictRow] = []
-
-    def classify_row(entry: CatalogEntry, label: str, mat: Matrix) -> None:
-        verdict = classify_linear_flow(entry.structure, mat)
-        if entry.periodicity_condition is not None:
-            expected_periodic = entry.periodicity_condition(mat)
-            agrees = (verdict.tag == "PeriodicFlow") == expected_periodic
+    for entry in _sampled_entries():
+        condition = entry.periodicity_condition
+        if condition is None:
+            samples = space_samples(entry)
         else:
-            agrees = verdict.tag == "NoPeriodicOrbits"
-        rows.append(
-            VerdictRow(
-                entry=entry.name,
-                param=entry.param,
-                label=label,
-                matrix=mat,
-                verdict=verdict,
-                published_claim=entry.published_claim,
-                agrees_with_published=agrees,
-            )
-        )
-
-    for name in CATALOG_NAMES:
-        for a in SAMPLE_PARAMS if name in PARAMETRIC_NAMES else (None,):
-            entry = get_entry(name, a)
-            if entry.periodicity_condition is not None:
-                for side in (True, False):
-                    for i, mat in enumerate(
-                        condition_side_samples(entry, side, SIDE_SAMPLES)
-                    ):
-                        side_label = "periodic-side" if side else "non-periodic-side"
-                        classify_row(entry, f"{side_label}[{i}]", mat)
+            samples = [
+                (f"{'periodic-side' if side else 'non-periodic-side'}[{i}]", mat)
+                for side in (True, False)
+                for i, mat in enumerate(condition_side_samples(entry, side, SIDE_SAMPLES))
+            ]
+        for label, mat in samples:
+            verdict = classify_linear_flow(entry.structure, mat)
+            if condition is None:
+                agrees = verdict.tag == "NoPeriodicOrbits"
             else:
-                for label, mat in space_samples(entry):
-                    classify_row(entry, label, mat)
+                agrees = (verdict.tag == "PeriodicFlow") == condition(mat)
+            rows.append(VerdictRow(entry.name, entry.param, label, mat, verdict,
+                                   entry.published_claim, agrees))
     return rows

@@ -10,10 +10,10 @@ evidence layer, takes --tol-period, --tol-separation, --horizon and
 read no tolerance. Exit codes: 0 = document produced (or simulate check
 passed), 1 = simulate check failed or runtime guard tripped (a period
 beyond the float range, an exponential above flowsim.EXPM_NORM_GUARD),
-2 = invalid input (bad matrix, failed Jacobi, non-derivation). Verdicts are
-exact and read no tolerance, so no input is refused. A closed stdout (as in
-`lieflow catalog verdict-table | head -1`) ends the run with exit 1 and no
-traceback.
+2 = invalid input (bad matrix, failed Jacobi, non-derivation, a --param
+that no entry takes). Verdicts are exact and read no tolerance, so no input
+is refused. A closed stdout (as in `lieflow catalog verdict-table | head -1`)
+ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -246,6 +246,8 @@ def _cmd_derivations(args) -> tuple[int, dict, str]:
 
 def _cmd_catalog(args) -> tuple[int, object, str]:
     action = args.action
+    if args.param is not None and action in ("list", "verdict-table"):
+        raise CliError(f"catalog {action} takes no parameter")
     if action == "list":
         doc = [
             {
@@ -268,13 +270,13 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
         doc = algebra_to_dict(entry.structure)
         return EXIT_OK, doc, json.dumps(doc, indent=2)
     if action == "cross-check":
-        names = list(cat.CATALOG_NAMES) if args.name in (None, "all") else [args.name]
-        # --param reaches the parametric families only; the others ignore it.
-        reports = [
-            cat.cross_check(_catalog_entry(
-                name, args.param if name in cat.PARAMETRIC_NAMES else None))
-            for name in names
-        ]
+        if args.name in (None, "all"):
+            # --param reaches the parametric families only; the others ignore it.
+            pairs = [(name, args.param if name in cat.PARAMETRIC_NAMES else None)
+                     for name in cat.CATALOG_NAMES]
+        else:
+            pairs = [(args.name, args.param)]
+        reports = [cat.cross_check(_catalog_entry(name, a)) for name, a in pairs]
         return EXIT_OK, reports, "\n".join(_render_report_text(r) for r in reports)
     if action == "verdict-table":
         rows = cat.verdict_table()

@@ -47,17 +47,15 @@ class DerivationSpace:
 
 
 def _exact(v) -> Fraction:
-    """One entry as a Fraction: a Fraction as it is, any other rational (int,
-    NumPy integer) from its integer numerator and denominator, any other real
-    (float, NumPy float) by `Fraction(float(v))`, exact for binary floats, and
-    anything else (a 'p/q' string) by `as_scalar`."""
+    """One entry as a Fraction: a Fraction as it is, a real that is not
+    rational (float, NumPy float) by `Fraction(float(v))`, exact for binary
+    floats, and anything else (int, NumPy integer, 'p/q' string) by
+    `as_scalar`."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return as_scalar(v)
-    if isinstance(v, numbers.Rational):
-        return Fraction(int(v.numerator), int(v.denominator))
-    return Fraction(float(v))
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
+        return Fraction(float(v))
+    return as_scalar(v)
 
 
 def coerce_matrix(entries, dim: int | None = None) -> Matrix:

@@ -12,6 +12,7 @@ tuples of scalars in the fixed basis. All arithmetic in this module is exact.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,7 +24,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def as_scalar(value: Scalar) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions, 'p/q' strings and any other exact rational (a
+    NumPy integer, say) to an exact Fraction; bools, floats and decimal
+    strings are refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -40,6 +43,8 @@ def as_scalar(value: Scalar) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError as exc:
             raise ValueError(f"scalar {value!r} has a zero denominator") from exc
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 

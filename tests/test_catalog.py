@@ -1,5 +1,7 @@
 """Catalog entries, cross-check reports, and the verdict table."""
 
+import json
+import pathlib
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -29,8 +31,11 @@ from lieflow.catalog import (
     space_samples,
     verdict_table,
 )
+from lieflow.cli import _json_value
 
 from test_liealg import permuted
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def entries_with_default_params():
@@ -305,6 +310,35 @@ def test_space_samples_are_nonzero_derivations():
     for label, mat in samples:
         assert any(v != 0 for row in mat for v in row), label
         assert leibniz_residual(entry.structure, mat)[0] == 0, label
+
+
+def test_side_samplers_are_exactly_on_the_conditional_entries():
+    with_sampler = {e.name for e in entries_with_default_params() if e.side_sampler}
+    with_condition = {
+        e.name for e in entries_with_default_params() if e.periodicity_condition
+    }
+    assert with_sampler == with_condition == {
+        "abelian2", "abelian3", "g31_heisenberg", "g33", "sl2"}
+
+
+def test_condition_side_samples_need_a_condition():
+    with pytest.raises(ValueError, match="aff2 has no periodicity condition"):
+        condition_side_samples(get_entry("aff2"), True, 1)
+
+
+@pytest.mark.parametrize("fixture, produce", [
+    ("verdict_table.jsonl", verdict_table),
+    ("cross_check_all.jsonl", cross_check_all),
+], ids=["verdict-table", "cross-check-all"])
+def test_whole_catalog_documents_match_the_pinned_rows(fixture, produce):
+    # One compact JSON line per verdict row or cross-check report: every
+    # matrix, label, verdict, period and flag of the whole table.
+    lines = (DATA / fixture).read_text().splitlines()
+    got = [json.dumps(_json_value(r), separators=(",", ":"), allow_nan=False)
+           for r in produce()]
+    assert len(got) == len(lines)
+    for want, row in zip(lines, got):
+        assert row == want
 
 
 def test_condition_samples_land_on_their_side():

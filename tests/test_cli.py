@@ -92,7 +92,7 @@ def test_classify_decimal_input_warns(capsys):
     assert "warning" in err and "converted exactly" in err
 
 
-def test_classify_ill_conditioned_exits_3(capsys, tmp_path):
+def test_classify_pairs_1e13_apart_exits_0_with_an_exact_verdict(capsys, tmp_path):
     # Abelian 6D accepts any matrix as a derivation; feed pairs 1e-13 apart.
     algebra = {"dim": 6, "brackets": []}
     path = tmp_path / "abelian6.json"
@@ -382,9 +382,14 @@ ZERO_DENOMINATOR_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c":
     ["simulate", "--catalog", "sl2", "--matrix=0,-1,0,1,0,0,0,0,0", "--check-period", "2pi"],
     ["simulate", "--catalog", "sl2", "--matrix=0,-1,0,1,0,0,0,0,0", "--csv", "{csv}"],
     ["derivations", "--file", "{deep}"],
+    # --param is refused where no entry takes it, as classify and export do.
+    ["catalog", "list", "--param", "2"],
+    ["catalog", "verdict-table", "--param", "1/3"],
+    ["catalog", "cross-check", "sl2", "--param", "2"],
 ], ids=["inner-zero-denominator", "file-zero-denominator", "samples-1", "check-period-0",
         "inner-empty-field", "check-period-non-derivation", "csv-non-derivation",
-        "file-nested-100000-deep"])
+        "file-nested-100000-deep", "list-param", "verdict-table-param",
+        "cross-check-non-parametric-param"])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     path = tmp_path / "zero_denominator.json"
     path.write_text(json.dumps(ZERO_DENOMINATOR_ALGEBRA))

@@ -11,11 +11,13 @@ from lieflow import (
     ad,
     algebra_from_dict,
     algebra_to_dict,
+    classify_invariant_flow,
+    inner_derivation,
     load_algebra,
     validate_algebra,
 )
 from lieflow.catalog import CATALOG_NAMES, PARAMETRIC_NAMES, get_entry
-from lieflow.liealg import MAX_DIM
+from lieflow.liealg import MAX_DIM, as_scalar
 
 
 def heisenberg():
@@ -243,6 +245,20 @@ def test_algebra_dict_rejects_decimal_scalars():
         algebra_from_dict(
             {"dim": 2, "brackets": [{"i": 1, "j": 2, "k": 1, "c": "0.5"}]}
         )
+
+
+def test_numpy_integers_are_exact_scalars():
+    import numpy as np
+
+    value = as_scalar(np.int64(-3))
+    assert value == -3 and type(value) is F and type(value.numerator) is int
+    sl2 = get_entry("sl2").structure
+    assert classify_invariant_flow(sl2, np.array([1, 0, 0])).period_over_pi == 1
+    assert inner_derivation(sl2, np.array([1, 0, 0])) == inner_derivation(sl2, (1, 0, 0))
+    assert get_entry("g35_a", np.int64(3)).param == 3
+    for refused in (True, 0.5, np.float64(2.0), "1.5"):
+        with pytest.raises(ValueError):
+            as_scalar(refused)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -175,7 +175,7 @@ def test_proven_irrational_ratio_from_exact_surds():
     assert (v.tag, v.reason, v.profile) == ("NoPeriodicOrbits", "IrrationalRatio", None)
 
 
-def test_ill_conditioned_spectrum_refuses_classification():
+def test_pairs_1e13_apart_are_classified_exactly():
     # Two off-axis pairs 1e-13 apart, which spectrum() cannot tell apart, are
     # decided exactly from the integer characteristic polynomial.
     import numpy as np
