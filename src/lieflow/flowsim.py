@@ -117,7 +117,8 @@ def _pade13_expm(a: np.ndarray) -> np.ndarray:
     r = eye + 2.0 * np.linalg.solve(v - u, u)
     for k in range(s.max(initial=0)):
         todo = s > k
-        r[todo] = r[todo] @ r[todo]
+        sub = r[todo]
+        r[todo] = sub @ sub
     return r
 
 
@@ -169,21 +170,19 @@ def _closure_residuals(
     flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
     flows /= scale[:, None, None]
-    # The periods x samples residuals, in blocks of at most ~8 MB (one at the
-    # default grids): products one period at a time, root and scale in place.
-    rows = 2**20 // samples or 1
+    # Residuals in blocks of trial periods whose products take <= 512 KiB:
+    # one broadcast product per block, made first; root and scale in place.
+    rows = 2**16 // flows.size or 1
     peaks, worst = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(gaps), rows):
-            res = np.empty((len(gaps[lo:lo + rows]), samples))
-            for j, gap in enumerate(gaps[lo:lo + rows]):
-                prod = gap @ flows
-                res[j] = np.einsum("tab,tab->t", prod, prod)
+            prod = gaps[lo:lo + rows, None] @ flows
+            res = np.einsum("ptab,ptab->pt", prod, prod)
             np.sqrt(res, out=res)
             res *= scale
             worst.append(np.argmax(res, axis=1))
             peaks.append(res[np.arange(len(res)), worst[-1]])
-            del res  # before the next block is allocated
+            del prod, res  # before the next block is allocated
     return np.concatenate(peaks), ts[np.concatenate(worst)]
 
 

@@ -33,8 +33,6 @@ def as_scalar(value: Scalar) -> Fraction:
         raise ValueError(f"cannot interpret {value!r} as an exact scalar")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError(f"decimal scalar {value!r} not accepted; use p/q")
     if isinstance(value, str):
         text = value.strip()
         if "." in text or "e" in text.lower():
@@ -45,6 +43,8 @@ def as_scalar(value: Scalar) -> Fraction:
             raise ValueError(f"scalar {value!r} has a zero denominator") from exc
     if isinstance(value, numbers.Rational):
         return Fraction(int(value.numerator), int(value.denominator))
+    if isinstance(value, numbers.Real):  # float, np.float32, ...
+        raise ValueError(f"decimal scalar {value!r} not accepted; use p/q")
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 

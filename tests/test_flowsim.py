@@ -378,6 +378,31 @@ def literal_residual(m, period, horizon, samples):
     return worst, scale
 
 
+def test_blocked_closure_residuals_match_a_per_period_loop():
+    # One broadcast product per block of trial periods gives the same bits as
+    # one product and one einsum per period. At 1000 samples the 64 periods
+    # make 4 blocks at n = 2 and 64 at n = 8; at 64 samples, 4 at n = 8.
+    rng = np.random.default_rng(43)
+    horizon = 3.0
+    for n in range(2, 9):
+        m = rng.normal(size=(n, n)) / np.sqrt(n)
+        for count in (1, 4, 64):
+            periods = rng.uniform(flowsim.EVIDENCE_MIN_PERIOD, 5.0, count)
+            for samples in (2, 64, 1000):
+                peaks, at = flowsim._closure_residuals(m, periods, horizon, samples)
+                ts = np.linspace(0.0, horizon, samples)
+                exps = expm(m, np.concatenate([ts, periods]))
+                flows, gaps = exps[:samples], exps[samples:] - np.eye(n)
+                scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
+                flows /= scale[:, None, None]
+                res = np.empty((count, samples))
+                for j, gap in enumerate(gaps):
+                    prod = gap @ flows
+                    res[j] = np.sqrt(np.einsum("tab,tab->t", prod, prod)) * scale
+                assert np.array_equal(peaks, res.max(axis=1)), (n, count, samples)
+                assert np.array_equal(at, ts[np.argmax(res, axis=1)]), (n, count, samples)
+
+
 def test_batched_expm_matches_scalar_calls():
     # ||tM||_1 runs from 0 to just under the guard, so the matrices of one
     # batch take from 0 to 8 squarings. Each is scaled and squared on its
@@ -484,17 +509,18 @@ def evidence_peak(samples):
 
 
 def test_evidence_grid_holds_one_periods_by_samples_array():
-    # The residual kernel may hold one periods x samples array of floats,
-    # not three.
-    samples = 1000
-    peak = evidence_peak(samples)
-    assert peak < 1.5 * samples * samples * 8, peak
+    # The residual kernel holds one block of products, at most 512 KiB, not
+    # the 8 MB periods x samples array of residuals (~0.8 MiB traced in all).
+    peak = evidence_peak(1000)
+    assert peak < 2 * 2**20, peak
 
 
 def test_evidence_grid_fills_residuals_in_blocks():
-    # At 3000 samples the whole array would take 72 MB; a block takes 8 MB.
+    # At 3000 samples all products would take 288 MB and all residuals 72 MB;
+    # a block of products takes at most 512 KiB (~2 MiB traced in all, most
+    # of it the Pade kernel's stack of 6000 exponentials).
     peak = evidence_peak(3000)
-    assert peak < 12 * 2**20, peak
+    assert peak < 4 * 2**20, peak
 
 
 def test_flow_period_residual_reports_the_worst_grid_time():

@@ -261,6 +261,14 @@ def test_numpy_integers_are_exact_scalars():
             as_scalar(refused)
 
 
+@pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
+def test_numpy_floats_are_refused_as_decimals(dtype):
+    import numpy as np
+
+    with pytest.raises(ValueError, match="decimal scalar"):
+        as_scalar(getattr(np, dtype)(2))
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", 2.7), ("dim", True), ("dim", float("inf")), ("dim", "2.0"),
     ("i", 1.5), ("j", False), ("k", 2.5), ("k", [2]),
