@@ -6,14 +6,15 @@ text. A JSON document holds the library's own objects, written by one rule
 (`_json_value`): a dataclass as its fields in declaration order, a Fraction
 as its 'p/q' text, and NaN or Infinity refused. Only simulate, the numerical
 evidence layer, takes --tol-period, --tol-separation, --horizon and
---samples, the four fields of flowsim.ToleranceConfig; the exact commands
-read no tolerance. Exit codes: 0 = document produced (or simulate check
-passed), 1 = simulate check failed or runtime guard tripped (a period
-beyond the float range, an exponential above flowsim.EXPM_NORM_GUARD),
-2 = invalid input (bad matrix, failed Jacobi, non-derivation, a --param
-that no entry takes). Verdicts are exact and read no tolerance, so no input
-is refused. A closed stdout (as in `lieflow catalog verdict-table | head -1`)
-ends the run with exit 1 and no traceback.
+--samples, each stored under the name of the flowsim.ToleranceConfig field
+it sets; the exact commands read no tolerance. Exit codes: 0 = document
+produced (or simulate check passed), 1 = simulate check failed or runtime
+guard tripped (a period beyond the float range, an exponential above
+flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix, failed Jacobi,
+non-derivation, a --param that no entry takes). Verdicts are exact and read
+no tolerance, so no input is refused. A closed stdout (as in
+`lieflow catalog verdict-table | head -1`) ends the run with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from . import catalog as cat
@@ -36,7 +37,6 @@ from .periodicity import (
     PeriodTooLargeError,
     classify_flow,
     classify_invariant_flow,
-    classify_linear_flow,
 )
 
 EXIT_OK = 0
@@ -102,10 +102,7 @@ def parse_period(text: str) -> float:
             den = int(m.group("den")) if m.group("den") else 1
             period = float(num) * math.pi / den
         else:
-            try:
-                period = float(Fraction(text))
-            except ValueError:
-                period = float(text)
+            period = float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"cannot parse period {text!r}") from exc
     if not 0 < period < math.inf:
@@ -114,15 +111,8 @@ def parse_period(text: str) -> float:
 
 
 def _config_from_args(args) -> flowsim.ToleranceConfig:
-    overrides = {}
-    if args.tol_period is not None:
-        overrides["period_tol"] = args.tol_period
-    if args.tol_separation is not None:
-        overrides["separation"] = args.tol_separation
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.samples is not None:
-        overrides["samples"] = args.samples
+    overrides = {f.name: getattr(args, f.name) for f in fields(flowsim.ToleranceConfig)
+                 if getattr(args, f.name) is not None}
     if not all(0 < v < math.inf for v in overrides.values()):
         raise CliError("tolerances, horizon and samples must be positive and finite")
     if not 2 <= overrides.get("samples", 2) <= MAX_SAMPLES:
@@ -138,7 +128,7 @@ def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
                         help="family parameter for parametric catalog entries")
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, with_flow_kind: bool) -> None:
+def _add_field_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--inner", metavar="COEFFS",
                        help="right-invariant field coefficients c1,c2,...; "
@@ -146,11 +136,6 @@ def _add_field_flags(parser: argparse.ArgumentParser, with_flow_kind: bool) -> N
     group.add_argument("--matrix", metavar="ENTRIES",
                        help="derivation matrix entries, row-major; write "
                        "--matrix=-1,... when the first one is negative")
-    if with_flow_kind:
-        parser.add_argument("--flow", choices=("linear", "invariant"),
-                            default=None,
-                            help="override the flow kind (default: invariant "
-                            "for --inner, linear for --matrix)")
 
 
 def _catalog_entry(name: str, param: str | None) -> cat.CatalogEntry:
@@ -179,23 +164,31 @@ def _resolve_algebra(args) -> tuple[StructureConstants, cat.CatalogEntry | None,
     return sc, None, args.file
 
 
+def _field(args, sc: StructureConstants) -> tuple[list[Fraction] | None, tuple]:
+    """The --inner coefficients (None for --matrix) and the derivation matrix
+    of the field; a --matrix that is no derivation of `sc` raises
+    NotADerivationError before any verdict, orbit or period check reads it."""
+    if args.inner is not None:
+        coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
+        return coeffs, inner_derivation(sc, coeffs).entries
+    mat = _parse_matrix(args.matrix, sc.dim)
+    residual, worst = leibniz_residual(sc, mat)
+    if residual != 0:
+        raise NotADerivationError(residual, worst)
+    return None, mat
+
+
 # --- classify -----------------------------------------------------------------
 
 
 def _cmd_classify(args) -> tuple[int, dict, str]:
     sc, _entry, source = _resolve_algebra(args)
-    if args.inner is not None:
-        coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
-        flow_kind = args.flow or "invariant"
-        if flow_kind == "invariant":
-            verdict = classify_invariant_flow(sc, coeffs)
-        else:
-            verdict = classify_linear_flow(sc, inner_derivation(sc, coeffs))
-    else:
-        flow_kind = args.flow or "linear"
-        if flow_kind == "invariant":
-            raise CliError("--flow invariant requires --inner coefficients")
-        verdict = classify_linear_flow(sc, _parse_matrix(args.matrix, sc.dim))
+    flow_kind = args.flow or ("linear" if args.inner is None else "invariant")
+    if flow_kind == "invariant" and args.inner is None:
+        raise CliError("--flow invariant requires --inner coefficients")
+    coeffs, mat = _field(args, sc)
+    verdict = (classify_invariant_flow(sc, coeffs) if flow_kind == "invariant"
+               else classify_flow(mat))
     doc = {"algebra": source, "flow": flow_kind, "verdict": verdict}
     return EXIT_OK, doc, _render_verdict_text(doc)
 
@@ -316,16 +309,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
 
     cfg = _config_from_args(args)
     sc, entry, source = _resolve_algebra(args)
-    if args.inner is not None:
-        coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
-        der = inner_derivation(sc, coeffs)
-        mat = der.entries
-    else:
-        mat = _parse_matrix(args.matrix, sc.dim)
-        coeffs = None
-        residual, worst = leibniz_residual(sc, mat)
-        if residual != 0:  # before the orbit and the period check read it
-            raise NotADerivationError(residual, worst)
+    coeffs, mat = _field(args, sc)
 
     doc: dict = {"algebra": source}
     notes = []
@@ -334,12 +318,8 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
     if args.csv:
         ts = np.linspace(0.0, cfg.horizon, cfg.samples)
         if entry is not None and entry.representation is not None and coeffs is not None:
-            samples = flowsim.invariant_orbit(
-                [[[float(v) for v in row] for row in m] for m in entry.representation],
-                [float(c) for c in coeffs],
-                np.eye(len(entry.representation[0])),
-                ts,
-            )
+            rep = entry.representation
+            samples = flowsim.invariant_orbit(rep, coeffs, np.eye(len(rep[0])), ts)
             doc["orbit"] = "group-level invariant orbit exp(tX)"
         else:
             flows = flowsim.expm(mat, ts)
@@ -378,15 +358,10 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         )
         code = EXIT_OK if passed else EXIT_FAIL
     else:
-        verdict = classify_flow(mat)  # mat is -ad(X) or passed the gate above
+        verdict = classify_flow(mat)
         evidence = flowsim.verify_verdict(sc, mat, verdict, cfg)
         doc["verdict"] = verdict
-        details, nonfinite = _nulled(evidence.details)
-        doc["evidence"] = {
-            "passed": evidence.passed,
-            "inconclusive": evidence.inconclusive,
-            "details": details,
-        }
+        doc["evidence"], nonfinite = _nulled(vars(evidence))
         if nonfinite:
             doc["evidence"]["nonfinite"] = True
         lines.append(f"verdict: {verdict.tag}")
@@ -445,27 +420,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a flow")
+    p_classify.set_defaults(handler=_cmd_classify)
     _add_algebra_flags(p_classify)
-    _add_field_flags(p_classify, with_flow_kind=True)
+    _add_field_flags(p_classify)
+    p_classify.add_argument("--flow", choices=("linear", "invariant"), default=None,
+                            help="override the flow kind (default: invariant "
+                            "for --inner, linear for --matrix)")
 
     p_der = sub.add_parser("derivations", help="print the derivation space")
+    p_der.set_defaults(handler=_cmd_derivations)
     _add_algebra_flags(p_der)
 
     p_cat = sub.add_parser("catalog", help="catalog operations")
+    p_cat.set_defaults(handler=_cmd_catalog)
     p_cat.add_argument("action",
                        choices=("list", "export", "cross-check", "verdict-table"))
     p_cat.add_argument("name", nargs="?", default=None)
     p_cat.add_argument("--param", metavar="A", default=None)
 
     p_sim = sub.add_parser("simulate", help="numerical flow verification")
+    p_sim.set_defaults(handler=_cmd_simulate)
     _add_algebra_flags(p_sim)
-    _add_field_flags(p_sim, with_flow_kind=False)
+    _add_field_flags(p_sim)
     p_sim.add_argument("--check-period", metavar="T", default=None,
                        help="period to verify ('pi', '2pi', '3pi/4', or a number)")
     p_sim.add_argument("--csv", metavar="PATH", default=None,
                        help="write orbit samples as CSV")
-    p_sim.add_argument("--tol-period", type=float, default=None)
-    p_sim.add_argument("--tol-separation", type=float, default=None)
+    p_sim.add_argument("--tol-period", dest="period_tol", metavar="TOL_PERIOD", type=float)
+    p_sim.add_argument("--tol-separation", dest="separation", metavar="TOL_SEPARATION",
+                       type=float)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--samples", type=int, default=None)
     for p in (p_classify, p_der, p_cat, p_sim):
@@ -478,16 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     # OpenBLAS's worker threads only spin. A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "classify": _cmd_classify,
-        "derivations": _cmd_derivations,
-        "catalog": _cmd_catalog,
-        "simulate": _cmd_simulate,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        code, doc, text = handlers[args.command](args)
+        code, doc, text = args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -277,7 +277,8 @@ def verify_verdict(
     floor for every trial period on the grid; a dip below it makes the grid
     inconclusive, not the verdict wrong, and so does a safe horizon shorter
     than the smallest trial period. Each check exponentiates one batch, and a
-    non-finite residual makes any of them inconclusive.
+    non-finite residual makes any of them inconclusive. `sc` is not read; it
+    stays positional because the acceptance gate and perfbench/worker.py pass it.
     """
     import numpy as np
 

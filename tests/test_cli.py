@@ -1,8 +1,11 @@
 """CLI surface: exit codes, JSON schema stability, formats, files."""
 
+import argparse
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +14,7 @@ import pytest
 
 import lieflow
 from lieflow import flowsim
-from lieflow.cli import _nulled, main, parse_period
+from lieflow.cli import _nulled, build_parser, main, parse_period
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +308,16 @@ def test_text_format_flag(capsys):
     assert "pi" in out
 
 
+def test_readme_names_every_long_option():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions
+               for o in a.option_strings if o.startswith("--") and o != "--help"}
+    assert {"--catalog", "--flow", "--samples"} <= options
+    assert [o for o in sorted(options)
+            if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)] == []
+
+
 def test_parse_period_forms():
     assert parse_period("pi") == math.pi
     assert parse_period("2pi") == 2 * math.pi
@@ -386,10 +399,14 @@ ZERO_DENOMINATOR_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c":
     ["catalog", "list", "--param", "2"],
     ["catalog", "verdict-table", "--param", "1/3"],
     ["catalog", "cross-check", "sl2", "--param", "2"],
+    # Fraction refuses every non-finite form, as the period check would.
+    *(["simulate", "--catalog", "sl2", "--inner", "1,0,0", f"--check-period={p}"]
+      for p in ("inf", "-inf", "nan", "infinity")),
 ], ids=["inner-zero-denominator", "file-zero-denominator", "samples-1", "check-period-0",
         "inner-empty-field", "check-period-non-derivation", "csv-non-derivation",
         "file-nested-100000-deep", "list-param", "verdict-table-param",
-        "cross-check-non-parametric-param"])
+        "cross-check-non-parametric-param", "check-period-inf", "check-period-minus-inf",
+        "check-period-nan", "check-period-infinity"])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     path = tmp_path / "zero_denominator.json"
     path.write_text(json.dumps(ZERO_DENOMINATOR_ALGEBRA))
