@@ -24,6 +24,8 @@ from .liealg import (
 from .dersolve import (
     DerivationMatrix,
     DerivationSpace,
+    NotADerivationError,
+    derivation,
     derivation_space,
     inner_derivation,
     leibniz_residual,
@@ -37,7 +39,6 @@ from .spectral import (
 )
 from .periodicity import (
     FlowVerdict,
-    NotADerivationError,
     PeriodTooLargeError,
     RationalProfile,
     classify_flow,

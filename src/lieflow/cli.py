@@ -30,14 +30,9 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
-from .dersolve import derivation_space, inner_derivation, leibniz_residual
+from .dersolve import NotADerivationError, derivation, derivation_space, inner_derivation
 from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
-from .periodicity import (
-    NotADerivationError,
-    PeriodTooLargeError,
-    classify_flow,
-    classify_invariant_flow,
-)
+from .periodicity import PeriodTooLargeError, classify_flow, classify_invariant_flow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -171,11 +166,7 @@ def _field(args, sc: StructureConstants) -> tuple[list[Fraction] | None, tuple]:
     if args.inner is not None:
         coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
         return coeffs, inner_derivation(sc, coeffs).entries
-    mat = _parse_matrix(args.matrix, sc.dim)
-    residual, worst = leibniz_residual(sc, mat)
-    if residual != 0:
-        raise NotADerivationError(residual, worst)
-    return None, mat
+    return None, derivation(sc, _parse_matrix(args.matrix, sc.dim)).entries
 
 
 # --- classify -----------------------------------------------------------------
@@ -186,9 +177,10 @@ def _cmd_classify(args) -> tuple[int, dict, str]:
     flow_kind = args.flow or ("linear" if args.inner is None else "invariant")
     if flow_kind == "invariant" and args.inner is None:
         raise CliError("--flow invariant requires --inner coefficients")
-    coeffs, mat = _field(args, sc)
-    verdict = (classify_invariant_flow(sc, coeffs) if flow_kind == "invariant"
-               else classify_flow(mat))
+    if flow_kind == "invariant":
+        verdict = classify_invariant_flow(sc, _parse_scalar_list(args.inner, sc.dim, "--inner"))
+    else:
+        verdict = classify_flow(_field(args, sc)[1])
     doc = {"algebra": source, "flow": flow_kind, "verdict": verdict}
     return EXIT_OK, doc, _render_verdict_text(doc)
 

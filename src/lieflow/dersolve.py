@@ -47,11 +47,11 @@ class DerivationSpace:
 
 
 def _exact(v) -> Fraction:
-    """One entry as a Fraction: a Fraction as it is, a real that is not
-    rational (float, NumPy float) by `Fraction(float(v))`, exact for binary
-    floats, and anything else (int, NumPy integer, 'p/q' string) by
-    `as_scalar`."""
-    if isinstance(v, Fraction):
+    """One entry as a Fraction: a Fraction of Python ints as it is, a real
+    that is not rational (float, NumPy float) by `Fraction(float(v))`, exact
+    for binary floats, and anything else (int, NumPy integer, 'p/q' string,
+    a Fraction of NumPy integers) by `as_scalar`."""
+    if type(v) is Fraction and type(v.numerator) is int and type(v.denominator) is int:
         return v
     if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
         return Fraction(float(v))
@@ -121,6 +121,16 @@ def _leibniz_sweep(
     return worst, worst_pair, scales
 
 
+class NotADerivationError(Exception):
+    def __init__(self, residual, worst_pair):
+        self.residual = residual
+        self.worst_pair = worst_pair
+        super().__init__(
+            f"matrix violates the Leibniz identity (residual {residual}, "
+            f"worst basis pair {worst_pair})"
+        )
+
+
 def leibniz_residual(
     sc: StructureConstants, mat
 ) -> tuple[Fraction, tuple[int, int] | None]:
@@ -132,6 +142,16 @@ def leibniz_residual(
         return Fraction(0), None
     worst, worst_pair, (s,) = _leibniz_sweep(sc, [flatten(m)])
     return Fraction(worst, sc.den * s), worst_pair
+
+
+def derivation(sc: StructureConstants, mat) -> DerivationMatrix:
+    """`mat` as a derivation of `sc`, from one coercion that checks its size;
+    raises NotADerivationError when its Leibniz residual is not 0."""
+    der = DerivationMatrix(coerce_matrix(mat, sc.dim))
+    residual, worst = leibniz_residual(sc, der)
+    if residual != 0:
+        raise NotADerivationError(residual, worst)
+    return der
 
 
 def inner_derivation(sc: StructureConstants, x: Sequence[Scalar]) -> DerivationMatrix:

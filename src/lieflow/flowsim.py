@@ -59,7 +59,6 @@ class FlowSample:
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
-    argmax_t: float
     samples: int
     horizon: float
 
@@ -155,14 +154,14 @@ def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
 
 def _closure_residuals(
     arr: np.ndarray, periods: Sequence[float], horizon: float, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per trial period T_j, max over t in linspace(0, horizon, samples) of
-    ||e^{(t+T_j)D} - e^{tD}||_F and the first t where it occurs, computed as
-    ||(e^{T_j D} - I) e^{tD}||_F from one batch of exponentials over the grid
-    and the trial periods. Each e^{tD} is divided by the power of two at its
-    largest entry and the norm multiplied back, which changes no bit of a
-    residual that fits but keeps the sum of squares from overflowing past
-    ~1e154; a residual that still overflows shows as non-finite."""
+    ||e^{(t+T_j)D} - e^{tD}||_F, computed as ||(e^{T_j D} - I) e^{tD}||_F
+    from one batch of exponentials over the grid and the trial periods. Each
+    e^{tD} is divided by the power of two at its largest entry and the norm
+    multiplied back, which changes no bit of a residual that fits but keeps
+    the sum of squares from overflowing past ~1e154; a residual that still
+    overflows shows as non-finite."""
     import numpy as np
 
     ts = np.linspace(0.0, horizon, samples)
@@ -173,17 +172,16 @@ def _closure_residuals(
     # Residuals in blocks of trial periods whose products take <= 512 KiB:
     # one broadcast product per block, made first; root and scale in place.
     rows = 2**16 // flows.size or 1
-    peaks, worst = [], []
+    peaks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(gaps), rows):
             prod = gaps[lo:lo + rows, None] @ flows
             res = np.einsum("ptab,ptab->pt", prod, prod)
             np.sqrt(res, out=res)
             res *= scale
-            worst.append(np.argmax(res, axis=1))
-            peaks.append(res[np.arange(len(res)), worst[-1]])
+            peaks.append(res.max(axis=1))
             del prod, res  # before the next block is allocated
-    return np.concatenate(peaks), ts[np.concatenate(worst)]
+    return np.concatenate(peaks)
 
 
 def flow_period_residual(
@@ -201,8 +199,8 @@ def flow_period_residual(
     arr = _as_float_matrix(mat)
     horizon = _safe_horizon(arr, 4.0 * period)
     _check_norm(arr, horizon + period)
-    (worst,), (at,) = _closure_residuals(arr, [period], horizon, cfg.samples)
-    return ResidualReport(float(worst), float(at), cfg.samples, horizon)
+    (worst,) = _closure_residuals(arr, [period], horizon, cfg.samples)
+    return ResidualReport(float(worst), cfg.samples, horizon)
 
 
 def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:
@@ -291,9 +289,7 @@ def verify_verdict(
         horizon = _safe_horizon(arr, 4.0 * period)
         _check_norm(arr, horizon + period)
         trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
-        residuals, _ = _closure_residuals(
-            arr, [period, *trials.values()], horizon, cfg.samples
-        )
+        residuals = _closure_residuals(arr, [period, *trials.values()], horizon, cfg.samples)
         subperiods = dict(zip(trials, map(float, residuals[1:])))
         passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
         inconclusive = False
@@ -310,7 +306,7 @@ def verify_verdict(
             note += "; the safe horizon is shorter than the smallest trial period"
             return VerdictEvidence(False, True, {"horizon": horizon, "note": note})
         periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
-        residuals, _ = _closure_residuals(arr, periods, horizon, cfg.samples)
+        residuals = _closure_residuals(arr, periods, horizon, cfg.samples)
         best = int(np.argmin(residuals))
         passed = residuals[best] >= cfg.separation
         inconclusive = not passed

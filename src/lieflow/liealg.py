@@ -26,8 +26,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 def as_scalar(value: Scalar) -> Fraction:
     """Coerce ints, Fractions, 'p/q' strings and any other exact rational (a
     NumPy integer, say) to an exact Fraction; bools, floats and decimal
-    strings are refused."""
-    if isinstance(value, Fraction):
+    strings are refused. Only a Fraction of Python ints is returned as it is:
+    one of NumPy integers is rebuilt, as its parts would overflow."""
+    if type(value) is Fraction and type(value.numerator) is int and type(value.denominator) is int:
         return value
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret {value!r} as an exact scalar")

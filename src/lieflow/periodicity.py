@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .dersolve import DerivationMatrix, coerce_matrix, inner_derivation, leibniz_residual
+from .dersolve import coerce_matrix, derivation, inner_derivation
 from .liealg import Scalar, StructureConstants
 from .spectral import (
     _deriv,
@@ -65,16 +65,6 @@ INVARIANT_FLOW_CAVEAT = (
     "periodicity of exp(tX) inferred from the derivation spectrum; the "
     "converse direction additionally assumes Ad is injective (trivial center)"
 )
-
-
-class NotADerivationError(Exception):
-    def __init__(self, residual, worst_pair):
-        self.residual = residual
-        self.worst_pair = worst_pair
-        super().__init__(
-            f"matrix violates the Leibniz identity (residual {residual}, "
-            f"worst basis pair {worst_pair})"
-        )
 
 
 class PeriodTooLargeError(Exception):
@@ -176,13 +166,7 @@ def classify_linear_flow(sc: StructureConstants, mat) -> FlowVerdict:
     connected group is periodic with period dividing T; NoPeriodicOrbits means
     that e^{tD} is not periodic, though orbits in a rotation plane of D can be.
     """
-    # A DerivationMatrix passes coerce_matrix unchanged: gate and verdict read
-    # this one coercion, and the verdict only once the gate confirmed it.
-    der = DerivationMatrix(coerce_matrix(mat, sc.dim))
-    residual, worst = leibniz_residual(sc, der)
-    if residual != 0:
-        raise NotADerivationError(residual, worst)
-    return classify_flow(der)
+    return classify_flow(derivation(sc, mat))
 
 
 def classify_invariant_flow(sc: StructureConstants, x: Sequence[Scalar]) -> FlowVerdict:

@@ -52,10 +52,6 @@ class CharPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(c, self.ints[-1]) for c in self.ints])
 
-    @property
-    def degree(self) -> int:
-        return len(self.ints) - 1
-
 
 @dataclass(frozen=True)
 class EigenClass:

@@ -28,6 +28,19 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip() else None, err
 
 
+def test_classify_inner_builds_its_derivation_once(capsys, monkeypatch):
+    real, calls = lieflow.dersolve.ad, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lieflow.dersolve, "ad", counted)
+    code, doc, _ = run_json(capsys, "classify", "--catalog", "sl2", "--inner", "1,0,0")
+    assert (code, doc["verdict"]["tag"]) == (0, "PeriodicFlow")
+    assert len(calls) == 1
+
+
 def test_classify_sl2_inner_periodic(capsys):
     code, doc, _ = run_json(
         capsys, "classify", "--catalog", "sl2", "--inner", "1,0,0"

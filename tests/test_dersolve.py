@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from lieflow import (
+    NotADerivationError,
     StructureConstants,
     ad,
     dersolve,
+    derivation,
     derivation_space,
     inner_derivation,
     validate_algebra,
@@ -153,6 +155,20 @@ def test_matrix_dimension_mismatch():
     sc = get_entry("aff2").structure
     with pytest.raises(ValueError):
         leibniz_residual(sc, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_derivation_gate_reports_the_leibniz_residual():
+    sc = get_entry("sl2").structure
+    bad = ((1, 0, 0), (0, 0, 0), (0, F(1, 2), 0))
+    residual, pair = leibniz_residual(sc, bad)
+    with pytest.raises(NotADerivationError) as err:
+        derivation(sc, bad)
+    assert residual != 0
+    assert (err.value.residual, err.value.worst_pair) == (residual, pair)
+    d = inner_derivation(sc, (1, F(-2, 3), 0))
+    assert derivation(sc, d.entries) == d
+    with pytest.raises(ValueError):
+        derivation(sc, ((1, 0), (0, 1)))
 
 
 def test_every_matrix_is_a_derivation_of_a_bracket_free_algebra():

@@ -17,10 +17,12 @@ from lieflow import (
     PeriodTooLargeError,
     RationalProfile,
     StructureConstants,
+    char_poly,
     classify_flow,
     classify_invariant_flow,
     classify_linear_flow,
     inner_derivation,
+    spectrum,
 )
 from lieflow.catalog import get_entry
 from lieflow.cli import _json_value
@@ -196,6 +198,36 @@ def test_not_a_derivation_raises():
     with pytest.raises(NotADerivationError) as err:
         classify_linear_flow(sc, bad)
     assert err.value.residual != 0
+
+
+def test_fractions_of_numpy_integers_give_the_results_of_plain_ones():
+    # Fraction(np.int64(n)) keeps an int64 numerator and Fraction(3,
+    # np.int64(2)) an int64 denominator. Kept as they are, their products
+    # wrap at 2**63 (the 2**80 below read as 0) or reach NumPy's bools.
+    import numpy as np
+
+    def numpy_backed(v):
+        v = F(v)
+        if v.denominator == 1:
+            return F(np.int64(v.numerator))
+        return F(v.numerator, np.int64(v.denominator))
+
+    def twin(mat):
+        return [[numpy_backed(v) for v in row] for row in mat]
+
+    sc = get_entry("sl2").structure
+    x = (F(3, 4), 0, 0)
+    half = inner_derivation(sc, x).entries  # entries -3/2, 3/4 and -3
+    big = ((2**40, 0), (0, 2**40))
+    assert char_poly(twin(big)).ints == (2**80, -2**41, 1)
+    for mat in (big, half, ((F(3, 2), 0), (0, 1))):
+        assert any(type(v.numerator) is not int or type(v.denominator) is not int
+                   for row in twin(mat) for v in row)
+        for fn in (char_poly, classify_flow, spectrum):
+            assert fn(twin(mat)) == fn(mat), (fn.__name__, mat)
+    assert classify_linear_flow(sc, twin(half)) == classify_linear_flow(sc, half)
+    assert (classify_invariant_flow(sc, [numpy_backed(v) for v in x])
+            == classify_invariant_flow(sc, x))
 
 
 # --- the period and the rational ratio profile ---------------------------------

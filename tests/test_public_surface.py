@@ -1,12 +1,14 @@
-"""Every public top-level function or class in the package has a caller.
+"""Every public top-level function or class in the package has a caller,
+and so does every public method or property of such a class.
 
 A name defined by `def` or `class` at the top of a module in `src/lieflow`
-(`__init__.py` aside, which imports every export) and not starting with `_`
-must be referenced by name from a module in `src/lieflow` other than
-`__init__.py`, its own included, from the acceptance gate
-`tests/test_acceptance.py`, or from the benchmark `perfbench/*.py`, including
-the function names that `perfbench/spans.py` traces as strings in `TARGETS`.
-Code that only the unit tests call is not kept in the library.
+(`__init__.py` aside, which imports every export), or by `def` in the body of
+a top-level class, and not starting with `_` must be referenced by name from
+a module in `src/lieflow` other than `__init__.py`, its own included, from
+the acceptance gate `tests/test_acceptance.py`, or from the benchmark
+`perfbench/*.py`, including the function names that `perfbench/spans.py`
+traces as strings in `TARGETS`. Code that only the unit tests call is not
+kept in the library.
 """
 
 import ast
@@ -51,8 +53,12 @@ def test_every_public_definition_has_a_caller():
     callers += [parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     known = set().union(*map(referenced_names, [*modules.values(), *callers]),
                         *map(traced_names, callers))
-    unused = [f"{name}:{node.name}"
-              for name, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in known]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    defined = [(f"{name}:{node.name}", node) for name, tree in modules.items()
+               for node in tree.body if isinstance(node, defs)]
+    defined += [(f"{label}.{node.name}", node) for label, cls in defined
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef)]
+    unused = [label for label, node in defined
+              if not node.name.startswith("_") and node.name not in known]
     assert not unused, f"public definitions that only the unit tests call: {unused}"

@@ -149,7 +149,7 @@ def test_char_poly_is_monic_of_full_degree():
     rng = random.Random(404)
     m = rand_matrix(rng, 5)
     p = char_poly(m)
-    assert p.degree == 5
+    assert len(p.ints) - 1 == 5
     assert p.coeffs[-1] == 1
 
 
