@@ -20,9 +20,11 @@ Row = list[Fraction]
 
 def scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """The integer rows dA and d, the lcm of the denominators of A's entries
-    (Fractions or ints). Zeros, most entries of a sparse A, skip the scaling."""
-    d = lcm(*{v.denominator for row in rows for v in row})
-    return [[v.numerator * (d // v.denominator) if v else 0 for v in row] for row in rows], d
+    (Fractions or Python ints), each entry's parts read by one
+    `as_integer_ratio()` call."""
+    parts = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = lcm(*{q for row in parts for _, q in row})
+    return [[p * (d // q) for p, q in row] for row in parts], d
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

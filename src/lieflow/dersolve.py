@@ -17,6 +17,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -39,6 +40,13 @@ class DerivationMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def scaled(self) -> tuple[list[list[int]], int]:
+        """(dD, d), d the lcm of the denominators: the one integer form of
+        the matrix, built on first use and read, never changed, by the
+        Leibniz gate, `char_poly` and the semisimplicity test."""
+        return _linalg.scaled(self.entries)
+
 
 @dataclass(frozen=True)
 class DerivationSpace:
@@ -51,8 +59,10 @@ def _exact(v) -> Fraction:
     that is not rational (float, NumPy float) by `Fraction(float(v))`, exact
     for binary floats, and anything else (int, NumPy integer, 'p/q' string,
     a Fraction of NumPy integers) by `as_scalar`."""
-    if type(v) is Fraction and type(v.numerator) is int and type(v.denominator) is int:
-        return v
+    if type(v) is Fraction:
+        num, den = v.as_integer_ratio()  # one call, not two property reads
+        if type(num) is int and type(den) is int:
+            return v
     if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
         return Fraction(float(v))
     return as_scalar(v)
@@ -74,6 +84,14 @@ def coerce_matrix(entries, dim: int | None = None) -> Matrix:
     return mat
 
 
+def as_derivation_matrix(mat, dim: int | None = None) -> DerivationMatrix:
+    """`mat` itself when it is a DerivationMatrix, else its rows coerced by
+    `coerce_matrix`; either way square, of size `dim` when given. Nothing
+    checks that it is a derivation."""
+    m = coerce_matrix(mat, dim)
+    return mat if isinstance(mat, DerivationMatrix) else DerivationMatrix(m)
+
+
 def flatten(mat: Matrix) -> list[Fraction]:
     """The entries of a square matrix row-major, the order of the unknowns."""
     return [v for row in mat for v in row]
@@ -85,12 +103,10 @@ def _leibniz_sweep(
     """The worst integer Leibniz difference, its pair and the scales s_k, from
     one sweep over the basis pairs for the generic member sum_k x_k B_k of the
     row-major matrices `vecs`. The identity is linear in each x_k, so each B_k
-    is scaled to integers by the lcm s_k of its own denominators and the
-    differences are kept apart by (component, k): each is den * s_k times one
-    of B_k's, and all are 0 exactly when every B_k is a derivation."""
+    is scaled to integers by the lcm s_k of its own denominators, read off its
+    nonzero entries only, and `_sweep` keeps the differences apart by k."""
     n, nk = sc.dim, len(vecs)
-    table = sc._table
-    cols: list[list] = [[] for _ in range(n)]  # cols[c]: (r * nk + k, r, k, s_k * B_k[r][c])
+    cols: list[list] = [[] for _ in range(n)]
     scales = []
     for k, vec in enumerate(vecs):
         nonzero = [(t, v) for t, v in enumerate(vec) if v]
@@ -99,6 +115,16 @@ def _leibniz_sweep(
         for t, v in nonzero:
             r, c = divmod(t, n)
             cols[c].append((r * nk + k, r, k, v.numerator * (s // v.denominator)))
+    return (*_sweep(sc, cols, nk), scales)
+
+
+def _sweep(sc: StructureConstants, cols: list[list], nk: int) -> tuple[int, tuple[int, int] | None]:
+    """The worst integer Leibniz difference over the basis pairs, and its
+    pair, for nk integer matrices B_k given by columns: cols[c] lists
+    (r * nk + k, r, k, B_k[r][c]) for each nonzero entry. The differences
+    are kept apart by (component, k), each is den times one of B_k's, and
+    all are 0 exactly when every B_k is a derivation."""
+    n, table = sc.dim, sc._table
     worst, worst_pair = 0, None
     for i in range(n):
         for j in range(i + 1, n):
@@ -118,7 +144,7 @@ def _leibniz_sweep(
             res = max(map(abs, diff.values()), default=0)
             if res > worst:
                 worst, worst_pair = res, (i, j)
-    return worst, worst_pair, scales
+    return worst, worst_pair
 
 
 class NotADerivationError(Exception):
@@ -136,18 +162,24 @@ def leibniz_residual(
 ) -> tuple[Fraction, tuple[int, int] | None]:
     """Max-norm Leibniz violation over basis pairs, with the offending pair:
     the sweep of one matrix. Every matrix of the right size is a derivation of
-    a bracket-free algebra."""
-    m = coerce_matrix(mat, sc.dim)
+    a bracket-free algebra. The sweep reads the matrix's one integer form."""
+    der = as_derivation_matrix(mat, sc.dim)
     if not sc._table:
         return Fraction(0), None
-    worst, worst_pair, (s,) = _leibniz_sweep(sc, [flatten(m)])
+    b, s = der.scaled
+    cols: list[list] = [[] for _ in b]
+    for r, row in enumerate(b):
+        for c, v in enumerate(row):
+            if v:
+                cols[c].append((r, r, 0, v))
+    worst, worst_pair = _sweep(sc, cols, 1)
     return Fraction(worst, sc.den * s), worst_pair
 
 
 def derivation(sc: StructureConstants, mat) -> DerivationMatrix:
     """`mat` as a derivation of `sc`, from one coercion that checks its size;
     raises NotADerivationError when its Leibniz residual is not 0."""
-    der = DerivationMatrix(coerce_matrix(mat, sc.dim))
+    der = as_derivation_matrix(mat, sc.dim)
     residual, worst = leibniz_residual(sc, der)
     if residual != 0:
         raise NotADerivationError(residual, worst)

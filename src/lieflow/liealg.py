@@ -28,8 +28,10 @@ def as_scalar(value: Scalar) -> Fraction:
     NumPy integer, say) to an exact Fraction; bools, floats and decimal
     strings are refused. Only a Fraction of Python ints is returned as it is:
     one of NumPy integers is rebuilt, as its parts would overflow."""
-    if type(value) is Fraction and type(value.numerator) is int and type(value.denominator) is int:
-        return value
+    if type(value) is Fraction:
+        num, den = value.as_integer_ratio()  # one call, not two property reads
+        if type(num) is int and type(den) is int:
+            return value
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret {value!r} as an exact scalar")
     if isinstance(value, int):

@@ -5,14 +5,15 @@ is purely imaginary and semisimple with pairwise rational ratios of the
 imaginary parts, and the zero eigenvalue (if present) is semisimple as well;
 a nilpotent block would contribute a polynomial-in-t term. classify_flow
 decides all of it exactly, with no eigenvalue computed and no tolerance read,
-in integers on B = dD, d the lcm of D's denominators, from one coercion: the
-primitive characteristic polynomial p by Berkowitz on B, rad(p)(D) = 0 by
-Horner on B, and everything else from one Sturm sequence of the square map
-h(mu), whose roots are the squares mu = lambda^2 of the nonzero eigenvalues
-(for a D whose nonzero eigenvalues are all +-i*alpha, rad(p) = h(lambda^2)
-up to its root 0): its real and positive roots counted, its rational roots
-isolated by bisection over integer lattice indices (Basu, Pollack & Roy,
-Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2, 9 and 10).
+in integers on B = dD, d the lcm of D's denominators, the matrix's one
+integer form: the primitive characteristic polynomial p by Berkowitz on B,
+and everything else from the square map h(mu) of p without its root 0,
+whose roots are the squares mu = lambda^2 of the nonzero eigenvalues. One
+Sturm sequence of h counts its real and positive roots and isolates its
+rational roots by bisection over integer lattice indices (Basu, Pollack &
+Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2, 9 and
+10); when every nonzero eigenvalue is +-i*alpha, rad(p) = lambda^eps
+h(lambda^2), so semisimplicity is D^eps h(D^2) = 0, by Horner on B^2.
 Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
@@ -38,15 +39,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .dersolve import coerce_matrix, derivation, inner_derivation
+from .dersolve import as_derivation_matrix, derivation, inner_derivation
 from .liealg import Scalar, StructureConstants
 from .spectral import (
-    _deriv,
-    _gcd,
-    _horner,
     _infinity_variations,
     _is_rational_square,
-    _quo,
+    _matmul,
+    _poly_at,
     _rational_roots,
     _sign,
     _sqrt,
@@ -99,25 +98,26 @@ class FlowVerdict:
 
 
 def classify_flow(mat) -> FlowVerdict:
-    """Verdict for the matrix flow e^{tD} from rad(p) = p / gcd(p, p'), p =
-    char_poly(D) in primitive integer form.
+    """Verdict for the matrix flow e^{tD} from p = char_poly(D) in primitive
+    integer form, through h = _squares(p without its factor lambda^m).
 
-    Multiplicities never enter the criterion: the roots of rad(p) are the
-    distinct eigenvalues of D, and D is semisimple exactly when rad(p)(D) = 0.
-    Failing reasons in a fixed order: NonzeroRealPart, RealNonzeroEigenvalue,
-    NonSemisimpleEigenvalue (p has a repeated root and rad(p)(D) != 0),
-    IrrationalRatio. All but the third are read from h = _squares(rest), rest
-    being rad(p) without its root 0. The roots of h are the squares
-    mu = lambda^2 of the eigenvalues lambda != 0, which lie off both axes for
-    a non-real mu, are real for mu > 0 and are +-i*alpha for
-    mu = -alpha^2 < 0. One Sturm sequence of h, read at -oo, 0 and +oo,
-    counts its real and its positive roots, and h must then split over Q with
-    rational-square root ratios. A rest that is not even always stops at one
-    of the first two reasons: were all its roots +-i*alpha, it would be even.
+    Multiplicities never enter the criterion: the roots of h are the squares
+    mu = lambda^2 of the distinct eigenvalues lambda != 0, which lie off both
+    axes for a non-real mu, are real for mu > 0 and are +-i*alpha for
+    mu = -alpha^2 < 0. Failing reasons in a fixed order: NonzeroRealPart,
+    RealNonzeroEigenvalue, NonSemisimpleEigenvalue, IrrationalRatio. One
+    Sturm sequence of h, read at -oo, 0 and +oo, counts its real and its
+    positive roots for the first two. Once they pass, every lambda != 0 is
+    +-i*alpha, so rad(p) = lambda^eps h(lambda^2), eps = [m > 0]: p has a
+    repeated root exactly when eps + 2 deg h < n, and then D is semisimple
+    exactly when D^eps h(D^2) = 0, by Horner on C = B^2, B = dD the matrix's
+    one integer form. h must then split over Q with rational-square root
+    ratios.
     """
-    p = char_poly(mat).ints
-    rad = _quo(p, _gcd(p, _deriv(p)))
-    h = _squares(rad[1:] if rad[0] == 0 else rad)
+    der = as_derivation_matrix(mat)
+    p = list(char_poly(der).ints)
+    m = next(k for k, c in enumerate(p) if c)
+    h = _squares(p[m:])
     if len(h) > 1:
         seq = _sturm(h)
         below, above = _infinity_variations(seq)
@@ -125,8 +125,12 @@ def classify_flow(mat) -> FlowVerdict:
             return FlowVerdict("NoPeriodicOrbits", reason=REASON_NONZERO_REAL_PART)
         if _variations([_sign(q[0]) for q in seq]) > above:
             return FlowVerdict("NoPeriodicOrbits", reason=REASON_REAL_NONZERO)
-    if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
-        return FlowVerdict("NoPeriodicOrbits", reason=REASON_NON_SEMISIMPLE)
+    eps = m > 0
+    if eps + 2 * (len(h) - 1) < len(p) - 1:
+        b, d = der.scaled
+        acc = _poly_at(h, _matmul(b, b), d * d)[0]
+        if any(map(any, _matmul(acc, b) if eps else acc)):
+            return FlowVerdict("NoPeriodicOrbits", reason=REASON_NON_SEMISIMPLE)
     if len(h) == 1:
         return FlowVerdict("IdentityFlow")
     mus = _rational_roots(h, seq)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .dersolve import coerce_matrix
+from .dersolve import as_derivation_matrix, coerce_matrix
 from .liealg import Matrix
 
 # Numeric roots only (pieces with no rational or quadratic split): roots
@@ -92,8 +92,9 @@ def char_poly(mat) -> CharPoly:
     det(xI - B_{r+1}) is det(xI - B_r) times the lower-triangular Toeplitz
     matrix with first column (1, -a, -RS, -RB_rS, ..., -RB_r^(r-1)S). Since
     det(xI - B) = d^n p(x/d), the integer polynomial d^n p has coefficients
-    b_k d^k, b_k those of det(xI - B)."""
-    b, d = _linalg.scaled(coerce_matrix(mat))
+    b_k d^k, b_k those of det(xI - B). B is the matrix's one integer form,
+    `DerivationMatrix.scaled`."""
+    b, d = as_derivation_matrix(mat).scaled
     n = len(b)
     p = [1]  # det(xI - B_r), highest degree first
     for r in range(n):
@@ -109,19 +110,28 @@ def char_poly(mat) -> CharPoly:
 
 def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
     """d^N f(M) as an integer matrix, and d^N, for an integer polynomial f of
-    degree N (lowest degree first), d the lcm of M's denominators: Horner on
-    B = dM with f_j d^(N-j) added on the diagonal, since
-    d^N f(M) = sum_j f_j d^(N-j) B^j."""
-    b, d = _linalg.scaled(m)
-    cols = list(zip(*b))
+    degree N (lowest degree first), d the lcm of M's denominators: `_poly_at`
+    on B = dM."""
+    return _poly_at(f, *_linalg.scaled(m))
+
+
+def _poly_at(f: list[int], b: list[list[int]], d: int) -> tuple[list[list[int]], int]:
+    """d^N f(B/d) and d^N for the integer matrix B: Horner with f_j d^(N-j)
+    added on the diagonal, since d^N f(B/d) = sum_j f_j d^(N-j) B^j. The
+    first step, f_N I times B, is f_N B and takes no product."""
     n, dp = len(b), 1
     acc = [[f[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(f[:-1]):
+    for k, c in enumerate(reversed(f[:-1])):
         dp *= d
-        acc = [[sum(map(operator.mul, row, col)) for col in cols] for row in acc]
+        acc = _matmul(acc, b) if k else [[f[-1] * v for v in row] for row in b]
         for i in range(n):
             acc[i][i] += c * dp
     return acc, dp
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 # --- exact polynomial algebra ------------------------------------------------
@@ -204,16 +214,17 @@ def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
 
 def _squares(s: list[int]) -> list[int]:
     """The primitive square-free h(mu) whose roots are the squares of the roots
-    of s: s(lambda)s(-lambda) = H(lambda^2) by Dandelin-Graeffe root squaring
-    (V. Pan, SIAM Review 39(2), 1997), and h = H / gcd(H, H'). An even s is
-    h(lambda^2) already."""
-    if not any(s[1::2]):
-        return s[0::2]
-    big = [0] * (2 * len(s) - 1)
-    for i, a in enumerate(s):
-        for j, b in enumerate(s):
-            big[i + j] += -a * b if j % 2 else a * b
-    big = big[0::2]
+    of s, for any s (square-free or not): h = H / gcd(H, H'), H(lambda^2)
+    being s(lambda) itself when s is even and s(lambda)s(-lambda) otherwise,
+    by Dandelin-Graeffe root squaring (V. Pan, SIAM Review 39(2), 1997).
+    One gcd, and the sign of h is H's."""
+    if any(s[1::2]):
+        prod = [0] * (2 * len(s) - 1)
+        for i, a in enumerate(s):
+            for j, b in enumerate(s):
+                prod[i + j] += -a * b if j % 2 else a * b
+        s = prod
+    big = s[0::2]
     return _primitive(_quo(big, _gcd(big, _deriv(big))))
 
 

@@ -519,3 +519,110 @@ def test_verdicts_read_no_spectrum_and_no_tolerance(monkeypatch):
     assert len(rows) == 98
     sc = get_entry("sl2").structure
     assert classify_invariant_flow(sc, (1, 0, 0)).tag == "PeriodicFlow"
+
+
+# --- the verdict from p's square map -------------------------------------------
+
+
+def square_map_cases():
+    """Planted and seeded matrices, n <= 9: every +-lambda pattern (real,
+    imaginary and off-axis pairs, with and without their negatives), zero
+    roots of multiplicity 1-3, (l^2 + l + 1)^3 both semisimple and as one
+    companion, Jordan blocks and J_2(0) + R(1), all conjugated by unimodular
+    matrices, then the oracle's random rational matrices."""
+    from test_perfbench_oracle import random_rationals
+    from test_spectral import unimodular_conjugate
+
+    cube = companion(1, 3, 6, 7, 6, 3)  # (l^2 + l + 1)^3
+    tri = [[0, -1], [1, -1]]  # l^2 + l + 1
+    jordan0 = [[0, 1], [0, 0]]
+    blocks = [
+        rot_block(1), rot_block(2), rot_block(F(1, 2)), rot_block(3), companion(2, 0),
+        [[2, 0], [0, -2]], [[1]], [[-1]], [[2]],
+        [[1, -1], [1, 1]], [[-1, -1], [1, -1]], tri,
+        [[0]], jordan0, [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        [[2, 1], [0, 2]], [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]],
+    ]
+    named = [
+        blkdiag(jordan0, rot_block(1)),
+        blkdiag(*[[[0]]] * 3, rot_block(1)),
+        blkdiag([[0]], [[0]], rot_block(2), rot_block(2)),
+        blkdiag([[0]], rot_block(1), rot_block(1)),
+        blkdiag(tri, tri, tri),
+        cube,
+        blkdiag(cube, [[0]]),
+        blkdiag([[1]], [[-1]], [[1]]),
+        blkdiag([[1, -1], [1, 1]], [[-1, -1], [1, -1]], [[1, -1], [1, 1]]),
+        [[0] * 3] * 3,
+    ]
+    rng = random.Random(2727)
+    cases = [(f"named {i}", m) for i, m in enumerate(named)]
+    while len(cases) < 130:
+        chosen = [rng.choice(blocks) for _ in range(rng.randint(1, 4))]
+        if sum(len(b) for b in chosen) <= 9:
+            cases.append((f"planted {len(cases)}", blkdiag(*chosen)))
+    cases = [(name, unimodular_conjugate(rng, [[F(v) for v in row] for row in m]))
+             for name, m in cases]
+    cases += [(f"random {i}", m) for i, m in enumerate(random_rationals(random.Random(27), 60))]
+    return cases
+
+
+def test_square_map_of_p_keeps_every_verdict():
+    """h = _squares(p without lambda^m) is +-_squares(rad(p) without its root
+    0), D^eps h(D^2) = 0 exactly when rad(p)(D) = 0, and the verdict is the
+    reference rule's, which reads every reason off rad(p)."""
+    divisors = pytest.importorskip("sympy").divisors
+    from test_perfbench_oracle import reference_verdict
+    from test_spectral import fraction_horner, mat_mul
+
+    from lieflow.dersolve import coerce_matrix
+    from lieflow.spectral import _deriv, _gcd, _horner, _quo, _squares
+
+    seen, zero_semisimple = set(), 0
+    for name, mat in square_map_cases():
+        p = list(char_poly(mat).ints)
+        m = next(k for k, c in enumerate(p) if c)
+        h = _squares(p[m:])
+        rad = _quo(p, _gcd(p, _deriv(p)))
+        old = _squares(rad[1:] if rad[0] == 0 else rad)
+        assert h in (old, [-c for c in old]), name
+        mq = coerce_matrix(mat)
+        at_squares = fraction_horner(h, mat_mul(mq, mq))
+        lhs = mat_mul(mq, at_squares) if m else at_squares
+        semisimple = not any(map(any, _horner(rad, mq)[0]))
+        assert (not any(map(any, lhs))) == semisimple, name
+        v = classify_flow(mat)
+        assert (v.tag, v.reason, v.period_over_pi) == reference_verdict(mat, divisors), name
+        seen.add((v.tag, v.reason))
+        zero_semisimple += bool(m and semisimple and len(rad) < len(p))
+    assert len(seen) == 6
+    assert zero_semisimple >= 5
+
+
+def test_one_classification_scales_once_and_runs_one_gcd(monkeypatch):
+    from lieflow import _linalg, spectral
+
+    calls = []
+    for module, name in ((spectral, "_gcd"), (_linalg, "scaled")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    sl2 = get_entry("sl2").structure
+    inner = [[F(v) for v in row] for row in inner_derivation(sl2, (1, 0, 0)).entries]
+    cases = [
+        (sl2, inner),
+        (abelian(4), blkdiag(rot_block(1), rot_block(1))),
+        (abelian(5), blkdiag(rot_block(1), [[0, 1], [0, 0]], [[0]])),
+        (abelian(3), blkdiag([[1, 2], [3, 4]], [[5]])),
+        (abelian(3), [[0] * 3] * 3),
+    ]
+    tags = set()
+    for sc, mat in cases:
+        calls.clear()
+        v = classify_linear_flow(sc, mat)
+        tags.add(v.reason or v.tag)
+        assert calls.count("_gcd") <= 1 and calls.count("scaled") == 1, (v, calls)
+    assert tags == {"PeriodicFlow", "NonSemisimpleEigenvalue", "RealNonzeroEigenvalue",
+                    "IdentityFlow"}
