@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
-from .dersolve import NotADerivationError, derivation, derivation_space, inner_derivation
+from .dersolve import (DerivationMatrix, NotADerivationError, derivation, derivation_space,
+                       inner_derivation)
 from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
 from .periodicity import PeriodTooLargeError, classify_flow, classify_invariant_flow
 
@@ -159,14 +160,14 @@ def _resolve_algebra(args) -> tuple[StructureConstants, cat.CatalogEntry | None,
     return sc, None, args.file
 
 
-def _field(args, sc: StructureConstants) -> tuple[list[Fraction] | None, tuple]:
-    """The --inner coefficients (None for --matrix) and the derivation matrix
-    of the field; a --matrix that is no derivation of `sc` raises
+def _field(args, sc: StructureConstants) -> tuple[list[Fraction] | None, DerivationMatrix]:
+    """The --inner coefficients (None for --matrix) and the field's derivation,
+    built once and passed whole; a --matrix that is no derivation of `sc` raises
     NotADerivationError before any verdict, orbit or period check reads it."""
     if args.inner is not None:
         coeffs = _parse_scalar_list(args.inner, sc.dim, "--inner")
-        return coeffs, inner_derivation(sc, coeffs).entries
-    return None, derivation(sc, _parse_matrix(args.matrix, sc.dim)).entries
+        return coeffs, inner_derivation(sc, coeffs)
+    return None, derivation(sc, _parse_matrix(args.matrix, sc.dim))
 
 
 # --- classify -----------------------------------------------------------------
@@ -335,7 +336,7 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         # e^{TD} = I with D != 0 needs an eigenvalue 2*pi*i*k/T, k != 0, so
         # T*||D||_1 >= T*rho(D) >= 2*pi; a shorter T passes only by its
         # residual, about T*||D||, being small.
-        norm = max(sum(abs(row[j]) for row in mat) for j in range(len(mat)))
+        norm = max(sum(abs(row[j]) for row in mat.entries) for j in range(mat.dim))
         if passed and norm and Fraction(period) * norm < Fraction(2 * math.pi * (1 - 1e-12)):
             passed = False
             notes.append("T*||D||_1 < 2*pi: no period of a nonzero D is that short")

@@ -28,13 +28,19 @@ from .liealg import (
     StructureConstants,
     ad,
     as_scalar,
-    as_vector,
 )
 
 
 @dataclass(frozen=True)
 class DerivationMatrix:
+    """The one exact matrix that crosses a module boundary: checked square once,
+    when built, then only read. Nothing checks that it is a derivation."""
+
     entries: Matrix
+
+    def __post_init__(self):
+        if any(map(self.dim.__ne__, map(len, self.entries))):
+            raise ValueError("matrix must be square")
 
     @property
     def dim(self) -> int:
@@ -44,7 +50,7 @@ class DerivationMatrix:
     def scaled(self) -> tuple[list[list[int]], int]:
         """(dD, d), d the lcm of the denominators: the one integer form of
         the matrix, built on first use and read, never changed, by the
-        Leibniz gate, `char_poly` and the semisimplicity test."""
+        Leibniz gate, `char_poly`, the semisimplicity test and `spectrum`."""
         return _linalg.scaled(self.entries)
 
 
@@ -57,39 +63,29 @@ class DerivationSpace:
 def _exact(v) -> Fraction:
     """One entry as a Fraction: a Fraction of Python ints as it is, a real
     that is not rational (float, NumPy float) by `Fraction(float(v))`, exact
-    for binary floats, and anything else (int, NumPy integer, 'p/q' string,
-    a Fraction of NumPy integers) by `as_scalar`."""
+    for binary floats (inf and NaN raise ValueError), and anything else (int,
+    NumPy integer, 'p/q' string, a Fraction of NumPy integers) by `as_scalar`."""
     if type(v) is Fraction:
         num, den = v.as_integer_ratio()  # one call, not two property reads
         if type(num) is int and type(den) is int:
             return v
     if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
-        return Fraction(float(v))
+        try:
+            return Fraction(float(v))
+        except (OverflowError, ValueError):  # Fraction's errors for inf and NaN
+            raise ValueError(f"matrix entry {v!r} is not finite") from None
     return as_scalar(v)
 
 
-def coerce_matrix(entries, dim: int | None = None) -> Matrix:
-    """A square exact matrix from a DerivationMatrix (its entries as they
-    are) or from rows of entries: nested sequences or a NumPy array of any
-    dtype, each entry converted by the one rule of `_exact`."""
-    if isinstance(entries, DerivationMatrix):
-        mat = entries.entries
-    else:
-        mat = tuple([tuple([_exact(v) for v in row]) for row in entries])
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    if dim is not None and n != dim:
-        raise ValueError(f"matrix is {n}x{n}, expected {dim}x{dim}")
-    return mat
-
-
-def as_derivation_matrix(mat, dim: int | None = None) -> DerivationMatrix:
-    """`mat` itself when it is a DerivationMatrix, else its rows coerced by
-    `coerce_matrix`; either way square, of size `dim` when given. Nothing
-    checks that it is a derivation."""
-    m = coerce_matrix(mat, dim)
-    return mat if isinstance(mat, DerivationMatrix) else DerivationMatrix(m)
+def coerce_matrix(mat, dim: int | None = None) -> DerivationMatrix:
+    """`mat` itself when it is a DerivationMatrix, else one built from its
+    rows (nested sequences or a NumPy array of any dtype), each entry
+    converted by the one rule of `_exact`; of size `dim` when given."""
+    der = mat if isinstance(mat, DerivationMatrix) else DerivationMatrix(
+        tuple([tuple([_exact(v) for v in row]) for row in mat]))
+    if dim is not None and der.dim != dim:
+        raise ValueError(f"matrix is {der.dim}x{der.dim}, expected {dim}x{dim}")
+    return der
 
 
 def flatten(mat: Matrix) -> list[Fraction]:
@@ -163,7 +159,7 @@ def leibniz_residual(
     """Max-norm Leibniz violation over basis pairs, with the offending pair:
     the sweep of one matrix. Every matrix of the right size is a derivation of
     a bracket-free algebra. The sweep reads the matrix's one integer form."""
-    der = as_derivation_matrix(mat, sc.dim)
+    der = coerce_matrix(mat, sc.dim)
     if not sc._table:
         return Fraction(0), None
     b, s = der.scaled
@@ -179,7 +175,7 @@ def leibniz_residual(
 def derivation(sc: StructureConstants, mat) -> DerivationMatrix:
     """`mat` as a derivation of `sc`, from one coercion that checks its size;
     raises NotADerivationError when its Leibniz residual is not 0."""
-    der = as_derivation_matrix(mat, sc.dim)
+    der = coerce_matrix(mat, sc.dim)
     residual, worst = leibniz_residual(sc, der)
     if residual != 0:
         raise NotADerivationError(residual, worst)
@@ -188,8 +184,7 @@ def derivation(sc: StructureConstants, mat) -> DerivationMatrix:
 
 def inner_derivation(sc: StructureConstants, x: Sequence[Scalar]) -> DerivationMatrix:
     """-ad(x), a derivation by the Jacobi identity, so Leibniz is not checked."""
-    xv = as_vector(x, sc.dim)
-    return DerivationMatrix(entries=tuple(tuple(-v for v in row) for row in ad(sc, xv)))
+    return DerivationMatrix(entries=tuple(tuple(-v for v in row) for row in ad(sc, x)))
 
 
 def constraint_rows(sc: StructureConstants) -> list[dict[int, int]]:

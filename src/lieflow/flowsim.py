@@ -14,6 +14,8 @@ commands, which never call into it.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,9 +75,7 @@ class VerdictEvidence:
 def _as_float_matrix(mat) -> np.ndarray:
     import numpy as np
 
-    if isinstance(mat, DerivationMatrix):
-        mat = mat.entries
-    arr = np.asarray(mat, dtype=float)
+    arr = np.asarray(mat.entries if isinstance(mat, DerivationMatrix) else mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -129,7 +129,8 @@ def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
     norm guard then run once, against the largest |t_k|. Relative error is
     within 1e-12 up to the guard (tested against a truncated series oracle for
     ||tM|| <= 100 and 50-digit mpmath up to ||tM||_1 = 699).
-    Raises ExpmOverflowError beyond the norm guard.
+    Raises ValueError on a non-finite entry or time, ExpmOverflowError beyond
+    the norm guard.
     """
     import numpy as np
 
@@ -139,7 +140,10 @@ def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array of times")
-    _check_norm(arr, float(np.max(np.abs(ts), initial=0.0)))
+    t_max = float(np.max(np.abs(ts), initial=0.0))  # NaN if any t is NaN
+    if not math.isfinite(t_max):
+        raise ValueError("times must be finite")
+    _check_norm(arr, t_max)
     scaled = ts[..., None, None] * arr
     return _pade13_expm(scaled.reshape((ts.size,) + arr.shape)).reshape(scaled.shape)
 
@@ -188,16 +192,16 @@ def flow_period_residual(
     mat, period: float, cfg: ToleranceConfig | None = None
 ) -> ResidualReport:
     """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F, the
-    horizon being 4T capped by the safe horizon; raises ExpmOverflowError when
-    (horizon + T)||D||_1, the literal form's largest exponent, exceeds the
-    norm guard."""
+    horizon being 4T capped by the safe horizon and by (float max - T) / 2,
+    which keeps horizon + T finite; raises ExpmOverflowError when (horizon +
+    T)||D||_1, the literal form's largest exponent, exceeds the norm guard."""
     cfg = cfg or DEFAULT_CONFIG
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < math.inf:
+        raise ValueError("period must be positive and finite")
     if cfg.samples < 2:
         raise ValueError("need at least two samples")
     arr = _as_float_matrix(mat)
-    horizon = _safe_horizon(arr, 4.0 * period)
+    horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
     _check_norm(arr, horizon + period)
     (worst,) = _closure_residuals(arr, [period], horizon, cfg.samples)
     return ResidualReport(float(worst), cfg.samples, horizon)

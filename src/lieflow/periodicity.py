@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .dersolve import as_derivation_matrix, derivation, inner_derivation
+from .dersolve import coerce_matrix, derivation, inner_derivation
 from .liealg import Scalar, StructureConstants
 from .spectral import (
     _infinity_variations,
@@ -114,7 +114,7 @@ def classify_flow(mat) -> FlowVerdict:
     one integer form. h must then split over Q with rational-square root
     ratios.
     """
-    der = as_derivation_matrix(mat)
+    der = coerce_matrix(mat)
     p = list(char_poly(der).ints)
     m = next(k for k, c in enumerate(p) if c)
     h = _squares(p[m:])

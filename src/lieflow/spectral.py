@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .dersolve import as_derivation_matrix, coerce_matrix
+from .dersolve import DerivationMatrix, coerce_matrix
 from .liealg import Matrix
 
 # Numeric roots only (pieces with no rational or quadratic split): roots
@@ -92,9 +92,9 @@ def char_poly(mat) -> CharPoly:
     det(xI - B_{r+1}) is det(xI - B_r) times the lower-triangular Toeplitz
     matrix with first column (1, -a, -RS, -RB_rS, ..., -RB_r^(r-1)S). Since
     det(xI - B) = d^n p(x/d), the integer polynomial d^n p has coefficients
-    b_k d^k, b_k those of det(xI - B). B is the matrix's one integer form,
-    `DerivationMatrix.scaled`."""
-    b, d = as_derivation_matrix(mat).scaled
+    b_k d^k, b_k those of det(xI - B). B is the one integer form,
+    `DerivationMatrix.scaled`, of `coerce_matrix(mat)`."""
+    b, d = coerce_matrix(mat).scaled
     n = len(b)
     p = [1]  # det(xI - B_r), highest degree first
     for r in range(n):
@@ -108,17 +108,12 @@ def char_poly(mat) -> CharPoly:
     return CharPoly(ints=tuple(_primitive([c * d**k for k, c in enumerate(reversed(p))])))
 
 
-def _horner(f: list[int], m: Matrix) -> tuple[list[list[int]], int]:
-    """d^N f(M) as an integer matrix, and d^N, for an integer polynomial f of
-    degree N (lowest degree first), d the lcm of M's denominators: `_poly_at`
-    on B = dM."""
-    return _poly_at(f, *_linalg.scaled(m))
-
-
 def _poly_at(f: list[int], b: list[list[int]], d: int) -> tuple[list[list[int]], int]:
-    """d^N f(B/d) and d^N for the integer matrix B: Horner with f_j d^(N-j)
-    added on the diagonal, since d^N f(B/d) = sum_j f_j d^(N-j) B^j. The
-    first step, f_N I times B, is f_N B and takes no product."""
+    """d^N f(B/d) and d^N for the integer polynomial f of degree N, lowest
+    degree first, and the integer matrix B, left unchanged; f(D) is
+    `_poly_at(f, *der.scaled)`. Horner with f_j d^(N-j) added on the diagonal,
+    since d^N f(B/d) = sum_j f_j d^(N-j) B^j; its first step, f_N B, takes no
+    product."""
     n, dp = len(b), 1
     acc = [[f[-1] if i == j else 0 for j in range(n)] for i in range(n)]
     for k, c in enumerate(reversed(f[:-1])):
@@ -340,7 +335,8 @@ def _sqrt(x: Fraction) -> float:
 # --- public spectrum ---------------------------------------------------------
 
 
-def _geometric_pieces(s: list[int], k: int, mq: Matrix) -> list[tuple[list[int], int]]:
+def _geometric_pieces(s: list[int], k: int,
+                      der: DerivationMatrix) -> list[tuple[list[int], int]]:
     """The Yun factor s of multiplicity k split into pieces (t, geom) by the
     exact geometric multiplicity geom of the roots of t. s is square-free, so
     R = D|K on K = ker s(D) is semisimple, and its char_poly is
@@ -349,9 +345,10 @@ def _geometric_pieces(s: list[int], k: int, mq: Matrix) -> list[tuple[list[int],
     its last nonzero, where the others are 0, so R[i][j] is (D v_j)[f_i]."""
     if k == 1:
         return [(s, 1)]
-    rows = [{c: v for c, v in enumerate(row) if v} for row in _horner(s, mq)[0]]
+    rows = [{c: v for c, v in enumerate(row) if v} for row in _poly_at(s, *der.scaled)[0]]
     nonzeros = [[(c, v) for c, v in enumerate(vec) if v]
-                for vec in _linalg.nullspace(rows, len(mq))]
+                for vec in _linalg.nullspace(rows, der.dim)]
+    mq = der.entries
     r = [[sum(mq[nz[-1][0]][c] * v for c, v in vec) for vec in nonzeros] for nz in nonzeros]
     return _square_free(char_poly(r).ints)
 
@@ -441,14 +438,15 @@ def spectrum(mat) -> Spectrum:
     and divides it. An irreducible quadratic rest is exact too; whatever is
     left goes to the numeric path. Exact classes carry their rational
     certificates; ill_conditioned is set, with a note, wherever numeric roots
-    of one piece merge at CLUSTER_GUARD.
+    of one piece merge at CLUSTER_GUARD. Every kernel reads the one
+    DerivationMatrix `coerce_matrix(mat)`.
     """
-    mq = coerce_matrix(mat)
-    n = len(mq)
+    der = coerce_matrix(mat)
+    n = der.dim
     classes: list[EigenClass] = []
     notes: list[str] = []
-    for s, k in _square_free(char_poly(mq).ints):
-        for t, geom in _geometric_pieces(s, k, mq):
+    for s, k in _square_free(char_poly(der).ints):
+        for t, geom in _geometric_pieces(s, k, der):
             for r in _rational_roots(t):
                 t = _quo(t, [-r.numerator, r.denominator])
                 classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
@@ -460,7 +458,7 @@ def spectrum(mat) -> Spectrum:
             if len(t) == 3:
                 classes += _pair_classes(t, k, geom)
             elif len(t) > 1:
-                got, got_notes = _numeric_classes(t, k, geom, mq)
+                got, got_notes = _numeric_classes(t, k, geom, der.entries)
                 classes += got
                 notes += got_notes
     classes.sort(key=lambda c: (c.value.real, c.value.imag))

@@ -41,6 +41,45 @@ def test_classify_inner_builds_its_derivation_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+SL2_MATRIX = ["--catalog", "sl2", "--matrix", "0,-2,0,0,0,1,0,-4,0"]
+
+
+@pytest.mark.parametrize("argv", [["classify", *SL2_MATRIX], ["simulate", *SL2_MATRIX]],
+                         ids=["classify", "simulate"])
+def test_a_matrix_field_is_coerced_and_scaled_once(capsys, monkeypatch, argv):
+    calls = []
+    for module, name in ((lieflow.dersolve, "_exact"), (lieflow._linalg, "scaled")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc["verdict"]["tag"] == "PeriodicFlow"
+    assert (calls.count("_exact"), calls.count("scaled")) == (9, 1)
+
+
+def test_classify_inner_coerces_each_coefficient_once(capsys, monkeypatch):
+    # The catalog's structure constants pass through as_scalar too, so only
+    # the parsed coefficients themselves, told apart by identity, are counted.
+    parse, coerce = lieflow.cli._parse_scalar_list, lieflow.liealg.as_scalar
+    parsed, coerced = [], []
+
+    def parsing(*args):
+        parsed.extend(out := parse(*args))
+        return out
+
+    def coercing(value):
+        coerced.append(value)
+        return coerce(value)
+
+    monkeypatch.setattr(lieflow.cli, "_parse_scalar_list", parsing)
+    monkeypatch.setattr(lieflow.liealg, "as_scalar", coercing)
+    code, doc, _ = run_json(capsys, "classify", "--catalog", "sl2", "--inner", "1,0,0")
+    assert (code, doc["verdict"]["tag"]) == (0, "PeriodicFlow")
+    assert [v for v in coerced if any(v is c for c in parsed)] == parsed == [1, 0, 0]
+
+
 def test_classify_sl2_inner_periodic(capsys):
     code, doc, _ = run_json(
         capsys, "classify", "--catalog", "sl2", "--inner", "1,0,0"
@@ -245,9 +284,14 @@ TOO_SHORT = "T*||D||_1 < 2*pi: no period of a nonzero D is that short"
     (["--catalog", "sl2", "--inner", "1/10000000000,0,0", "--check-period", "pi"], False),
     # T*||D||_1 = 2*pi exactly, up to rounding: a true period passes.
     (["--catalog", "abelian2", "--matrix=0,-1,1,0", "--check-period", "2pi"], True),
-    # D = 0: every T is a period.
+    # D = 0: every T is a period, also one whose 4T overflows, which made a
+    # NaN residual from inf * 0 and four NumPy RuntimeWarnings.
     (["--catalog", "abelian2", "--matrix", "0,0,0,0", "--check-period", "1e-9"], True),
-], ids=["tiny-period", "slow-flow", "rotation-2pi", "zero-derivation"])
+    (["--catalog", "abelian2", "--matrix", "0,0,0,0", "--check-period", "5e307"], True),
+    (["--catalog", "abelian2", "--matrix", "0,0,0,0", "--check-period", "1.79e308"], True),
+], ids=["tiny-period", "slow-flow", "rotation-2pi", "zero-derivation", "zero-5e307",
+        "zero-1.79e308"])
+@pytest.mark.filterwarnings("error")
 def test_simulate_check_period_needs_a_period_of_at_least_2pi_over_the_norm(
     capsys, argv, passed
 ):

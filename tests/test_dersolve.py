@@ -1,6 +1,8 @@
 """Derivation spaces against hand-checkable families and brute Leibniz loops."""
 
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +32,7 @@ from test_liealg import all_catalog_structures, apply, basis_vec, rand_vector
 
 def brute_leibniz_holds(sc, mat):
     """Independent oracle: check D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
-    m = coerce_matrix(mat, sc.dim)
+    m = coerce_matrix(mat, sc.dim).entries
     for i in range(sc.dim):
         for j in range(sc.dim):
             ei, ej = basis_vec(sc.dim, i), basis_vec(sc.dim, j)
@@ -266,21 +268,42 @@ def test_coerce_matrix_converts_every_entry_exactly():
 
     third = F(1, 3)
     rotation = np.array([[0, third], [-third, 0]], dtype=object)
-    assert coerce_matrix(rotation) == ((0, third), (-third, 0))
-    assert coerce_matrix(rotation)[0][1] is third  # passed through, not copied
+    assert coerce_matrix(rotation).entries == ((0, third), (-third, 0))
+    assert coerce_matrix(rotation).entries[0][1] is third  # passed through, not copied
     assert classify_flow(rotation).period_over_pi == 6
 
-    big = coerce_matrix(np.array([[2**53 + 1]], dtype=np.int64))[0][0]
+    big = coerce_matrix(np.array([[2**53 + 1]], dtype=np.int64)).entries[0][0]
     assert big == 2**53 + 1 and type(big.numerator) is int
-    nested = coerce_matrix([[np.int64(0), np.int64(-2)], [np.int64(2), np.int64(0)]])
+    nested = coerce_matrix([[np.int64(0), np.int64(-2)], [np.int64(2), np.int64(0)]]).entries
     assert nested == ((0, -2), (2, 0))
     assert all(type(v.numerator) is int for row in nested for v in row)
 
-    floats = coerce_matrix(np.array([[0.1, np.float32(0.1)], [-2.5, 0.0]]))
+    floats = coerce_matrix(np.array([[0.1, np.float32(0.1)], [-2.5, 0.0]])).entries
     assert floats == ((F(0.1), F(float(np.float32(0.1)))), (F(-5, 2), 0))
-    assert coerce_matrix([[0.1]]) == ((F(0.1),),)
+    assert coerce_matrix([[0.1]]).entries == ((F(0.1),),)
     with pytest.raises(ValueError):
         coerce_matrix([[True]])
+    # One error for both, though Fraction(float) raises OverflowError for inf.
+    for entry in (math.inf, -math.inf, math.nan, np.float64("inf"), np.float32("nan")):
+        with pytest.raises(ValueError, match=f"matrix entry {re.escape(repr(entry))} is not"):
+            coerce_matrix([[0, entry], [1, 0]])
+
+
+def test_the_shape_is_refused_wherever_it_enters():
+    from lieflow.dersolve import DerivationMatrix
+    from lieflow.periodicity import classify_flow
+    from lieflow.spectral import char_poly, spectrum
+
+    with pytest.raises(ValueError, match="matrix must be square"):
+        DerivationMatrix(((1, 2),))
+    sl2 = get_entry("sl2").structure
+    ragged = ((0, 1, 0), (1, 0), (0, 0, 0))
+    for check in (classify_flow, char_poly, spectrum, lambda m: leibniz_residual(sl2, m),
+                  lambda m: derivation(sl2, m)):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            check(ragged)
+    with pytest.raises(ValueError, match="matrix is 1x1, expected 3x3"):
+        derivation(sl2, DerivationMatrix(((F(1),),)))
 
 
 # --- the whole-basis Leibniz sweep ----------------------------------------------

@@ -152,6 +152,11 @@ def test_expm_norm_guard():
 def test_expm_rejects_nonfinite():
     with pytest.raises(ValueError):
         expm([[float("nan"), 0], [0, 1]], 1.0)
+    # e^{tM} at t = inf was a silent matrix of NaNs, whatever M.
+    for t in (math.inf, -math.inf, math.nan, [0.0, 1.0, math.nan]):
+        for m in (((0, -1), (1, 0)), ((0, 0), (0, 0))):
+            with pytest.raises(ValueError, match="times must be finite"):
+                expm(m, t)
 
 
 def catalog_derivation_samples():
@@ -202,7 +207,9 @@ def test_flow_period_residual_validates_input():
         flow_period_residual(((0, 0), (0, 0)), -1.0)
     with pytest.raises(ValueError):
         flow_period_residual(((0, 0), (0, 0)), 1.0, cfg=replace(DEFAULT_CONFIG, samples=1))
-
+    for period in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="period must be positive and finite"):
+            flow_period_residual(((0, 0), (0, 0)), period)
 
 # --- orbits ----------------------------------------------------------------------
 

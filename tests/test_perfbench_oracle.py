@@ -26,7 +26,7 @@ from lieflow.cli import main
 from lieflow.dersolve import coerce_matrix
 from lieflow.liealg import algebra_from_dict
 from lieflow.periodicity import classify_flow, classify_linear_flow
-from lieflow.spectral import _deriv, _gcd, _horner, _primitive, _quo, _rem, _trim, char_poly
+from lieflow.spectral import _deriv, _gcd, _poly_at, _primitive, _quo, _rem, _trim, char_poly
 
 from test_spectral import rand_matrix, rational_roots_oracle
 
@@ -132,7 +132,7 @@ def reference_verdict(mat, divisors) -> tuple:
         return "NoPeriodicOrbits", "NonzeroRealPart", None
     if real > zero:
         return "NoPeriodicOrbits", "RealNonzeroEigenvalue", None
-    if len(rad) < len(p) and any(map(any, _horner(rad, coerce_matrix(mat))[0])):
+    if len(rad) < len(p) and any(map(any, _poly_at(rad, *coerce_matrix(mat).scaled)[0])):
         return "NoPeriodicOrbits", "NonSemisimpleEigenvalue", None
     rest = rad[1:] if zero else rad
     if len(rest) == 1:

@@ -576,7 +576,7 @@ def test_square_map_of_p_keeps_every_verdict():
     from test_spectral import fraction_horner, mat_mul
 
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _deriv, _gcd, _horner, _quo, _squares
+    from lieflow.spectral import _deriv, _gcd, _poly_at, _quo, _squares
 
     seen, zero_semisimple = set(), 0
     for name, mat in square_map_cases():
@@ -586,10 +586,10 @@ def test_square_map_of_p_keeps_every_verdict():
         rad = _quo(p, _gcd(p, _deriv(p)))
         old = _squares(rad[1:] if rad[0] == 0 else rad)
         assert h in (old, [-c for c in old]), name
-        mq = coerce_matrix(mat)
+        mq = coerce_matrix(mat).entries
         at_squares = fraction_horner(h, mat_mul(mq, mq))
         lhs = mat_mul(mq, at_squares) if m else at_squares
-        semisimple = not any(map(any, _horner(rad, mq)[0]))
+        semisimple = not any(map(any, _poly_at(rad, *coerce_matrix(mat).scaled)[0]))
         assert (not any(map(any, lhs))) == semisimple, name
         v = classify_flow(mat)
         assert (v.tag, v.reason, v.period_over_pi) == reference_verdict(mat, divisors), name
@@ -600,10 +600,13 @@ def test_square_map_of_p_keeps_every_verdict():
 
 
 def test_one_classification_scales_once_and_runs_one_gcd(monkeypatch):
+    # ... and checks its matrix square once, when the Leibniz gate builds it.
     from lieflow import _linalg, spectral
+    from lieflow.dersolve import DerivationMatrix
 
     calls = []
-    for module, name in ((spectral, "_gcd"), (_linalg, "scaled")):
+    for module, name in ((spectral, "_gcd"), (_linalg, "scaled"),
+                         (DerivationMatrix, "__post_init__")):
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
@@ -624,5 +627,6 @@ def test_one_classification_scales_once_and_runs_one_gcd(monkeypatch):
         v = classify_linear_flow(sc, mat)
         tags.add(v.reason or v.tag)
         assert calls.count("_gcd") <= 1 and calls.count("scaled") == 1, (v, calls)
+        assert calls.count("__post_init__") == 1, (v, calls)
     assert tags == {"PeriodicFlow", "NonSemisimpleEigenvalue", "RealNonzeroEigenvalue",
                     "IdentityFlow"}

@@ -125,13 +125,13 @@ def test_char_poly_random_4x4_oracle():
 
 def test_cayley_hamilton_exact():
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _horner
+    from lieflow.spectral import _poly_at
 
     rng = random.Random(202)
     for n in (2, 3, 4):
         m = rand_matrix(rng, n)
         # d^N p(M), from the integer Horner of p's primitive form
-        residue, _ = _horner(list(char_poly(m).ints), coerce_matrix(m))
+        residue, _ = _poly_at(list(char_poly(m).ints), *coerce_matrix(m).scaled)
         assert all(v == 0 for row in residue for v in row)
 
 
@@ -647,7 +647,7 @@ def fraction_horner(f, m):
 def test_integer_kernels_match_fraction_references():
     from lieflow import classify_flow
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _deriv, _gcd, _horner, _quo
+    from lieflow.spectral import _deriv, _gcd, _poly_at, _quo
 
     rng = random.Random(1414)
     mats = [rand_matrix(rng, n, den=7) for n in range(1, 7) for _ in range(6)]
@@ -665,14 +665,14 @@ def test_integer_kernels_match_fraction_references():
     ]
     planted = [(expected, unimodular_conjugate(rng, m)) for expected, m in planted]
     for m in mats + [m for _, m in planted]:
-        mq = coerce_matrix(m)
+        mq = coerce_matrix(m).entries
         ref = faddeev_leverrier(mq)
         den = math.lcm(*[c.denominator for c in ref])
         assert list(char_poly(m).ints) == primitive([int(c * den) for c in ref])
         assert char_poly(m).coeffs == ref
         p = char_poly(m).ints
         rad = _quo(p, _gcd(p, _deriv(p)))
-        value, scale = _horner(rad, mq)
+        value, scale = _poly_at(rad, *coerce_matrix(m).scaled)
         f_of_m = fraction_horner(rad, mq)
         assert value == [[v * scale for v in row] for row in f_of_m]
     for expected, m in planted:
@@ -680,7 +680,8 @@ def test_integer_kernels_match_fraction_references():
         assert expected in (verdict.tag, verdict.reason)
         p = char_poly(m).ints
         rad = _quo(p, _gcd(p, _deriv(p)))
-        assert any(map(any, _horner(rad, coerce_matrix(m))[0])) == (verdict.tag != "PeriodicFlow")
+        at_m = _poly_at(rad, *coerce_matrix(m).scaled)[0]
+        assert any(map(any, at_m)) == (verdict.tag != "PeriodicFlow")
 
 
 def test_square_free_decomposition_of_planted_powers():
@@ -786,11 +787,12 @@ def test_one_yun_factor_with_two_geometric_multiplicities():
             assert (cube, c.alg_mult, c.geom_mult) in ((2, 2, 1), (3, 2, 2)), (eps, c)
         assert multiplicities(s) == [(2, 1)] * 3 + [(2, 2)] * 3
 
+    from lieflow.dersolve import coerce_matrix
     from lieflow.spectral import _geometric_pieces, _square_free
 
     ((s, k),) = _square_free(char_poly(m).ints)
     assert (s, k) == (int_poly_mul([-2, 0, 0, 1], [-3, 0, 0, 1]), 2)
-    assert _geometric_pieces(s, k, tuple(map(tuple, m))) == [([-2, 0, 0, 1], 1), ([-3, 0, 0, 1], 2)]
+    assert _geometric_pieces(s, k, coerce_matrix(m)) == [([-2, 0, 0, 1], 1), ([-3, 0, 0, 1], 2)]
 
 
 def test_quartic_three_copies_one_coupling():
