@@ -9,10 +9,10 @@ evidence layer, takes --tol-period, --tol-separation, --horizon and
 --samples, each stored under the name of the flowsim.ToleranceConfig field
 it sets; the exact commands read no tolerance. Exit codes: 0 = document
 produced (or simulate check passed), 1 = simulate check failed or runtime
-guard tripped (a period beyond the float range, an exponential above
-flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix, failed Jacobi,
-non-derivation, a --param that no entry takes). Verdicts are exact and read
-no tolerance, so no input is refused. A closed stdout (as in
+guard tripped (a period or matrix entry beyond the float range, an
+exponential above flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix,
+failed Jacobi, non-derivation, a --param that no entry takes). Verdicts are
+exact and read no tolerance, so no input is refused. A closed stdout (as in
 `lieflow catalog verdict-table | head -1`) ends the run with exit 1 and no
 traceback.
 """
@@ -454,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     # OpenBLAS's worker threads only spin. A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: exact values print and
+        sys.set_int_max_str_digits(0)  # parse in full, past 4300 digits
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = args.handler(args)
@@ -463,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotADerivationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (PeriodTooLargeError, flowsim.ExpmOverflowError) as exc:
+    except (PeriodTooLargeError, flowsim.ExpmOverflowError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     try:

@@ -61,8 +61,6 @@ class FlowSample:
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
-    samples: int
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def _norm1(arr: np.ndarray):
 
 
 def _check_norm(arr: np.ndarray, t: float) -> None:
-    norm = _norm1(t * arr)
+    norm = t * float(_norm1(arr))  # Python floats: an overflow is inf, not a warning
     if norm > EXPM_NORM_GUARD:
         raise ExpmOverflowError(
             f"||tM|| = {norm:.3g} exceeds the guard {EXPM_NORM_GUARD:.3g}"
@@ -149,11 +147,9 @@ def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
 
 
 def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
-    """Largest usable time window given the exponential norm guard."""
-    norm = _norm1(arr)
-    if norm == 0:
-        return wanted
-    return min(wanted, 0.5 * EXPM_NORM_GUARD / norm)
+    """`wanted` capped by EXPM_NORM_GUARD / (2 ||D||_1), in Python floats: inf, unwarned."""
+    norm = float(_norm1(arr))
+    return min(wanted, 0.5 * EXPM_NORM_GUARD / norm) if norm else wanted
 
 
 def _closure_residuals(
@@ -188,23 +184,28 @@ def _closure_residuals(
     return np.concatenate(peaks)
 
 
+def _period_residuals(arr: np.ndarray, periods: Sequence[float], samples: int) -> np.ndarray:
+    """_closure_residuals at the trial periods on the window of a check at
+    T = periods[0]: 4T capped by the safe horizon and by (float max - T) / 2,
+    which keeps horizon + T finite. Raises ExpmOverflowError when (horizon +
+    T)||D||_1, the literal form's largest exponent, exceeds the norm guard."""
+    period = float(periods[0])
+    horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
+    _check_norm(arr, horizon + period)
+    return _closure_residuals(arr, periods, horizon, samples)
+
+
 def flow_period_residual(
     mat, period: float, cfg: ToleranceConfig | None = None
 ) -> ResidualReport:
-    """max over equispaced t in [0, horizon] of ||e^{(t+T)D} - e^{tD}||_F, the
-    horizon being 4T capped by the safe horizon and by (float max - T) / 2,
-    which keeps horizon + T finite; raises ExpmOverflowError when (horizon +
-    T)||D||_1, the literal form's largest exponent, exceeds the norm guard."""
+    """max over t on the window of _period_residuals of ||e^{(t+T)D} - e^{tD}||_F."""
     cfg = cfg or DEFAULT_CONFIG
     if not 0 < period < math.inf:
         raise ValueError("period must be positive and finite")
     if cfg.samples < 2:
         raise ValueError("need at least two samples")
-    arr = _as_float_matrix(mat)
-    horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
-    _check_norm(arr, horizon + period)
-    (worst,) = _closure_residuals(arr, [period], horizon, cfg.samples)
-    return ResidualReport(float(worst), cfg.samples, horizon)
+    (worst,) = _period_residuals(_as_float_matrix(mat), [period], cfg.samples)
+    return ResidualReport(float(worst))
 
 
 def rep_matrix(rep: Sequence, x: Sequence) -> np.ndarray:
@@ -269,14 +270,15 @@ def write_orbit_csv(samples: list[FlowSample], path: str) -> None:
 def verify_verdict(
     sc, mat, verdict: FlowVerdict, cfg: ToleranceConfig | None = None
 ) -> VerdictEvidence:
-    """Numerical evidence for a linear-flow verdict.
+    """Numerical evidence for a linear-flow verdict, from _closure_residuals.
 
-    PeriodicFlow passes when the closure residual at T stays within
-    period_tol while T/2, T/3 and 2T/3 all miss by at least the separation
-    threshold (minimality evidence), all four on the grid of [0, 4T].
-    IdentityFlow requires e^{tD} = I on the sample grid. NoPeriodicOrbits is
-    falsification evidence only: the residual must stay above the separation
-    floor for every trial period on the grid; a dip below it makes the grid
+    PeriodicFlow passes when the residual at T stays within period_tol while
+    T/2, T/3 and 2T/3 all miss by at least the separation threshold
+    (minimality evidence), all four on the window of _period_residuals.
+    IdentityFlow requires ||e^{tD} - I||_F <= period_tol at each grid time t,
+    read as a trial period from t = 0. NoPeriodicOrbits is falsification
+    evidence only: the residual must stay above the separation floor for
+    every trial period on the grid; a dip below it makes the grid
     inconclusive, not the verdict wrong, and so does a safe horizon shorter
     than the smallest trial period. Each check exponentiates one batch, and a
     non-finite residual makes any of them inconclusive. `sc` is not read; it
@@ -290,20 +292,17 @@ def verify_verdict(
     if verdict.tag == "PeriodicFlow":
         assert verdict.period is not None
         period = verdict.period
-        horizon = _safe_horizon(arr, 4.0 * period)
-        _check_norm(arr, horizon + period)
         trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
-        residuals = _closure_residuals(arr, [period, *trials.values()], horizon, cfg.samples)
+        residuals = _period_residuals(arr, [period, *trials.values()], cfg.samples)
         subperiods = dict(zip(trials, map(float, residuals[1:])))
         passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
         inconclusive = False
         details = {"closure_residual": float(residuals[0]),
                    "subperiod_residuals": subperiods}
     elif verdict.tag == "IdentityFlow":
-        flows = expm(arr, np.linspace(0.0, horizon, cfg.samples))
-        residuals = np.linalg.norm(flows - np.eye(arr.shape[0]), axis=(1, 2))
-        passed, inconclusive = np.max(residuals) <= cfg.period_tol, False
-        details = {"identity_residual": float(np.max(residuals)), "horizon": horizon}
+        residuals = _closure_residuals(arr, np.linspace(0.0, horizon, cfg.samples), 0.0, 1)
+        passed, inconclusive = residuals.max() <= cfg.period_tol, False
+        details = {"identity_residual": float(residuals.max()), "horizon": horizon}
     elif verdict.tag == "NoPeriodicOrbits":
         note = "falsification evidence over a finite horizon, not proof"
         if horizon < EVIDENCE_MIN_PERIOD:

@@ -665,3 +665,73 @@ def test_large_exact_period_is_not_refused(capsys, tmp_path):
     assert code == 0, err
     assert doc["verdict"]["tag"] == "PeriodicFlow"
     assert Fraction(doc["verdict"]["period_over_pi"]) == 2 * 1000000009
+
+
+SEVENS = "7" * 3000
+# Each constant is under Python's 4300-digit limit on int-to-text conversion,
+# but the derivation basis holds entries of about 6000 digits.
+SEVENS_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": SEVENS},
+                                         {"i": 1, "j": 3, "k": 2, "c": "1/" + SEVENS}]}
+
+
+def test_classify_prints_and_reads_values_past_4300_digits(capsys):
+    code, _, err = run_cli(capsys, "classify", "--catalog", "abelian2", "--matrix=1e-5000,0,0,0")
+    assert code == 0, err
+    assert f"converted exactly to 1/1{'0' * 5000};" in err
+    a = f"1{'0' * 4999}1/1{'0' * 5000}"  # 1 + 10^-5000, in 5001-digit literals
+    code, doc, err = run_json(capsys, "classify", "--catalog", "abelian2", f"--matrix={a},0,0,0")
+    assert code == 0, err
+    assert doc["verdict"]["reason"] == "RealNonzeroEigenvalue"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_derivations_print_entries_past_4300_digits(capsys, tmp_path, fmt):
+    path = tmp_path / "sevens.json"
+    path.write_text(json.dumps(SEVENS_ALGEBRA))
+    code, out, err = run_cli(capsys, "derivations", "--file", str(path), "--format", fmt)
+    assert code == 0, err
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+
+def test_cross_check_prints_discrepancies_past_4300_digits(capsys):
+    code, out, err = run_cli(capsys, "catalog", "cross-check", "g35_a", "--param", "1/" + SEVENS,
+                             "--format", "text")
+    assert code == 0, err
+    assert out.startswith("g35_a: ") and SEVENS in out
+
+
+def test_simulate_entry_beyond_the_float_range_exits_1(capsys, tmp_path):
+    path = tmp_path / "sevens.json"
+    path.write_text(json.dumps(SEVENS_ALGEBRA))
+    code, out, err = run_cli(capsys, "simulate", "--file", str(path), "--inner=0,1,0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "float" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv", "{csv}"]], ids=["evidence", "csv"])
+@pytest.mark.filterwarnings("error")
+def test_simulate_rotation_whose_4t_overflows_passes(capsys, tmp_path, extra):
+    # T = 2 pi 10^307: 4T is inf, and the window is capped at (float max - T) / 2.
+    extra = [a.replace("{csv}", str(tmp_path / "orbit.csv")) for a in extra]
+    code, doc, err = run_json(capsys, "simulate", "--catalog", "abelian2",
+                              "--matrix=0,1e-307,-1e-307,0", *extra)
+    assert code == 0, err
+    assert doc["verdict"]["tag"] == "PeriodicFlow" and doc["evidence"]["passed"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_tiny_norm_caps_no_horizon_and_warns_nothing(capsys):
+    # 350 / 10^-307 overflows to inf, the cap that does not bind.
+    code, doc, err = run_json(capsys, "simulate", "--catalog", "abelian2", "--matrix=1e-307,0,0,0")
+    assert code == 1 and err.count("\n") == 1, err  # the decimal-input notice only
+    assert doc["evidence"]["details"]["horizon"] == 50.0
+    assert doc["evidence"]["inconclusive"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_period_check_past_the_guard_exits_1_without_warnings(capsys):
+    # (T + horizon) ||D||_1 overflows to inf, which trips the norm guard.
+    code, out, err = run_cli(capsys, "simulate", "--catalog", "sl2", "--inner", "1,0,0",
+                             "--check-period", "1e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ||tM|| = inf exceeds the guard"), err

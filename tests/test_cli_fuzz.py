@@ -19,6 +19,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -139,3 +140,59 @@ def test_cli_ends_in_a_documented_exit_code(invocation):
     assert code in (0, 1, 2), (args, alg, err.getvalue())
     if code == 2:  # after any decimal-input warnings
         assert err.getvalue().splitlines()[-1].startswith("error: "), (args, alg, err.getvalue())
+
+
+# Extreme magnitudes: decimals near and past the float range's ends, long p/q
+# literals, and an algebra whose constant has 3000 digits (its derivation basis
+# holds entries of about 6000, past Python's 4300-digit limit on int-to-text
+# conversion). 1e-5000 is drawn only onto the diagonal of a matrix of abelian2:
+# a rotation spectrum with a 5000-digit entry takes the rational-root bisection
+# 8-30 s, one step per bit of the lattice, and the other literals stay at 400
+# digits for the same reason.
+SEVENS = "7" * 3000
+SEVENS_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": SEVENS},
+                                         {"i": 1, "j": 3, "k": 2, "c": "1/" + SEVENS}]}
+EXTREME = ["1e-307", "-1e-307", "1e-320", "1e300", "-1e300",
+           "1/" + "9" * 400, "1" + "0" * 400 + "/" + "3" * 400, "0", "1", "-1"]
+PERIODS = ["pi", "1e-307", "1e-320", "1e-5000", "1e300", "1e308", "1/" + "9" * 400]
+
+
+@st.composite
+def extreme_invocations(draw):
+    """argv with "{algebra}" and "{csv}" standing for files."""
+    mode = draw(st.sampled_from(["classify", "derivations", "simulate", "check-period", "csv"]))
+    source = draw(st.sampled_from(["abelian2", "sl2", "sevens"]))
+    args = ["simulate" if mode in ("check-period", "csv") else mode]
+    args.append("--file={algebra}" if source == "sevens" else "--catalog=" + source)
+    if mode == "derivations":
+        return args
+    if source == "abelian2":  # every matrix is a derivation of it
+        diagonal, off = st.sampled_from(EXTREME + ["1e-5000"]), st.sampled_from(EXTREME)
+        args.append("--matrix=" + ",".join(map(draw, (diagonal, off, off, diagonal))))
+    else:
+        args.append("--inner=" + ",".join(draw(st.lists(st.sampled_from(EXTREME),
+                                                        min_size=3, max_size=3))))
+    if mode == "check-period":
+        args.append("--check-period=" + draw(st.sampled_from(PERIODS)))
+    elif mode == "csv":
+        args.append("--csv={csv}")
+    return args
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(extreme_invocations())
+def test_extreme_magnitudes_end_in_a_documented_exit_code_without_warnings(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        algebra, csv = os.path.join(tmp, "algebra.json"), os.path.join(tmp, "orbit.csv")
+        with open(algebra, "w") as fh:
+            json.dump(SEVENS_ALGEBRA, fh)
+        args = [a.replace("{algebra}", algebra).replace("{csv}", csv) for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+    assert code in (0, 1, 2), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:  # after any decimal-input notices
+        assert err.getvalue().splitlines()[-1].startswith("error: "), (args, err.getvalue())

@@ -199,7 +199,6 @@ def test_flow_period_residual_sl2():
 def test_flow_period_residual_zero_matrix():
     report = flow_period_residual(((0, 0), (0, 0)), 3.0)
     assert report.max_residual == 0.0
-    assert report.samples == DEFAULT_CONFIG.samples
 
 
 def test_flow_period_residual_validates_input():
@@ -529,12 +528,46 @@ def test_evidence_grid_fills_residuals_in_blocks():
     assert peak < 4 * 2**20, peak
 
 
-def test_flow_period_residual_reports_the_worst_grid_residual():
+@pytest.fixture
+def closure_windows(monkeypatch):
+    """(periods, horizon, samples) of each call to flowsim._closure_residuals."""
+    calls = []
+    inner = flowsim._closure_residuals
+
+    def spying(arr, periods, horizon, samples):
+        calls.append((list(periods), horizon, samples))
+        return inner(arr, periods, horizon, samples)
+
+    monkeypatch.setattr(flowsim, "_closure_residuals", spying)
+    return calls
+
+
+def test_flow_period_residual_reports_the_worst_grid_residual(closure_windows):
     m = np.array([[0.0, 0.0], [0.0, 0.3]])  # residual grows with t
     report = flow_period_residual(m, 1.0, cfg=replace(DEFAULT_CONFIG, samples=5))
-    assert report.horizon == 4.0 and report.samples == 5
+    assert closure_windows == [([1.0], 4.0, 5)]
     want, _ = literal_residual(m, 1.0, 4.0, 5)
     assert abs(report.max_residual - want) <= 1e-12 * want
+
+
+def test_period_checks_share_one_window(closure_windows):
+    # The window is 4T, capped by the safe horizon 350/||D||_1 and by
+    # (float max - T) / 2; the evidence for a PeriodicFlow verdict and the
+    # period check at its T read the same one.
+    sc = get_entry("abelian2").structure
+    for mat, horizon in [
+        (((0, -1), (1, 0)), 8 * math.pi),
+        (((0, -50), (F(1, 50), 0)), 7.0),
+        (((0, -F(1, 10**307)), (F(1, 10**307), 0)), None),
+    ]:
+        verdict = classify_linear_flow(sc, mat)
+        period = verdict.period
+        horizon = horizon or (sys.float_info.max - period) / 2
+        closure_windows.clear()
+        verify_verdict(sc, mat, verdict)
+        flow_period_residual(mat, period)
+        assert [(p[0], h) for p, h, _ in closure_windows] == [(period, horizon)] * 2
+        assert all(type(h) is float for _, h, _ in closure_windows)
 
 
 def test_period_guard_trips_on_horizon_plus_period():
@@ -576,12 +609,48 @@ def test_evidence_exponentiates_one_batch_per_check(expm_batches):
     cases = [
         (sl2, inner_derivation(sl2, (1, 0, 0)), [4 + 64]),
         (aff2, ((0, 0), (1, 0)), [64 + 64]),
-        (aff2, ((0, 0), (0, 0)), [64]),
+        (aff2, ((0, 0), (0, 0)), [1 + 64]),  # the time t = 0, then 64 trial periods
     ]
     for sc, mat, sizes in cases:
         expm_batches.clear()
         verify_verdict(sc, mat, classify_linear_flow(sc, mat))
         assert expm_batches == sizes
+
+
+@pytest.mark.filterwarnings("error")
+def test_evidence_passes_on_a_rotation_whose_4t_overflows():
+    # T = 2 pi 10^307: 4T is inf, and so is the safe horizon 350 / 10^-307.
+    sc = get_entry("abelian2").structure
+    mat = ((0, F(1, 10**307)), (-F(1, 10**307), 0))
+    verdict = classify_linear_flow(sc, mat)
+    assert verdict.tag == "PeriodicFlow" and verdict.period > sys.float_info.max / 4
+    evidence = verify_verdict(sc, mat, verdict)
+    assert evidence.passed and not evidence.inconclusive, evidence.details
+
+
+@pytest.mark.parametrize("mat", [
+    ((0, -1), (1, 0)),
+    ((0, 1), (0, 0)),
+    ((F(1, 10**9), 0), (0, 0)),
+], ids=["rotation", "nilpotent", "diag-1e-9"])
+def test_forged_identity_verdict_fails_on_a_nonzero_derivation(mat):
+    sc = get_entry("abelian2").structure
+    evidence = verify_verdict(sc, mat, FlowVerdict(tag="IdentityFlow"))
+    assert not evidence.passed and not evidence.inconclusive
+    assert evidence.details["identity_residual"] > DEFAULT_CONFIG.period_tol
+
+
+@pytest.mark.parametrize("mat, tag", [
+    (((0, 0), (0, 0)), "IdentityFlow"),
+    (((0, 0), (0, 1)), "NoPeriodicOrbits"),
+    (((0, 0), (0, 300)), "NoPeriodicOrbits"),  # the safe horizon binds
+    (((0, 0), (0, 1000)), "NoPeriodicOrbits"),  # shorter than the smallest trial
+], ids=["identity", "aff2", "aff2-300", "aff2-1000"])
+def test_evidence_horizon_is_a_python_float(mat, tag):
+    sc = get_entry("aff2").structure
+    verdict = classify_linear_flow(sc, mat)
+    assert verdict.tag == tag
+    assert type(verify_verdict(sc, mat, verdict).details["horizon"]) is float
 
 
 def test_short_horizon_evidence_is_inconclusive_without_exponentials(expm_batches):
