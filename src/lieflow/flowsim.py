@@ -147,7 +147,7 @@ def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
 
 
 def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
-    """`wanted` capped by EXPM_NORM_GUARD / (2 ||D||_1), in Python floats: inf, unwarned."""
+    """`wanted` capped by EXPM_NORM_GUARD / (2 ||D||_1); Python floats reach inf silently."""
     norm = float(_norm1(arr))
     return min(wanted, 0.5 * EXPM_NORM_GUARD / norm) if norm else wanted
 

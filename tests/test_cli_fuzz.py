@@ -31,6 +31,7 @@ from lieflow.catalog import CATALOG_NAMES, PARAMETRIC_NAMES, get_entry  # noqa: 
 from lieflow.cli import main  # noqa: E402
 from lieflow.dersolve import inner_derivation  # noqa: E402
 from lieflow.liealg import algebra_to_dict  # noqa: E402
+from test_cli import SEVENS_ALGEBRA  # noqa: E402
 
 ODD = st.sampled_from([None, "x", 1.5, [], {}, True, "1e400"])
 SCALAR_TEXT = st.sampled_from(["0", "-2", "3/4", "0.5", "1/0", "x", "", "1e400", "nan"])
@@ -149,9 +150,6 @@ def test_cli_ends_in_a_documented_exit_code(invocation):
 # a rotation spectrum with a 5000-digit entry takes the rational-root bisection
 # 8-30 s, one step per bit of the lattice, and the other literals stay at 400
 # digits for the same reason.
-SEVENS = "7" * 3000
-SEVENS_ALGEBRA = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": SEVENS},
-                                         {"i": 1, "j": 3, "k": 2, "c": "1/" + SEVENS}]}
 EXTREME = ["1e-307", "-1e-307", "1e-320", "1e300", "-1e300",
            "1/" + "9" * 400, "1" + "0" * 400 + "/" + "3" * 400, "0", "1", "-1"]
 PERIODS = ["pi", "1e-307", "1e-320", "1e-5000", "1e300", "1e308", "1/" + "9" * 400]
