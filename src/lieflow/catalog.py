@@ -697,13 +697,6 @@ def space_samples(entry: CatalogEntry) -> list[tuple[str, Matrix]]:
     """Deterministic nonzero members of the exact derivation space."""
     basis = [b.entries for b in derivation_space(entry.structure).basis]
     n, k = entry.structure.dim, len(basis)
-    # The generic member sum_t x_t basis[t], its cells the nonzero entries.
-    generic = LinearPattern(
-        tuple(
-            tuple({str(t): b[r][c] for t, b in enumerate(basis) if b[r][c]} for c in range(n))
-            for r in range(n)
-        )
-    )
     combinations = {
         "sum": [F(1)] * k,
         "alternating": [F(1) if t % 2 == 0 else F(-1) for t in range(k)],
@@ -711,7 +704,8 @@ def space_samples(entry: CatalogEntry) -> list[tuple[str, Matrix]]:
     }
     samples = [(f"basis[{i}]", b) for i, b in enumerate(basis)]
     for label, coeffs in combinations.items():
-        mat = generic.instantiate({str(t): x for t, x in enumerate(coeffs)})
+        mat = tuple(tuple(sum((x * b[r][c] for x, b in zip(coeffs, basis)), F(0))
+                          for c in range(n)) for r in range(n))
         if any(v != 0 for row in mat for v in row):
             samples.append((label, mat))
     return samples

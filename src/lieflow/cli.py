@@ -454,11 +454,19 @@ def main(argv: list[str] | None = None) -> int:
     # OpenBLAS's worker threads only spin. A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: exact values print and
-        sys.set_int_max_str_digits(0)  # parse in full, past 4300 digits
-    args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 means none, as before 3.10.7
+    if limit:  # exact values print and parse in full, past 4300 digits, until main returns
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         code, doc, text = args.handler(args)
+        if args.format == "json":
+            # One walk, not a default= hook, which encodes the verdict table
+            # half as fast; its tree is fresh, so no container recurs in it.
+            text = json.dumps(_json_value(doc), indent=2, allow_nan=False,
+                              check_circular=False)
+        print(text)
+        sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -468,20 +476,15 @@ def main(argv: list[str] | None = None) -> int:
     except (PeriodTooLargeError, flowsim.ExpmOverflowError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    try:
-        if args.format == "json":
-            # One walk, not a default= hook, which encodes the verdict table
-            # half as fast; its tree is fresh, so no container recurs in it.
-            text = json.dumps(_json_value(doc), indent=2, allow_nan=False,
-                              check_circular=False)
-        print(text)
-        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`). As the CPython signal docs
         # advise, point stdout at devnull so the flush at exit cannot fail
         # again, and exit 1 as Python does on EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -95,23 +95,22 @@ def flatten(mat: Matrix) -> list[Fraction]:
 
 def _leibniz_sweep(
     sc: StructureConstants, vecs: Sequence[Sequence[Fraction]]
-) -> tuple[int, tuple[int, int] | None, list[int]]:
-    """The worst integer Leibniz difference, its pair and the scales s_k, from
-    one sweep over the basis pairs for the generic member sum_k x_k B_k of the
-    row-major matrices `vecs`. The identity is linear in each x_k, so each B_k
-    is scaled to integers by the lcm s_k of its own denominators, read off its
-    nonzero entries only, and `_sweep` keeps the differences apart by k."""
+) -> tuple[int, tuple[int, int] | None]:
+    """The worst integer Leibniz difference and its pair, from one sweep over
+    the basis pairs for the generic member sum_k x_k B_k of the row-major
+    matrices `vecs`. The identity is linear in each x_k, so each B_k is scaled
+    to integers by the lcm s_k of its own denominators, read off its nonzero
+    entries only, and `_sweep` keeps the differences apart by k."""
     n, nk = sc.dim, len(vecs)
     cols: list[list] = [[] for _ in range(n)]
-    scales = []
     for k, vec in enumerate(vecs):
         nonzero = [(t, v) for t, v in enumerate(vec) if v]
         # From a list: see the lcm(*[...]) note in StructureConstants.
-        scales.append(s := lcm(*[v.denominator for _, v in nonzero]))
+        s = lcm(*[v.denominator for _, v in nonzero])
         for t, v in nonzero:
             r, c = divmod(t, n)
             cols[c].append((r * nk + k, r, k, v.numerator * (s // v.denominator)))
-    return (*_sweep(sc, cols, nk), scales)
+    return _sweep(sc, cols, nk)
 
 
 def _sweep(sc: StructureConstants, cols: list[list], nk: int) -> tuple[int, tuple[int, int] | None]:

@@ -81,7 +81,10 @@ def _as_float_matrix(mat) -> np.ndarray:
 
 def _norm1(arr: np.ndarray):
     """||A||_1, the largest absolute column sum, of each matrix of a stack."""
-    return abs(arr).sum(axis=-2).max(axis=-1, initial=0.0)
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # a sum past the float max is inf, the norm
+        return abs(arr).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def _check_norm(arr: np.ndarray, t: float) -> None:

@@ -7,13 +7,13 @@ a nilpotent block would contribute a polynomial-in-t term. classify_flow
 decides all of it exactly, with no eigenvalue computed and no tolerance read,
 in integers on B = dD, d the lcm of D's denominators, the matrix's one
 integer form: the primitive characteristic polynomial p by Berkowitz on B,
-and everything else from the square map h(mu) of p without its root 0,
-whose roots are the squares mu = lambda^2 of the nonzero eigenvalues. One
-Sturm sequence of h counts its real and positive roots and isolates its
-rational roots by bisection over integer lattice indices (Basu, Pollack &
-Roy, Algorithms in Real Algebraic Geometry, 2nd ed., 2006, ch. 2, 9 and
-10); when every nonzero eigenvalue is +-i*alpha, rad(p) = lambda^eps
-h(lambda^2), so semisimplicity is D^eps h(D^2) = 0, by Horner on B^2.
+and everything else from the square map h(mu) of p without its root 0, whose
+roots are the squares mu = lambda^2 of the nonzero eigenvalues. One remainder
+sequence gives h and its Sturm sequence, which counts its real and positive
+roots and isolates the rational roots by bisection over lattice indices (Basu,
+Pollack & Roy, Algorithms in Real Algebraic Geometry, 2006, ch. 2, 9 and 10);
+when every nonzero eigenvalue is +-i*alpha, rad(p) = lambda^eps h(lambda^2),
+so semisimplicity is D^eps h(D^2) = 0, by Horner on B^2.
 Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
@@ -50,7 +50,6 @@ from .spectral import (
     _sign,
     _sqrt,
     _squares,
-    _sturm,
     _variations,
     char_poly,
 )
@@ -99,32 +98,30 @@ class FlowVerdict:
 
 def classify_flow(mat) -> FlowVerdict:
     """Verdict for the matrix flow e^{tD} from p = char_poly(D) in primitive
-    integer form, through h = _squares(p without its factor lambda^m).
+    integer form, through h, seq = _squares(p without its factor lambda^m):
+    the square map h and its Sturm sequence, from one remainder sequence.
 
     Multiplicities never enter the criterion: the roots of h are the squares
     mu = lambda^2 of the distinct eigenvalues lambda != 0, which lie off both
     axes for a non-real mu, are real for mu > 0 and are +-i*alpha for
     mu = -alpha^2 < 0. Failing reasons in a fixed order: NonzeroRealPart,
-    RealNonzeroEigenvalue, NonSemisimpleEigenvalue, IrrationalRatio. One
-    Sturm sequence of h, read at -oo, 0 and +oo, counts its real and its
-    positive roots for the first two. Once they pass, every lambda != 0 is
-    +-i*alpha, so rad(p) = lambda^eps h(lambda^2), eps = [m > 0]: p has a
-    repeated root exactly when eps + 2 deg h < n, and then D is semisimple
-    exactly when D^eps h(D^2) = 0, by Horner on C = B^2, B = dD the matrix's
-    one integer form. h must then split over Q with rational-square root
-    ratios.
+    RealNonzeroEigenvalue, NonSemisimpleEigenvalue, IrrationalRatio. seq, read
+    at -oo, 0 and +oo, counts the real and the positive roots of h for the
+    first two. Once they pass, every lambda != 0 is +-i*alpha, so
+    rad(p) = lambda^eps h(lambda^2), eps = [m > 0]: p has a repeated root
+    exactly when eps + 2 deg h < n, and then D is semisimple exactly when D^eps
+    h(D^2) = 0, by Horner on C = B^2, B = dD the matrix's one integer form. h
+    must then split over Q with rational-square root ratios.
     """
     der = coerce_matrix(mat)
     p = list(char_poly(der).ints)
     m = next(k for k, c in enumerate(p) if c)
-    h = _squares(p[m:])
-    if len(h) > 1:
-        seq = _sturm(h)
-        below, above = _infinity_variations(seq)
-        if below - above < len(h) - 1:
-            return FlowVerdict("NoPeriodicOrbits", reason=REASON_NONZERO_REAL_PART)
-        if _variations([_sign(q[0]) for q in seq]) > above:
-            return FlowVerdict("NoPeriodicOrbits", reason=REASON_REAL_NONZERO)
+    h, seq = _squares(p[m:])
+    below, above = _infinity_variations(seq)
+    if below - above < len(h) - 1:
+        return FlowVerdict("NoPeriodicOrbits", reason=REASON_NONZERO_REAL_PART)
+    if _variations([_sign(q[0]) for q in seq]) > above:
+        return FlowVerdict("NoPeriodicOrbits", reason=REASON_REAL_NONZERO)
     eps = m > 0
     if eps + 2 * (len(h) - 1) < len(p) - 1:
         b, d = der.scaled

@@ -19,7 +19,7 @@ class, whose geometric multiplicity an SVD rank at RANK_TOL decides; such a
 merged cluster is the one kind of ill-conditioning spectrum() flags, and
 spectrum() serves display only: flow verdicts and the catalog cross-check
 read only the exact characteristic polynomial, the verdicts through one
-Sturm sequence of the square map.
+remainder sequence, which gives the square map and its Sturm sequence.
 """
 
 from __future__ import annotations
@@ -207,20 +207,20 @@ def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
     return factors
 
 
-def _squares(s: list[int]) -> list[int]:
+def _squares(s: list[int]) -> tuple[list[int], list[list[int]]]:
     """The primitive square-free h(mu) whose roots are the squares of the roots
-    of s, for any s (square-free or not): h = H / gcd(H, H'), H(lambda^2)
-    being s(lambda) itself when s is even and s(lambda)s(-lambda) otherwise,
-    by Dandelin-Graeffe root squaring (V. Pan, SIAM Review 39(2), 1997).
-    One gcd, and the sign of h is H's."""
+    of s, for any s, and its Sturm sequence, both from one remainder sequence:
+    h = H / gcd(H, H') heads _sturm(H), H(lambda^2) being s(lambda) itself when
+    s is even and s(lambda)s(-lambda) otherwise, by Dandelin-Graeffe root
+    squaring (V. Pan, SIAM Review 39(2), 1997); the sign of h is H's."""
     if any(s[1::2]):
         prod = [0] * (2 * len(s) - 1)
         for i, a in enumerate(s):
             for j, b in enumerate(s):
                 prod[i + j] += -a * b if j % 2 else a * b
         s = prod
-    big = s[0::2]
-    return _primitive(_quo(big, _gcd(big, _deriv(big))))
+    seq = _sturm(_primitive(s[0::2]))
+    return seq[0], seq
 
 
 def _sign(c: int) -> int:
@@ -237,10 +237,16 @@ def _sign_at(ints: list[int], u: int, v: int) -> int:
 
 
 def _sturm(s: list[int]) -> list[list[int]]:
-    """Sturm sequence of the square-free polynomial s."""
+    """Sturm sequence of the square-free s / g, g = gcd(s, s') with a positive
+    leading coefficient, for any s != 0: s, s' and their signed remainders,
+    each divided by g, the last nonzero one (Basu, Pollack & Roy, ch. 2). Its
+    variations drop by the number of distinct roots of s in (a, b]."""
     seq = [s, _primitive(_deriv(s))]
     while len(seq[-1]) > 1:
         seq.append([-c for c in _rem(seq[-2], seq[-1])])
+    if not seq[-1]:
+        g = seq[-2] if seq[-2][-1] > 0 else [-c for c in seq[-2]]
+        seq = [_quo(q, g) for q in seq[:-1]]
     return seq
 
 
@@ -263,20 +269,22 @@ def _infinity_variations(seq: list[list[int]]) -> tuple[int, int]:
 
 def _rational_roots(s: list[int], seq: list[list[int]] | None = None) -> list[Fraction]:
     """Every rational root of the primitive square-free polynomial s, ascending;
-    seq is s's Sturm sequence, when the caller has built it already.
+    seq is a Sturm sequence of s (from _sturm or _squares) if already built.
 
-    By the rational root theorem they lie on the lattice (1/a)Z, a = |lc(s)|.
-    The lattice indices k of the points k/a in (-aB, aB], B the Cauchy bound,
-    are bisected at (lo + hi) // 2, all in integers. The Sturm variations
-    change only at roots of s, so at -aB and aB they are those at -oo and +oo,
-    and an interval (lo, hi] holding two or more roots is split by the Sturm
-    counts. An interval holding exactly one root is halved by the sign of s
-    alone: s changes sign once in it, so just right of lo it has the sign
-    opposite to s(hi) (Basu, Pollack & Roy, Algorithms in Real Algebraic
-    Geometry, 2nd ed., 2006, ch. 10). The root is rational exactly when s
-    vanishes at a lattice point of its interval, and only a root found becomes
-    a Fraction.
+    A linear s has its root read at once. Otherwise, by the rational root
+    theorem they lie on the lattice (1/a)Z, a = |lc(s)|. The lattice indices k
+    of the points k/a in (-aB, aB], B the Cauchy bound, are bisected at
+    (lo + hi) // 2, all in integers. The Sturm variations change only at roots
+    of s, so at -aB and aB they are those at -oo and +oo, and an interval
+    (lo, hi] holding two or more roots is split by the Sturm counts. An
+    interval holding exactly one root is halved by the sign of s alone: s
+    changes sign once in it, so just right of lo it has the sign opposite to
+    s(hi) (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed.,
+    2006, ch. 10). The root is rational exactly when s vanishes at a lattice
+    point of its interval, and only a root found becomes a Fraction.
     """
+    if len(s) == 2:
+        return [Fraction(-s[0], s[1])]
     if seq is None:
         seq = _sturm(s)
     a = abs(s[-1])
@@ -451,7 +459,7 @@ def spectrum(mat) -> Spectrum:
                 t = _quo(t, [-r.numerator, r.denominator])
                 classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
             if len(t) > 3:
-                for mu in _rational_roots(_squares(t)):
+                for mu in _rational_roots(*_squares(t)):
                     pair = [-mu.numerator, 0, mu.denominator]
                     t = _quo(t, pair)
                     classes += _pair_classes(pair, k, geom)

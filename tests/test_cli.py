@@ -735,3 +735,34 @@ def test_period_check_past_the_guard_exits_1_without_warnings(capsys):
                              "--check-period", "1e308")
     assert (code, out) == (1, "")
     assert err.startswith("error: ||tM|| = inf exceeds the guard"), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_column_sum_past_the_float_max_warns_nothing(capsys):
+    # ||D||_1 = 2e308 is inf, so the safe horizon is 0 and the evidence inconclusive.
+    code, doc, err = run_json(capsys, "simulate", "--catalog", "abelian2",
+                              "--matrix=1e308,0,1e308,0")
+    assert code == 1 and err.count("\n") == 2, err  # two decimal-input notices only
+    assert doc["verdict"]["reason"] == "RealNonzeroEigenvalue"
+    assert doc["evidence"]["details"]["horizon"] == 0.0
+    assert doc["evidence"]["inconclusive"] is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
+@pytest.mark.parametrize("argv", [
+    ["classify", "--catalog", "abelian2", "--matrix=1e-5000,0,0,0"],
+    ["classify", "--catalog", "abelian2", "--matrix=0,1e-5000,-1e-5000,0"],
+    ["classify", "--catalog", "nosuch", "--inner=1,0"],
+    ["classify", "--bogus"],
+], ids=["ok", "exit-1", "exit-2", "usage"])
+def test_main_restores_the_int_to_text_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -146,11 +146,10 @@ def test_cli_ends_in_a_documented_exit_code(invocation):
 # Extreme magnitudes: decimals near and past the float range's ends, long p/q
 # literals, and an algebra whose constant has 3000 digits (its derivation basis
 # holds entries of about 6000, past Python's 4300-digit limit on int-to-text
-# conversion). 1e-5000 is drawn only onto the diagonal of a matrix of abelian2:
-# a rotation spectrum with a 5000-digit entry takes the rational-root bisection
-# 8-30 s, one step per bit of the lattice, and the other literals stay at 400
-# digits for the same reason.
-EXTREME = ["1e-307", "-1e-307", "1e-320", "1e300", "-1e300",
+# conversion). Every literal, 1e-5000 and +-1e308 included, is drawn onto every
+# --matrix and --inner entry: in dimension 2 and 3 the square map is linear, so
+# its root is read at once, with no bisection over a 5000-digit lattice.
+EXTREME = ["1e-307", "-1e-307", "1e-320", "1e-5000", "1e300", "-1e300", "1e308", "-1e308",
            "1/" + "9" * 400, "1" + "0" * 400 + "/" + "3" * 400, "0", "1", "-1"]
 PERIODS = ["pi", "1e-307", "1e-320", "1e-5000", "1e300", "1e308", "1/" + "9" * 400]
 
@@ -165,8 +164,8 @@ def extreme_invocations(draw):
     if mode == "derivations":
         return args
     if source == "abelian2":  # every matrix is a derivation of it
-        diagonal, off = st.sampled_from(EXTREME + ["1e-5000"]), st.sampled_from(EXTREME)
-        args.append("--matrix=" + ",".join(map(draw, (diagonal, off, off, diagonal))))
+        args.append("--matrix=" + ",".join(draw(st.lists(st.sampled_from(EXTREME),
+                                                         min_size=4, max_size=4))))
     else:
         args.append("--inner=" + ",".join(draw(st.lists(st.sampled_from(EXTREME),
                                                         min_size=3, max_size=3))))

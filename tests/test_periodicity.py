@@ -582,9 +582,9 @@ def test_square_map_of_p_keeps_every_verdict():
     for name, mat in square_map_cases():
         p = list(char_poly(mat).ints)
         m = next(k for k, c in enumerate(p) if c)
-        h = _squares(p[m:])
+        h = _squares(p[m:])[0]
         rad = _quo(p, _gcd(p, _deriv(p)))
-        old = _squares(rad[1:] if rad[0] == 0 else rad)
+        old = _squares(rad[1:] if rad[0] == 0 else rad)[0]
         assert h in (old, [-c for c in old]), name
         mq = coerce_matrix(mat).entries
         at_squares = fraction_horner(h, mat_mul(mq, mq))
@@ -599,13 +599,13 @@ def test_square_map_of_p_keeps_every_verdict():
     assert zero_semisimple >= 5
 
 
-def test_one_classification_scales_once_and_runs_one_gcd(monkeypatch):
+def test_one_classification_scales_once_and_runs_one_remainder_sequence(monkeypatch):
     # ... and checks its matrix square once, when the Leibniz gate builds it.
     from lieflow import _linalg, spectral
     from lieflow.dersolve import DerivationMatrix
 
     calls = []
-    for module, name in ((spectral, "_gcd"), (_linalg, "scaled"),
+    for module, name in ((spectral, "_gcd"), (spectral, "_sturm"), (_linalg, "scaled"),
                          (DerivationMatrix, "__post_init__")):
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
@@ -620,13 +620,30 @@ def test_one_classification_scales_once_and_runs_one_gcd(monkeypatch):
         (abelian(5), blkdiag(rot_block(1), [[0, 1], [0, 0]], [[0]])),
         (abelian(3), blkdiag([[1, 2], [3, 4]], [[5]])),
         (abelian(3), [[0] * 3] * 3),
+        (abelian(3), blkdiag([[1, -1], [1, 1]], [[0]])),
+        (abelian(4), blkdiag(rot_block(1), [[0, -2], [1, 0]])),
     ]
     tags = set()
     for sc, mat in cases:
         calls.clear()
         v = classify_linear_flow(sc, mat)
         tags.add(v.reason or v.tag)
-        assert calls.count("_gcd") <= 1 and calls.count("scaled") == 1, (v, calls)
-        assert calls.count("__post_init__") == 1, (v, calls)
-    assert tags == {"PeriodicFlow", "NonSemisimpleEigenvalue", "RealNonzeroEigenvalue",
-                    "IdentityFlow"}
+        assert calls.count("_sturm") == 1 and "_gcd" not in calls, (v, calls)
+        assert calls.count("scaled") == 1 and calls.count("__post_init__") == 1, (v, calls)
+    assert tags == {"PeriodicFlow", "IdentityFlow", "NonzeroRealPart", "RealNonzeroEigenvalue",
+                    "NonSemisimpleEigenvalue", "IrrationalRatio"}
+
+
+def test_a_linear_square_map_is_read_without_bisection(monkeypatch):
+    # At most one +-i*alpha pair fits in dimension 2 or 3, so h is linear there.
+    from lieflow import spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "_sign_at",
+                        lambda *args, real=spectral._sign_at: calls.append(args) or real(*args))
+    b = F(1, 10**5000)
+    with pytest.raises(PeriodTooLargeError):  # T = 2*pi*10^5000
+        classify_flow([[0, -b], [b, 0]])
+    v = classify_invariant_flow(get_entry("sl2").structure, (-10**300, b, 10**300))
+    assert v.tag == "PeriodicFlow"
+    assert calls == []

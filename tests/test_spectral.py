@@ -856,8 +856,80 @@ def test_squares_match_the_resultant():
         cases.append([-c for c in s] if rng.random() < 0.5 else s)
     assert {bool(any(s[1::2])) for s in cases if len(s) > 2} == {False, True}
     for s in cases:
-        h = _squares(s)
+        h = _squares(s)[0]
         assert ([-c for c in h] if h[-1] < 0 else h) == squares_oracle(sympy, s), s
+
+
+# Irreducible quadratics, with the d of x^2 - d for real pairs +-sqrt(d).
+PLANTED_QUADRATICS = {(1, 0, 1): None, (5, 0, 2): None, (1, 1, 1): None, (3, -2, 1): None,
+                      (-2, 0, 1): 2, (-3, 0, 1): 3}
+
+
+def planted_powers(rng):
+    """(s, rad, roots): s a primitive product of linear and quadratic factors,
+    each to a power 1-3 (rational roots, +-lambda pairs x^2 - lambda^2, the
+    root 0, irreducible quadratics), rad its distinct factors with the sign of
+    s, and roots its distinct real roots, a rational r as r and +-sqrt(d) as
+    (+-1, d)."""
+    mults = {}
+    for _ in range(rng.randint(1, 4)):
+        r, m = F(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(1, 3)
+        for root in rng.choice([(r,), (r, -r), (F(0),)]):
+            mults[root] = mults.get(root, 0) + m
+    quads = rng.sample(sorted(PLANTED_QUADRATICS), rng.randint(0, 2))
+    factors = [([-r.numerator, r.denominator], m) for r, m in mults.items()]
+    factors += [(list(q), rng.randint(1, 3)) for q in quads]
+    sign = rng.choice((1, -1))
+    s = [sign * c for c in int_poly_mul(*[f for f, m in factors for _ in range(m)])]
+    rad = [sign * c for c in int_poly_mul(*[f for f, _ in factors])]
+    roots = list(mults) + [(e, PLANTED_QUADRATICS[q]) for q in quads
+                           if PLANTED_QUADRATICS[q] for e in (1, -1)]
+    return s, rad, roots
+
+
+def below(x, root):
+    """x < root for a rational x and a planted real root."""
+    if isinstance(root, F):
+        return x < root
+    e, d = root  # root = e sqrt(d)
+    return (x < 0 or x * x < d) if e > 0 else (x < 0 and x * x > d)
+
+
+def test_sturm_sequence_of_any_polynomial_counts_its_distinct_roots():
+    from lieflow.spectral import _sign_at, _sturm, _variations
+
+    rng = random.Random(3030)
+    for _ in range(80):
+        s, rad, roots = planted_powers(rng)
+        seq = _sturm(s)
+        assert seq[0] == rad, s
+        rational = [r for r in roots if isinstance(r, F)]
+        points = sorted(set(rational + [F(0), F(-100), F(100)]
+                            + [F(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(4)]))
+
+        def variations(x):
+            return _variations([_sign_at(q, x.numerator, x.denominator) for q in seq])
+
+        for i, a in enumerate(points):
+            for b in points[i + 1:]:
+                count = sum(below(a, r) and not below(b, r) for r in roots)
+                assert variations(a) - variations(b) == count, (s, a, b)
+
+
+def test_squares_head_the_one_remainder_sequence_of_h():
+    from lieflow.spectral import _deriv, _gcd, _primitive, _quo, _squares, _sturm
+
+    rng = random.Random(3131)
+    for _ in range(80):
+        s = planted_powers(rng)[0]
+        big = s
+        if any(s[1::2]):
+            big = int_poly_mul(s, [-c if k % 2 else c for k, c in enumerate(s)])
+        big = big[0::2]
+        h, seq = _squares(s)
+        assert h == _primitive(_quo(big, _gcd(big, _deriv(big)))), s
+        assert seq == _sturm(_primitive(big)) and seq[0] is h, s
+    assert _squares([-3]) == ([-1], [[-1]])
 
 
 def planted_pieces(*blocks):
