@@ -80,7 +80,8 @@ def _as_float_matrix(mat) -> np.ndarray:
 
 
 def _norm1(arr: np.ndarray):
-    """||A||_1, the largest absolute column sum, of each matrix of a stack."""
+    """||A||_1, the largest absolute column sum, of each matrix of a stack
+    whose column sums may pass the float max."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # a sum past the float max is inf, the norm
@@ -104,7 +105,8 @@ def _pade13_expm(a: np.ndarray) -> np.ndarray:
     import numpy as np
 
     b = _PADE13
-    s = np.ceil(np.log2(np.maximum(_norm1(a), _THETA13) / _THETA13)).astype(int)
+    norm = abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # <= EXPM_NORM_GUARD here
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     a = np.ldexp(a, -s[:, None, None])
     eye = np.eye(a.shape[-1])
     a2 = a @ a
@@ -155,21 +157,46 @@ def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
     return min(wanted, 0.5 * EXPM_NORM_GUARD / norm) if norm else wanted
 
 
-def _closure_residuals(
-    arr: np.ndarray, periods: Sequence[float], horizon: float, samples: int
-) -> np.ndarray:
-    """Per trial period T_j, max over t in linspace(0, horizon, samples) of
-    ||e^{(t+T_j)D} - e^{tD}||_F, computed as ||(e^{T_j D} - I) e^{tD}||_F
-    from one batch of exponentials over the grid and the trial periods. Each
-    e^{tD} is divided by the power of two at its largest entry and the norm
-    multiplied back, which changes no bit of a residual that fits but keeps
-    the sum of squares from overflowing past ~1e154; a residual that still
-    overflows shows as non-finite."""
+def _grid_expm(arr: np.ndarray, start: float, stop: float, count: int) -> np.ndarray:
+    """e^{tD} at each t of np.linspace(start, stop, count), as one stack. One
+    expm call gives e^{start D} and e^{hD}, h = (stop - start) / (count - 1);
+    then each doubling round multiplies the m matrices filled so far by
+    e^{mhD} into the next m, since e^{t_k D} = e^{start D} (e^{hD})^k (Moler
+    & Van Loan, SIAM Review 45(1), 2003). That expm call sees only start and
+    h, so the norm guard is checked here, at max(|start|, |stop|)."""
     import numpy as np
 
-    ts = np.linspace(0.0, horizon, samples)
-    exps = expm(arr, np.concatenate([ts, periods]))
-    flows, gaps = exps[:samples], exps[samples:] - np.eye(arr.shape[0])
+    _check_norm(arr, max(abs(start), abs(stop)))
+    times = [start, (stop - start) / (count - 1)] if count > 1 else [start]
+    exps = expm(arr, np.array(times, dtype=float))
+    out = np.empty((count,) + arr.shape)
+    out[0], step = exps[0], exps[-1]
+    done = 1
+    while done < count:
+        m = min(done, count - done)
+        np.matmul(out[:m], step, out=out[done:done + m])
+        done += m
+        if done < count:  # one squaring more could pass the float max
+            step = step @ step
+    return out
+
+
+def _closure_residuals(
+    arr: np.ndarray, trials: Sequence[float] | np.ndarray, horizon: float, samples: int
+) -> np.ndarray:
+    """Per trial period T_j, max over t in linspace(0, horizon, samples) of
+    ||e^{(t+T_j)D} - e^{tD}||_F, computed as ||(e^{T_j D} - I) e^{tD}||_F.
+    `trials` holds the T_j, exponentiated here in one batch, or a stack of
+    the e^{T_j D} themselves; the e^{tD} come from _grid_expm. Each e^{tD} is
+    divided by the power of two at its largest entry and the norm multiplied
+    back, which changes no bit of a residual that fits but keeps the sum of
+    squares from overflowing past ~1e154; a residual that still overflows
+    shows as non-finite."""
+    import numpy as np
+
+    trials = np.asarray(trials, dtype=float)
+    gaps = (expm(arr, trials) if trials.ndim == 1 else trials) - np.eye(arr.shape[0])
+    flows = _grid_expm(arr, 0.0, horizon, samples)
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
     flows /= scale[:, None, None]
     # Residuals in blocks of trial periods whose products take <= 512 KiB:
@@ -188,10 +215,11 @@ def _closure_residuals(
 
 
 def _period_residuals(arr: np.ndarray, periods: Sequence[float], samples: int) -> np.ndarray:
-    """_closure_residuals at the trial periods on the window of a check at
-    T = periods[0]: 4T capped by the safe horizon and by (float max - T) / 2,
-    which keeps horizon + T finite. Raises ExpmOverflowError when (horizon +
-    T)||D||_1, the literal form's largest exponent, exceeds the norm guard."""
+    """_closure_residuals at the trial periods, exponentiated in one batch, on
+    the window of a check at T = periods[0]: 4T capped by the safe horizon and
+    by (float max - T) / 2, which keeps horizon + T finite. Raises
+    ExpmOverflowError when (horizon + T)||D||_1, the literal form's largest
+    exponent, exceeds the norm guard."""
     period = float(periods[0])
     horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
     _check_norm(arr, horizon + period)
@@ -283,9 +311,11 @@ def verify_verdict(
     evidence only: the residual must stay above the separation floor for
     every trial period on the grid; a dip below it makes the grid
     inconclusive, not the verdict wrong, and so does a safe horizon shorter
-    than the smallest trial period. Each check exponentiates one batch, and a
-    non-finite residual makes any of them inconclusive. `sc` is not read; it
-    stays positional because the acceptance gate and perfbench/worker.py pass it.
+    than the smallest trial period. The 1 or 4 trial periods of a PeriodicFlow
+    check are exponentiated in one batch; each uniform grid of times or trial
+    periods takes one _grid_expm ladder. A non-finite residual makes any check
+    inconclusive. `sc` is not read; it stays positional because the
+    acceptance gate and perfbench/worker.py pass it.
     """
     import numpy as np
 
@@ -303,7 +333,8 @@ def verify_verdict(
         details = {"closure_residual": float(residuals[0]),
                    "subperiod_residuals": subperiods}
     elif verdict.tag == "IdentityFlow":
-        residuals = _closure_residuals(arr, np.linspace(0.0, horizon, cfg.samples), 0.0, 1)
+        trials = _grid_expm(arr, 0.0, horizon, cfg.samples)
+        residuals = _closure_residuals(arr, trials, 0.0, 1)
         passed, inconclusive = residuals.max() <= cfg.period_tol, False
         details = {"identity_residual": float(residuals.max()), "horizon": horizon}
     elif verdict.tag == "NoPeriodicOrbits":
@@ -311,9 +342,10 @@ def verify_verdict(
         if horizon < EVIDENCE_MIN_PERIOD:
             note += "; the safe horizon is shorter than the smallest trial period"
             return VerdictEvidence(False, True, {"horizon": horizon, "note": note})
-        periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
-        residuals = _closure_residuals(arr, periods, horizon, cfg.samples)
+        trials = _grid_expm(arr, EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
+        residuals = _closure_residuals(arr, trials, horizon, cfg.samples)
         best = int(np.argmin(residuals))
+        periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
         passed = residuals[best] >= cfg.separation
         inconclusive = not passed
         details = {

@@ -396,9 +396,8 @@ def test_blocked_closure_residuals_match_a_per_period_loop():
             periods = rng.uniform(flowsim.EVIDENCE_MIN_PERIOD, 5.0, count)
             for samples in (2, 64, 1000):
                 peaks = flowsim._closure_residuals(m, periods, horizon, samples)
-                ts = np.linspace(0.0, horizon, samples)
-                exps = expm(m, np.concatenate([ts, periods]))
-                flows, gaps = exps[:samples], exps[samples:] - np.eye(n)
+                flows = flowsim._grid_expm(m, 0.0, horizon, samples)
+                gaps = expm(m, periods) - np.eye(n)
                 scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
                 flows /= scale[:, None, None]
                 res = np.empty((count, samples))
@@ -451,6 +450,72 @@ def test_expm_matches_mpmath_up_to_the_norm_guard():
                     err = mpmath.matrix(got.tolist()) - want
                     rel = mpmath.mnorm(err, 1) / mpmath.mnorm(want, 1)
                     assert rel < 1e-12, (kind, n, target, float(rel))
+
+
+def test_grid_expm_matches_mpmath_up_to_the_safe_horizon():
+    # 50-digit oracle at grid points 1, 31 and 63 of a 64-point grid that
+    # starts at ||t D||_1 = 0.5 and ends at 5, 50 or 350 (the safe-horizon
+    # cap). Measured worst relative error: 4.5e-14 (8x8 rotations at point
+    # 63 of the 350 grid), against 2.4e-14 for expm at that time.
+    rng = np.random.default_rng(53)
+    with mpmath.workdps(50):
+        for kind in ("rotation", "jordan", "nilpotent", "random"):
+            for n in (2, 5, 8):
+                m = oracle_blocks(rng, kind, n)
+                norm = np.linalg.norm(m, 1)
+                for target in (5.0, 50.0, 350.0):
+                    ts = np.linspace(0.5 / norm, target / norm, 64)
+                    grid = flowsim._grid_expm(m, ts[0], ts[-1], 64)
+                    for k in (1, 31, 63):
+                        want = mpmath.expm(mpmath.matrix((ts[k] * m).tolist()))
+                        err = mpmath.matrix(grid[k].tolist()) - want
+                        rel = mpmath.mnorm(err, 1) / mpmath.mnorm(want, 1)
+                        assert rel < 1e-12, (kind, n, target, k, float(rel))
+
+
+def test_grid_expm_guards_the_end_of_the_grid():
+    # The ladder's own expm call sees only start and h = 700.5 / 63.
+    m = np.eye(2)
+    flowsim._grid_expm(m, 0.0, 700.0, 64)
+    with pytest.raises(ExpmOverflowError):
+        flowsim._grid_expm(m, 0.0, 700.5, 64)
+    with pytest.raises(ExpmOverflowError):
+        flowsim._grid_expm(m, -700.5, 0.0, 64)
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 2.0, 1), (0.5, 2.0, 1), (0.0, 2.0, 2), (-1.0, 2.0, 2),
+    (1.5, 1.5, 1), (1.5, 1.5, 5), (0.0, 3.0, 7), (2.0, -1.0, 9),
+])
+def test_grid_expm_edges(start, stop, count):
+    m = np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.0], [0.3, 0.0, -0.2]])
+    grid = flowsim._grid_expm(m, start, stop, count)
+    want = expm(m, np.linspace(start, stop, count))
+    assert grid.shape == want.shape
+    assert np.abs(grid - want).max() <= 1e-14 * np.abs(want).max()
+    if start == 0.0:
+        assert np.array_equal(grid[0], np.eye(3))
+
+
+def test_grid_expm_matches_per_time_expm_on_the_evidence_windows(monkeypatch):
+    windows = []
+    inner = flowsim._grid_expm
+
+    def spying(arr, start, stop, count):
+        windows.append((arr, start, stop, count))
+        return inner(arr, start, stop, count)
+
+    monkeypatch.setattr(flowsim, "_grid_expm", spying)
+    for row in verdict_table():
+        entry = get_entry(row.entry, row.param)
+        windows.clear()
+        verify_verdict(entry.structure, row.matrix, row.verdict)
+        assert windows, (row.entry, row.label)
+        for arr, start, stop, count in windows:
+            want = expm(arr, np.linspace(start, stop, count))
+            err = np.linalg.norm(inner(arr, start, stop, count) - want, axis=(1, 2))
+            biggest = np.linalg.norm(want, axis=(1, 2)).max()
+            assert err.max() <= 1e-12 * biggest, (row.entry, row.label, start, stop)
 
 
 def test_batched_expm_guards_the_largest_time():
@@ -522,8 +587,8 @@ def test_evidence_grid_holds_one_periods_by_samples_array():
 
 def test_evidence_grid_fills_residuals_in_blocks():
     # At 3000 samples all products would take 288 MB and all residuals 72 MB;
-    # a block of products takes at most 512 KiB (~2 MiB traced in all, most
-    # of it the Pade kernel's stack of 6000 exponentials).
+    # a block of products takes at most 512 KiB (~1 MiB traced in all; the
+    # two doubling-ladder stacks of 3000 exponentials take 94 KiB each).
     peak = evidence_peak(3000)
     assert peak < 4 * 2**20, peak
 
@@ -604,12 +669,15 @@ def expm_batches(monkeypatch):
 
 
 def test_evidence_exponentiates_one_batch_per_check(expm_batches):
+    # The 4 trial periods of a PeriodicFlow check go in one batch; a uniform
+    # grid of 64 times or trial periods takes its start and step, or its
+    # start alone when the grid is the single time t = 0.
     sl2 = get_entry("sl2").structure
     aff2 = get_entry("aff2").structure
     cases = [
-        (sl2, inner_derivation(sl2, (1, 0, 0)), [4 + 64]),
-        (aff2, ((0, 0), (1, 0)), [64 + 64]),
-        (aff2, ((0, 0), (0, 0)), [1 + 64]),  # the time t = 0, then 64 trial periods
+        (sl2, inner_derivation(sl2, (1, 0, 0)), [4, 2]),
+        (aff2, ((0, 0), (1, 0)), [2, 2]),
+        (aff2, ((0, 0), (0, 0)), [2, 1]),  # 64 trial periods, then the time t = 0
     ]
     for sc, mat, sizes in cases:
         expm_batches.clear()
