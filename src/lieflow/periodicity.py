@@ -9,11 +9,11 @@ in integers on B = dD, d the lcm of D's denominators, the matrix's one
 integer form: the primitive characteristic polynomial p by Berkowitz on B,
 and everything else from the square map h(mu) of p without its root 0, whose
 roots are the squares mu = lambda^2 of the nonzero eigenvalues. One remainder
-sequence gives h and its Sturm sequence, which counts its real and positive
-roots and isolates the rational roots by bisection over lattice indices (Basu,
-Pollack & Roy, Algorithms in Real Algebraic Geometry, 2006, ch. 2, 9 and 10);
-when every nonzero eigenvalue is +-i*alpha, rad(p) = lambda^eps h(lambda^2),
-so semisimplicity is D^eps h(D^2) = 0, by Horner on B^2.
+sequence gives h and its Sturm sequence, which counts its real roots (Basu,
+Pollack & Roy, Algorithms in Real Algebraic Geometry, 2006, ch. 2); then the
+sign changes of h's coefficients count its positive roots (Descartes), D^eps
+h(D^2) = 0, by Horner on B^2, is semisimplicity, and the rational roots of h,
+lifted modulo powers of a small prime, give the frequency ratios.
 Verdicts:
 
 * IdentityFlow          - D = 0, every point is fixed.
@@ -106,12 +106,14 @@ def classify_flow(mat) -> FlowVerdict:
     axes for a non-real mu, are real for mu > 0 and are +-i*alpha for
     mu = -alpha^2 < 0. Failing reasons in a fixed order: NonzeroRealPart,
     RealNonzeroEigenvalue, NonSemisimpleEigenvalue, IrrationalRatio. seq, read
-    at -oo, 0 and +oo, counts the real and the positive roots of h for the
-    first two. Once they pass, every lambda != 0 is +-i*alpha, so
-    rad(p) = lambda^eps h(lambda^2), eps = [m > 0]: p has a repeated root
-    exactly when eps + 2 deg h < n, and then D is semisimple exactly when D^eps
-    h(D^2) = 0, by Horner on C = B^2, B = dD the matrix's one integer form. h
-    must then split over Q with rational-square root ratios.
+    at -oo and +oo, counts the real roots of h for the first; once all are
+    real, Descartes' rule is exact, and h has a positive root exactly when its
+    coefficients change sign, the second. Once they pass, every lambda != 0 is
+    +-i*alpha, so rad(p) = lambda^eps h(lambda^2), eps = [m > 0]: p has a
+    repeated root exactly when eps + 2 deg h < n, and then D is semisimple
+    exactly when D^eps h(D^2) = 0, by Horner on C = B^2, B = dD the matrix's
+    one integer form. h must then split over Q with rational-square root
+    ratios.
     """
     der = coerce_matrix(mat)
     p = list(char_poly(der).ints)
@@ -120,7 +122,7 @@ def classify_flow(mat) -> FlowVerdict:
     below, above = _infinity_variations(seq)
     if below - above < len(h) - 1:
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_NONZERO_REAL_PART)
-    if _variations([_sign(q[0]) for q in seq]) > above:
+    if _variations(map(_sign, h)):
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_REAL_NONZERO)
     eps = m > 0
     if eps + 2 * (len(h) - 1) < len(p) - 1:
@@ -130,7 +132,7 @@ def classify_flow(mat) -> FlowVerdict:
             return FlowVerdict("NoPeriodicOrbits", reason=REASON_NON_SEMISIMPLE)
     if len(h) == 1:
         return FlowVerdict("IdentityFlow")
-    mus = _rational_roots(h, seq)
+    mus = _rational_roots(h)
     if len(mus) < len(h) - 1:
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
     # mus ascend below 0, so alpha_1^2 = -mus[-1] is the smallest square, and

@@ -8,12 +8,11 @@ exact rule gives every geometric multiplicity: for k > 1, D restricted to
 ker s(D) is semisimple, and the Yun decomposition of its characteristic
 polynomial splits s into pieces whose roots share one geometric
 multiplicity. Roots of a piece are extracted exactly wherever the
-factorization stays rational or quadratic (every rational root, by Sturm
-bisection over rational-root lattice indices, halved by the sign of the
-polynomial alone once an interval holds one root; irreducible quadratic
-factors; the pairs +-sqrt(mu) over the rational roots mu of the square map
-h(mu), whose roots are the squares lambda^2 of a piece's roots, for every
-piece) and numerically otherwise.
+factorization stays rational or quadratic (every rational root, by Hensel
+lifting of the roots modulo a small prime; irreducible quadratic factors;
+the pairs +-sqrt(mu) over the rational roots mu of the square map h(mu),
+whose roots are the squares lambda^2 of a piece's roots, for every piece)
+and numerically otherwise.
 Only numeric roots of one piece closer than CLUSTER_GUARD merge into one
 class, whose geometric multiplicity an SVD rank at RANK_TOL decides; such a
 merged cluster is the one kind of ill-conditioning spectrum() flags, and
@@ -267,49 +266,47 @@ def _infinity_variations(seq: list[list[int]]) -> tuple[int, int]:
     return _variations([v if len(q) % 2 else -v for v, q in zip(lead, seq)]), _variations(lead)
 
 
-def _rational_roots(s: list[int], seq: list[list[int]] | None = None) -> list[Fraction]:
-    """Every rational root of the primitive square-free polynomial s, ascending;
-    seq is a Sturm sequence of s (from _sturm or _squares) if already built.
+def _mod_at(p: list[int], x: int, m: int) -> int:
+    acc = 0  # p(x) mod m, by Horner
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
 
-    A linear s has its root read at once. Otherwise, by the rational root
-    theorem they lie on the lattice (1/a)Z, a = |lc(s)|. The lattice indices k
-    of the points k/a in (-aB, aB], B the Cauchy bound, are bisected at
-    (lo + hi) // 2, all in integers. The Sturm variations change only at roots
-    of s, so at -aB and aB they are those at -oo and +oo, and an interval
-    (lo, hi] holding two or more roots is split by the Sturm counts. An
-    interval holding exactly one root is halved by the sign of s alone: s
-    changes sign once in it, so just right of lo it has the sign opposite to
-    s(hi) (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, 2nd ed.,
-    2006, ch. 10). The root is rational exactly when s vanishes at a lattice
-    point of its interval, and only a root found becomes a Fraction.
+
+def _rational_roots(s: list[int]) -> list[Fraction]:
+    """Every rational root of the primitive square-free polynomial s, ascending.
+
+    A linear s has its root read at once. Otherwise a rational root is k/a,
+    a = |lc(s)|, |k| < a + max|s_i| (Cauchy), and a root r of s mod q for the
+    least prime q not dividing a at which all such r are simple (only the
+    divisors of a disc(s) fail). Newton's step, with 1/s'(r) lifted alongside,
+    takes each r to the one root modulo q^2, q^4, ... (Hensel's lemma), the
+    last power the least above 2(a + max|s_i|); k = a*r in the symmetric range
+    is kept when s(k/a) = 0 exactly (R. Loos, SIAM J. Comput. 12(2), 1983;
+    von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
     """
     if len(s) == 2:
         return [Fraction(-s[0], s[1])]
-    if seq is None:
-        seq = _sturm(s)
-    a = abs(s[-1])
-    bound = a * (1 - (-max(abs(c) for c in s[:-1]) // a))
+    a, ds, q = abs(s[-1]), _deriv(s), 1
+    while True:
+        q += 1
+        if a % q and all(q % p for p in range(2, math.isqrt(q) + 1)):
+            lifts = [r for r in range(q) if not _mod_at(s, r, q)]
+            if all(_mod_at(ds, r, q) for r in lifts):
+                break
+    bound = 2 * (a + max(map(abs, s)))
+    top = q ** round(math.log(bound, q))  # q^e or q^(e-1), q^e the least
+    top *= q if top <= bound else 1  # power of q above bound
     roots = []
-    stack = [(-bound, bound, *_infinity_variations(seq))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo - vhi > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            vmid = _variations([_sign_at(q, mid, a) for q in seq])
-            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-        elif vlo > vhi:
-            shi = _sign_at(s, hi, a)
-            while shi and hi - lo > 1:  # one root r, lo < r < hi
-                mid = (lo + hi) // 2
-                smid = _sign_at(s, mid, a)
-                if smid == shi:
-                    hi = mid
-                elif smid:
-                    lo = mid
-                else:
-                    hi, shi = mid, 0
-            if not shi:
-                roots.append(Fraction(hi, a))
+    for r in lifts:
+        m, w = q, pow(_mod_at(ds, r, q), -1, q)
+        while m <= bound:  # s(r) = 0 and w s'(r) = 1 mod m
+            m = min(m * m, top)
+            r = (r - _mod_at(s, r, m) * w) % m
+            w = w * (2 - _mod_at(ds, r, m) * w) % m
+        k = (a * r + m // 2) % m - m // 2
+        if not _sign_at(s, k, a):
+            roots.append(Fraction(k, a))
     return sorted(roots)
 
 
@@ -459,7 +456,7 @@ def spectrum(mat) -> Spectrum:
                 t = _quo(t, [-r.numerator, r.denominator])
                 classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
             if len(t) > 3:
-                for mu in _rational_roots(*_squares(t)):
+                for mu in _rational_roots(_squares(t)[0]):
                     pair = [-mu.numerator, 0, mu.denominator]
                     t = _quo(t, pair)
                     classes += _pair_classes(pair, k, geom)

@@ -25,7 +25,7 @@ from fractions import Fraction as F
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lieflow.catalog import CATALOG_NAMES, PARAMETRIC_NAMES, get_entry  # noqa: E402
 from lieflow.cli import main  # noqa: E402
@@ -147,23 +147,35 @@ def test_cli_ends_in_a_documented_exit_code(invocation):
 # literals, and an algebra whose constant has 3000 digits (its derivation basis
 # holds entries of about 6000, past Python's 4300-digit limit on int-to-text
 # conversion). Every literal, 1e-5000 and +-1e308 included, is drawn onto every
-# --matrix and --inner entry: in dimension 2 and 3 the square map is linear, so
-# its root is read at once, with no bisection over a 5000-digit lattice.
+# --matrix and --inner entry in dimension 2 and 3, and onto the rotation
+# entries b and c of R(b) + R(c) on a 4-dimensional abelian --file algebra,
+# whose square map (mu + b^2)(mu + c^2) is quadratic with coefficients of up
+# to 10801 digits: its rational roots are lifted modulo prime powers.
 EXTREME = ["1e-307", "-1e-307", "1e-320", "1e-5000", "1e300", "-1e300", "1e308", "-1e308",
            "1/" + "9" * 400, "1" + "0" * 400 + "/" + "3" * 400, "0", "1", "-1"]
 PERIODS = ["pi", "1e-307", "1e-320", "1e-5000", "1e300", "1e308", "1/" + "9" * 400]
+FILES = {"sevens": SEVENS_ALGEBRA, "abelian4": {"dim": 4, "brackets": []}}
+
+
+def rotation_sum(b, c):
+    """--matrix of R(b) + R(c), R(x) = [[0, -x], [x, 0]], from two literals."""
+    neg_b, neg_c = (x[1:] if x.startswith("-") else "-" + x for x in (b, c))
+    return f"--matrix=0,{neg_b},0,0,{b},0,0,0,0,0,0,{neg_c},0,0,{c},0"
 
 
 @st.composite
 def extreme_invocations(draw):
-    """argv with "{algebra}" and "{csv}" standing for files."""
+    """argv with "{sevens}", "{abelian4}" and "{csv}" standing for files."""
     mode = draw(st.sampled_from(["classify", "derivations", "simulate", "check-period", "csv"]))
-    source = draw(st.sampled_from(["abelian2", "sl2", "sevens"]))
+    source = draw(st.sampled_from(["abelian2", "sl2", "sevens", "abelian4"]))
     args = ["simulate" if mode in ("check-period", "csv") else mode]
-    args.append("--file={algebra}" if source == "sevens" else "--catalog=" + source)
+    args.append(f"--file={{{source}}}" if source in FILES else "--catalog=" + source)
     if mode == "derivations":
         return args
-    if source == "abelian2":  # every matrix is a derivation of it
+    if source == "abelian4":
+        args.append(rotation_sum(*draw(st.lists(st.sampled_from(EXTREME), min_size=2,
+                                                max_size=2))))
+    elif source == "abelian2":  # every matrix is a derivation of it
         args.append("--matrix=" + ",".join(draw(st.lists(st.sampled_from(EXTREME),
                                                          min_size=4, max_size=4))))
     else:
@@ -178,12 +190,16 @@ def extreme_invocations(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(extreme_invocations())
+@example(["classify", "--file={abelian4}", rotation_sum("1e-5000", "1")])
+@example(["simulate", "--file={abelian4}", rotation_sum("1e-5000", "-1e300"), "--csv={csv}"])
 def test_extreme_magnitudes_end_in_a_documented_exit_code_without_warnings(args):
     with tempfile.TemporaryDirectory() as tmp:
-        algebra, csv = os.path.join(tmp, "algebra.json"), os.path.join(tmp, "orbit.csv")
-        with open(algebra, "w") as fh:
-            json.dump(SEVENS_ALGEBRA, fh)
-        args = [a.replace("{algebra}", algebra).replace("{csv}", csv) for a in args]
+        paths = {name: os.path.join(tmp, name) for name in (*FILES, "csv")}
+        for name, alg in FILES.items():
+            with open(paths[name], "w") as fh:
+                json.dump(alg, fh)
+        for name, path in paths.items():
+            args = [a.replace(f"{{{name}}}", path) for a in args]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():

@@ -647,3 +647,50 @@ def test_a_linear_square_map_is_read_without_bisection(monkeypatch):
     v = classify_invariant_flow(get_entry("sl2").structure, (-10**300, b, 10**300))
     assert v.tag == "PeriodicFlow"
     assert calls == []
+
+
+def test_coefficient_signs_count_the_positive_roots_once_h_is_real_rooted():
+    # Check 2 reads Descartes' sign changes of h; once check 1 has shown that
+    # every root of h is real, they are its positive roots, which the Sturm
+    # sequence counts between 0 and +oo. Zero coefficients are skipped, as in
+    # mu^2 - 1 from R(1) + diag(1, -1).
+    from lieflow.spectral import _infinity_variations, _sign, _squares, _variations
+
+    cases = square_map_cases() + [("R(1) + diag(1, -1)", blkdiag(rot_block(1), [[1]], [[-1]])),
+                                  ("R(1) + R(2) + diag(3, -3)",
+                                   blkdiag(rot_block(1), rot_block(2), [[3]], [[-3]]))]
+    real_rooted, gapped, positive = 0, 0, 0
+    for name, mat in cases:
+        p = list(char_poly(mat).ints)
+        h, seq = _squares(p[next(k for k, c in enumerate(p) if c):])
+        below, above = _infinity_variations(seq)
+        if below - above < len(h) - 1:
+            continue
+        sturm = _variations([_sign(q[0]) for q in seq]) - above
+        assert _variations(map(_sign, h)) == sturm, (name, h)
+        real_rooted += 1
+        gapped += 0 in h
+        positive += sturm > 0
+    assert real_rooted >= 100 and gapped >= 4 and positive >= 50, (real_rooted, gapped, positive)
+
+
+@pytest.mark.parametrize("exponent", [300, 1000])
+def test_long_rotation_sums_lift_each_root_once(monkeypatch, exponent):
+    # h = (mu + b^2)(mu + 4b^2)(mu + 9b^2) has integer coefficients of up to
+    # 1800 and 6000 digits; each root of h modulo a small prime is lifted and
+    # checked by one exact evaluation, so h is evaluated at most deg h = 3
+    # times, not once per bit of a lattice index.
+    from lieflow import spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "_sign_at",
+                        lambda *args, real=spectral._sign_at: calls.append(args) or real(*args))
+    b = F(1, 10**exponent)
+    mat = blkdiag(rot_block(b), rot_block(2 * b), rot_block(3 * b))
+    if exponent == 300:
+        v = classify_flow(mat)
+        assert v.tag == "PeriodicFlow" and v.period_over_pi == 2 * 10**300
+    else:
+        with pytest.raises(PeriodTooLargeError):  # T = 2*pi*10^1000
+            classify_flow(mat)
+    assert 1 <= len(calls) <= 3
