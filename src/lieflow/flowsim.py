@@ -1,10 +1,10 @@
 """Matrix exponentials, flow-closure residuals, and invariant orbits exp(tX)g0.
 
 Everything here is double precision and serves as numerical evidence for the
-exact verdicts: closure residuals certify periods, and bounded-below
-residual sweeps over a finite horizon falsify closure. Non-periodicity is
-only ever "evidence", never proof; the proof lives in the exact spectral
-classification.
+exact verdicts: closure residuals certify periods, and bounded-below residual
+sweeps over a finite horizon falsify closure, each check from one batched
+`expm` call and doubling ladders. Non-periodicity is only ever "evidence",
+never proof; the proof lives in the exact spectral classification.
 
 NumPy is imported inside the functions, not at module level: importing this
 module, as the CLI and the package do, must not load NumPy for the exact
@@ -17,6 +17,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .dersolve import DerivationMatrix
@@ -70,10 +71,19 @@ class VerdictEvidence:
     details: dict
 
 
+def _as_float(v):
+    """A Fraction of Python ints as num / den: float()'s rounding and OverflowError."""
+    num, den = v.as_integer_ratio() if type(v) is Fraction else (v, None)
+    return num / den if type(num) is int is type(den) else v
+
+
 def _as_float_matrix(mat) -> np.ndarray:
     import numpy as np
 
-    arr = np.asarray(mat.entries if isinstance(mat, DerivationMatrix) else mat, dtype=float)
+    rows = mat.entries if isinstance(mat, DerivationMatrix) else mat
+    if isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows):
+        rows = [[*map(_as_float, row)] for row in rows]
+    arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -157,20 +167,19 @@ def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
     return min(wanted, 0.5 * EXPM_NORM_GUARD / norm) if norm else wanted
 
 
-def _grid_expm(arr: np.ndarray, start: float, stop: float, count: int) -> np.ndarray:
-    """e^{tD} at each t of np.linspace(start, stop, count), as one stack. One
-    expm call gives e^{start D} and e^{hD}, h = (stop - start) / (count - 1);
-    then each doubling round multiplies the m matrices filled so far by
-    e^{mhD} into the next m, since e^{t_k D} = e^{start D} (e^{hD})^k (Moler
-    & Van Loan, SIAM Review 45(1), 2003). That expm call sees only start and
-    h, so the norm guard is checked here, at max(|start|, |stop|)."""
+def _steps(count: int, *spans: float) -> list[float]:
+    """The step of a `count`-point grid over each span; none on one point."""
+    return [span / (count - 1) for span in spans] if count > 1 else []
+
+
+def _ladder(first: np.ndarray, step: np.ndarray, count: int) -> np.ndarray:
+    """e^{t_k D}, t_k = t_0 + kh, k < count, from first = e^{t_0 D} and step = e^{hD}
+    (or a stack of it; of none, unread, on one point): each doubling round multiplies
+    the m filled so far by e^{mhD} (Moler & Van Loan, SIAM Review 45(1), 2003)."""
     import numpy as np
 
-    _check_norm(arr, max(abs(start), abs(stop)))
-    times = [start, (stop - start) / (count - 1)] if count > 1 else [start]
-    exps = expm(arr, np.array(times, dtype=float))
-    out = np.empty((count,) + arr.shape)
-    out[0], step = exps[0], exps[-1]
+    out = np.empty((count,) + first.shape)
+    out[0] = first
     done = 1
     while done < count:
         m = min(done, count - done)
@@ -181,22 +190,12 @@ def _grid_expm(arr: np.ndarray, start: float, stop: float, count: int) -> np.nda
     return out
 
 
-def _closure_residuals(
-    arr: np.ndarray, trials: Sequence[float] | np.ndarray, horizon: float, samples: int
-) -> np.ndarray:
-    """Per trial period T_j, max over t in linspace(0, horizon, samples) of
-    ||e^{(t+T_j)D} - e^{tD}||_F, computed as ||(e^{T_j D} - I) e^{tD}||_F.
-    `trials` holds the T_j, exponentiated here in one batch, or a stack of
-    the e^{T_j D} themselves; the e^{tD} come from _grid_expm. Each e^{tD} is
-    divided by the power of two at its largest entry and the norm multiplied
-    back, which changes no bit of a residual that fits but keeps the sum of
-    squares from overflowing past ~1e154; a residual that still overflows
-    shows as non-finite."""
+def _max_residuals(gaps: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Per gap e^{T_j D} - I, max over the e^{tD} of `flows` of ||gap e^{tD}||_F, each
+    e^{tD} divided in place by the power of two at its largest entry and the norm
+    scaled back: squares stay finite past ~1e154, and no residual that fits moves."""
     import numpy as np
 
-    trials = np.asarray(trials, dtype=float)
-    gaps = (expm(arr, trials) if trials.ndim == 1 else trials) - np.eye(arr.shape[0])
-    flows = _grid_expm(arr, 0.0, horizon, samples)
     scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
     flows /= scale[:, None, None]
     # Residuals in blocks of trial periods whose products take <= 512 KiB:
@@ -215,15 +214,18 @@ def _closure_residuals(
 
 
 def _period_residuals(arr: np.ndarray, periods: Sequence[float], samples: int) -> np.ndarray:
-    """_closure_residuals at the trial periods, exponentiated in one batch, on
-    the window of a check at T = periods[0]: 4T capped by the safe horizon and
-    by (float max - T) / 2, which keeps horizon + T finite. Raises
-    ExpmOverflowError when (horizon + T)||D||_1, the literal form's largest
-    exponent, exceeds the norm guard."""
+    """Per trial period T_j, max over t in linspace(0, horizon, samples) of
+    ||e^{(t+T_j)D} - e^{tD}||_F, from one expm call, on the window of a check at
+    T = periods[0]: 4T capped by the safe horizon and by (float max - T) / 2, so
+    horizon + T, the literal form's largest exponent, is finite and guarded."""
+    import numpy as np
+
     period = float(periods[0])
     horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
     _check_norm(arr, horizon + period)
-    return _closure_residuals(arr, periods, horizon, samples)
+    eye = np.eye(arr.shape[0])
+    exps = expm(arr, [*periods, *_steps(samples, horizon)])
+    return _max_residuals(exps[:len(periods)] - eye, _ladder(eye, exps[len(periods):], samples))
 
 
 def flow_period_residual(
@@ -301,7 +303,7 @@ def write_orbit_csv(samples: list[FlowSample], path: str) -> None:
 def verify_verdict(
     sc, mat, verdict: FlowVerdict, cfg: ToleranceConfig | None = None
 ) -> VerdictEvidence:
-    """Numerical evidence for a linear-flow verdict, from _closure_residuals.
+    """Numerical evidence for a linear-flow verdict, from _max_residuals.
 
     PeriodicFlow passes when the residual at T stays within period_tol while
     T/2, T/3 and 2T/3 all miss by at least the separation threshold
@@ -311,17 +313,17 @@ def verify_verdict(
     evidence only: the residual must stay above the separation floor for
     every trial period on the grid; a dip below it makes the grid
     inconclusive, not the verdict wrong, and so does a safe horizon shorter
-    than the smallest trial period. The 1 or 4 trial periods of a PeriodicFlow
-    check are exponentiated in one batch; each uniform grid of times or trial
-    periods takes one _grid_expm ladder. A non-finite residual makes any check
-    inconclusive. `sc` is not read; it stays positional because the
-    acceptance gate and perfbench/worker.py pass it.
+    than the smallest trial period. Each check makes one expm call, [T, T/2, T/3,
+    2T/3, h], [h] or [0.5, h_trial, h_time], each h a grid step (none on one point).
+    A non-finite residual makes any check inconclusive. `sc` is not read; the
+    acceptance gate and perfbench pass it.
     """
     import numpy as np
 
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
     horizon = _safe_horizon(arr, cfg.horizon)
+    eye = np.eye(arr.shape[0])
     if verdict.tag == "PeriodicFlow":
         assert verdict.period is not None
         period = verdict.period
@@ -333,8 +335,8 @@ def verify_verdict(
         details = {"closure_residual": float(residuals[0]),
                    "subperiod_residuals": subperiods}
     elif verdict.tag == "IdentityFlow":
-        trials = _grid_expm(arr, 0.0, horizon, cfg.samples)
-        residuals = _closure_residuals(arr, trials, 0.0, 1)
+        trials = _ladder(eye, expm(arr, _steps(cfg.samples, horizon)), cfg.samples)
+        residuals = _max_residuals(trials - eye, np.eye(arr.shape[0])[None])
         passed, inconclusive = residuals.max() <= cfg.period_tol, False
         details = {"identity_residual": float(residuals.max()), "horizon": horizon}
     elif verdict.tag == "NoPeriodicOrbits":
@@ -342,18 +344,16 @@ def verify_verdict(
         if horizon < EVIDENCE_MIN_PERIOD:
             note += "; the safe horizon is shorter than the smallest trial period"
             return VerdictEvidence(False, True, {"horizon": horizon, "note": note})
-        trials = _grid_expm(arr, EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
-        residuals = _closure_residuals(arr, trials, horizon, cfg.samples)
+        hs = _steps(cfg.samples, horizon - EVIDENCE_MIN_PERIOD, horizon)
+        exps = expm(arr, [EVIDENCE_MIN_PERIOD, *hs])
+        residuals = _max_residuals(_ladder(exps[0], exps[1:2], cfg.samples) - eye,
+                                   _ladder(eye, exps[2:], cfg.samples))
         best = int(np.argmin(residuals))
         periods = np.linspace(EVIDENCE_MIN_PERIOD, horizon, cfg.samples)
         passed = residuals[best] >= cfg.separation
         inconclusive = not passed
-        details = {
-            "min_residual": float(residuals[best]),
-            "argmin_period": float(periods[best]),
-            "horizon": horizon,
-            "note": note,
-        }
+        details = {"min_residual": float(residuals[best]),
+                   "argmin_period": float(periods[best]), "horizon": horizon, "note": note}
     else:
         raise ValueError(f"verify_verdict cannot check verdict tag {verdict.tag!r}")
     if not np.all(np.isfinite(residuals)):  # an overflow shows nothing

@@ -25,6 +25,7 @@ from lieflow import (
 )
 from lieflow import flowsim
 from lieflow.catalog import get_entry, verdict_table
+from lieflow.dersolve import coerce_matrix
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
 from lieflow.periodicity import FlowVerdict
 
@@ -157,6 +158,31 @@ def test_expm_rejects_nonfinite():
         for m in (((0, -1), (1, 0)), ((0, 0), (0, 0))):
             with pytest.raises(ValueError, match="times must be finite"):
                 expm(m, t)
+
+
+def test_exact_entries_round_as_float_does():
+    # A Fraction of Python ints is converted by num / den: the same correctly
+    # rounded division as float(), subnormals and the float max's rounding
+    # edge included. Any other entry goes to NumPy as it is.
+    rng = np.random.default_rng(71)
+    values = [F(int(n), int(d)) for n, d in zip(rng.integers(-10**18, 10**18, 300),
+                                                 rng.integers(1, 10**18, 300))]
+    values += [F(1, 3), F(-2, 7), F(3, 10**320), F(-1, 2**1074), F(10**300, 7),
+               F(2**1024 - 2**970 - 1), F(np.int64(2**60 + 1), np.int64(3)),
+               5, -2, 0.5, np.float64(0.25), np.int64(7)]
+    n = math.isqrt(len(values) - 1) + 1
+    rows = [(values + [0] * n * n)[i * n:(i + 1) * n] for i in range(n)]
+    want = np.array([[float(v) for v in row] for row in rows])
+    assert np.array_equal(flowsim._as_float_matrix(rows), want)
+    exact = [row[:2] for row in rows[:2]]
+    assert np.array_equal(flowsim._as_float_matrix(coerce_matrix(exact)), want[:2, :2])
+    # Past the float range: float() and the division both raise OverflowError,
+    # which the CLI reports as exit 1.
+    for big in (F(10**400, 3), F(2**1024 - 2**970), F(-(10**309))):
+        with pytest.raises(OverflowError):
+            float(big)
+        with pytest.raises(OverflowError):
+            flowsim._as_float_matrix(((0, big), (0, 0)))
 
 
 def catalog_derivation_samples():
@@ -384,6 +410,15 @@ def literal_residual(m, period, horizon, samples):
     return worst, scale
 
 
+def closure_residuals(m, periods, horizon, samples):
+    """Per trial period, the max over linspace(0, horizon, samples) of the
+    closure residual, as the evidence computes it: one ladder from I and the
+    residual kernel."""
+    eye = np.eye(len(m))
+    flows = flowsim._ladder(eye, expm(m, horizon / (samples - 1)), samples)
+    return flowsim._max_residuals(expm(m, periods) - eye, flows)
+
+
 def test_blocked_closure_residuals_match_a_per_period_loop():
     # One broadcast product per block of trial periods gives the same bits as
     # one product and one einsum per period. At 1000 samples the 64 periods
@@ -395,9 +430,9 @@ def test_blocked_closure_residuals_match_a_per_period_loop():
         for count in (1, 4, 64):
             periods = rng.uniform(flowsim.EVIDENCE_MIN_PERIOD, 5.0, count)
             for samples in (2, 64, 1000):
-                peaks = flowsim._closure_residuals(m, periods, horizon, samples)
-                flows = flowsim._grid_expm(m, 0.0, horizon, samples)
+                flows = flowsim._ladder(np.eye(n), expm(m, horizon / (samples - 1)), samples)
                 gaps = expm(m, periods) - np.eye(n)
+                peaks = flowsim._max_residuals(gaps, flows.copy())
                 scale = np.exp2(np.frexp(np.abs(flows).max(axis=(1, 2)))[1])
                 flows /= scale[:, None, None]
                 res = np.empty((count, samples))
@@ -452,7 +487,7 @@ def test_expm_matches_mpmath_up_to_the_norm_guard():
                     assert rel < 1e-12, (kind, n, target, float(rel))
 
 
-def test_grid_expm_matches_mpmath_up_to_the_safe_horizon():
+def test_ladder_matches_mpmath_up_to_the_safe_horizon():
     # 50-digit oracle at grid points 1, 31 and 63 of a 64-point grid that
     # starts at ||t D||_1 = 0.5 and ends at 5, 50 or 350 (the safe-horizon
     # cap). Measured worst relative error: 4.5e-14 (8x8 rotations at point
@@ -465,7 +500,8 @@ def test_grid_expm_matches_mpmath_up_to_the_safe_horizon():
                 norm = np.linalg.norm(m, 1)
                 for target in (5.0, 50.0, 350.0):
                     ts = np.linspace(0.5 / norm, target / norm, 64)
-                    grid = flowsim._grid_expm(m, ts[0], ts[-1], 64)
+                    first, step = expm(m, np.array([ts[0], (ts[-1] - ts[0]) / 63]))
+                    grid = flowsim._ladder(first, step, 64)
                     for k in (1, 31, 63):
                         want = mpmath.expm(mpmath.matrix((ts[k] * m).tolist()))
                         err = mpmath.matrix(grid[k].tolist()) - want
@@ -473,23 +509,28 @@ def test_grid_expm_matches_mpmath_up_to_the_safe_horizon():
                         assert rel < 1e-12, (kind, n, target, k, float(rel))
 
 
-def test_grid_expm_guards_the_end_of_the_grid():
-    # The ladder's own expm call sees only start and h = 700.5 / 63.
+def test_period_window_guards_the_end_of_the_grid():
+    # The one expm call of a check sees only the trial periods and the step
+    # h = horizon / 63, so the window guards its end, 350 + T at ||D||_1 = 1;
+    # a negative time trips the batch's own guard on the largest |t|.
     m = np.eye(2)
-    flowsim._grid_expm(m, 0.0, 700.0, 64)
+    flowsim._period_residuals(m, [350.0], 64)
     with pytest.raises(ExpmOverflowError):
-        flowsim._grid_expm(m, 0.0, 700.5, 64)
+        flowsim._period_residuals(m, [350.5], 64)
     with pytest.raises(ExpmOverflowError):
-        flowsim._grid_expm(m, -700.5, 0.0, 64)
+        expm(m, np.array([-700.5, 700.5 / 63]))
 
 
 @pytest.mark.parametrize("start, stop, count", [
     (0.0, 2.0, 1), (0.5, 2.0, 1), (0.0, 2.0, 2), (-1.0, 2.0, 2),
     (1.5, 1.5, 1), (1.5, 1.5, 5), (0.0, 3.0, 7), (2.0, -1.0, 9),
 ])
-def test_grid_expm_edges(start, stop, count):
+def test_ladder_edges(start, stop, count):
+    # The start and step in one batch, as the evidence requests them; Pade
+    # gives exactly I at t = 0, so the evidence starts such a grid at np.eye.
     m = np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.0], [0.3, 0.0, -0.2]])
-    grid = flowsim._grid_expm(m, start, stop, count)
+    exps = expm(m, np.array([start, *flowsim._steps(count, stop - start)]))
+    grid = flowsim._ladder(exps[0], exps[1:], count)
     want = expm(m, np.linspace(start, stop, count))
     assert grid.shape == want.shape
     assert np.abs(grid - want).max() <= 1e-14 * np.abs(want).max()
@@ -497,25 +538,43 @@ def test_grid_expm_edges(start, stop, count):
         assert np.array_equal(grid[0], np.eye(3))
 
 
-def test_grid_expm_matches_per_time_expm_on_the_evidence_windows(monkeypatch):
-    windows = []
-    inner = flowsim._grid_expm
+def test_ladders_match_per_time_expm_on_the_evidence_windows(monkeypatch):
+    # Each ladder starts at I or at an exponential of the check's one batch
+    # and steps by another; its e^{(t_0 + kh)D} match per-time expm calls.
+    batches, ladders = [], []
+    inner_expm, inner_ladder = flowsim.expm, flowsim._ladder
 
-    def spying(arr, start, stop, count):
-        windows.append((arr, start, stop, count))
-        return inner(arr, start, stop, count)
+    def spying_expm(mat, t=1.0):
+        out = inner_expm(mat, t)
+        batches.append((mat, list(t), out))
+        return out
 
-    monkeypatch.setattr(flowsim, "_grid_expm", spying)
+    def spying_ladder(first, step, count):
+        out = inner_ladder(first, step, count)
+        ladders.append((first, step, count, out.copy()))  # the kernel scales it
+        return out
+
+    monkeypatch.setattr(flowsim, "expm", spying_expm)
+    monkeypatch.setattr(flowsim, "_ladder", spying_ladder)
     for row in verdict_table():
         entry = get_entry(row.entry, row.param)
-        windows.clear()
+        batches.clear()
+        ladders.clear()
         verify_verdict(entry.structure, row.matrix, row.verdict)
-        assert windows, (row.entry, row.label)
-        for arr, start, stop, count in windows:
-            want = expm(arr, np.linspace(start, stop, count))
-            err = np.linalg.norm(inner(arr, start, stop, count) - want, axis=(1, 2))
+        assert len(batches) == 1 and ladders, (row.entry, row.label)
+        (arr, times, exps), = batches
+
+        def time_of(mat):
+            return max(i for i, e in enumerate(exps) if np.array_equal(e, mat))
+
+        for first, step, count, grid in ladders:
+            start = 0.0 if np.array_equal(first, np.eye(len(first))) else times[time_of(first)]
+            (step,) = step  # the one step of a grid of 64 times
+            ts = start + times[time_of(step)] * np.arange(count)
+            want = inner_expm(arr, ts)
+            err = np.linalg.norm(grid - want, axis=(1, 2))
             biggest = np.linalg.norm(want, axis=(1, 2)).max()
-            assert err.max() <= 1e-12 * biggest, (row.entry, row.label, start, stop)
+            assert err.max() <= 1e-12 * biggest, (row.entry, row.label, start, ts[-1])
 
 
 def test_batched_expm_guards_the_largest_time():
@@ -534,7 +593,7 @@ def test_kernel_matches_literal_residual_on_seeded_matrices():
     for m in seeded_matrices(42, 10):
         periods = rng.uniform(0.1, 2.0, size=3)
         horizon, samples = float(rng.uniform(0.5, 3.0)), 9
-        got = flowsim._closure_residuals(m, periods, horizon, samples)
+        got = closure_residuals(m, periods, horizon, samples)
         for period, residual in zip(periods, got):
             want, scale = literal_residual(m, period, horizon, samples)
             assert abs(residual - want) <= 1e-10 * max(want, scale)
@@ -552,7 +611,7 @@ def test_kernel_matches_literal_residual_on_verdict_table():
         else:
             horizon = flowsim._safe_horizon(m, cfg.horizon)
             periods = np.linspace(flowsim.EVIDENCE_MIN_PERIOD, horizon, cfg.samples)[::21]
-        got = flowsim._closure_residuals(m, periods, horizon, 9)
+        got = closure_residuals(m, periods, horizon, 9)
         for period, residual in zip(periods, got):
             want, scale = literal_residual(m, period, horizon, 9)
             assert abs(residual - want) <= 1e-10 * max(want, scale), (
@@ -595,22 +654,23 @@ def test_evidence_grid_fills_residuals_in_blocks():
 
 @pytest.fixture
 def closure_windows(monkeypatch):
-    """(periods, horizon, samples) of each call to flowsim._closure_residuals."""
+    """(periods, h) of each call to flowsim.expm in a period window: its
+    trial periods and the step h = horizon / (samples - 1) of its grid."""
     calls = []
-    inner = flowsim._closure_residuals
+    inner = flowsim.expm
 
-    def spying(arr, periods, horizon, samples):
-        calls.append((list(periods), horizon, samples))
-        return inner(arr, periods, horizon, samples)
+    def spying(mat, t=1.0):
+        calls.append((list(t[:-1]), t[-1]))
+        return inner(mat, t)
 
-    monkeypatch.setattr(flowsim, "_closure_residuals", spying)
+    monkeypatch.setattr(flowsim, "expm", spying)
     return calls
 
 
 def test_flow_period_residual_reports_the_worst_grid_residual(closure_windows):
     m = np.array([[0.0, 0.0], [0.0, 0.3]])  # residual grows with t
     report = flow_period_residual(m, 1.0, cfg=replace(DEFAULT_CONFIG, samples=5))
-    assert closure_windows == [([1.0], 4.0, 5)]
+    assert closure_windows == [([1.0], 4.0 / 4)]  # the window 4T on 5 samples
     want, _ = literal_residual(m, 1.0, 4.0, 5)
     assert abs(report.max_residual - want) <= 1e-12 * want
 
@@ -631,8 +691,8 @@ def test_period_checks_share_one_window(closure_windows):
         closure_windows.clear()
         verify_verdict(sc, mat, verdict)
         flow_period_residual(mat, period)
-        assert [(p[0], h) for p, h, _ in closure_windows] == [(period, horizon)] * 2
-        assert all(type(h) is float for _, h, _ in closure_windows)
+        assert [(p[0], h) for p, h in closure_windows] == [(period, horizon / 63)] * 2
+        assert all(type(h) is float for _, h in closure_windows)
 
 
 def test_period_guard_trips_on_horizon_plus_period():
@@ -668,21 +728,46 @@ def expm_batches(monkeypatch):
     return sizes
 
 
+EVIDENCE_CASES = [
+    ("sl2", inner_derivation(get_entry("sl2").structure, (1, 0, 0))),  # PeriodicFlow
+    ("aff2", ((0, 0), (1, 0))),  # NoPeriodicOrbits
+    ("aff2", ((0, 0), (0, 0))),  # IdentityFlow
+]
+
+
 def test_evidence_exponentiates_one_batch_per_check(expm_batches):
-    # The 4 trial periods of a PeriodicFlow check go in one batch; a uniform
-    # grid of 64 times or trial periods takes its start and step, or its
-    # start alone when the grid is the single time t = 0.
-    sl2 = get_entry("sl2").structure
-    aff2 = get_entry("aff2").structure
-    cases = [
-        (sl2, inner_derivation(sl2, (1, 0, 0)), [4, 2]),
-        (aff2, ((0, 0), (1, 0)), [2, 2]),
-        (aff2, ((0, 0), (0, 0)), [2, 1]),  # 64 trial periods, then the time t = 0
-    ]
-    for sc, mat, sizes in cases:
+    # One expm call per check: the 4 trial periods of a PeriodicFlow check and
+    # its grid step; the first trial period 0.5 and the steps of the trial
+    # and time grids; the step of the IdentityFlow grid, which starts at I.
+    for (name, mat), sizes in zip(EVIDENCE_CASES, [[5], [3], [1]]):
+        sc = get_entry(name).structure
         expm_batches.clear()
         verify_verdict(sc, mat, classify_linear_flow(sc, mat))
         assert expm_batches == sizes
+
+
+# The documents with ToleranceConfig(samples=1), recorded before the one-batch
+# evidence: a one-point grid is the time t = 0 alone, or the trial period 0.5.
+ONE_SAMPLE_DOCUMENTS = [
+    {"closure_residual": 1.4261072965499197e-15, "subperiod_residuals": {
+        "1T/2": 2.9999999999999996, "1T/3": 3.0, "2T/3": 2.9999999999999996}},
+    {"min_residual": 0.49999999999999994, "argmin_period": 0.5, "horizon": 50.0,
+     "note": "falsification evidence over a finite horizon, not proof"},
+    {"identity_residual": 0.0, "horizon": 50.0},
+]
+
+
+def test_one_point_grids_request_no_step(expm_batches):
+    # The library accepts samples = 1 (the CLI refuses it): the one-point
+    # grids request no step, so the IdentityFlow check asks for no exponential.
+    one = replace(DEFAULT_CONFIG, samples=1)
+    for (name, mat), sizes, details in zip(EVIDENCE_CASES, [[4], [1], [0]],
+                                           ONE_SAMPLE_DOCUMENTS):
+        sc = get_entry(name).structure
+        expm_batches.clear()
+        evidence = verify_verdict(sc, mat, classify_linear_flow(sc, mat), one)
+        assert expm_batches == sizes
+        assert vars(evidence) == {"passed": True, "inconclusive": False, "details": details}
 
 
 @pytest.mark.filterwarnings("error")
@@ -737,10 +822,10 @@ def test_nonfinite_residual_makes_evidence_inconclusive(monkeypatch):
     mat = ((0, 0), (0, 300))
     verdict = classify_linear_flow(sc, mat)
 
-    def overflowing(arr, periods, horizon, samples):
-        return np.full(len(periods), np.inf)
+    def overflowing(gaps, flows):
+        return np.full(len(gaps), np.inf)
 
-    monkeypatch.setattr(flowsim, "_closure_residuals", overflowing)
+    monkeypatch.setattr(flowsim, "_max_residuals", overflowing)
     evidence = verify_verdict(sc, mat, verdict)
     assert not math.isfinite(evidence.details["min_residual"])
     assert not evidence.passed and evidence.inconclusive

@@ -490,7 +490,7 @@ def test_rational_roots_are_found_not_guessed():
     assert _rational_roots(p) == [F(1, 123457), F(2, 123457)]
     assert _rational_roots([-2, 0, 1]) == []  # x^2 - 2
     assert _rational_roots([0, 1]) == [F(0)]
-    # Two irrational roots, sqrt(2) and sqrt(3), in one lattice cell (1, 2].
+    # Two irrational roots, sqrt(2) and sqrt(3), and no rational one.
     assert _rational_roots(int_poly_mul([-2, 0, 1], [-3, 0, 1])) == []
 
 
@@ -520,22 +520,6 @@ def rational_roots_oracle(s, divisors=divisors):
     return sorted(roots)
 
 
-def lattice_midpoints(s, depth):
-    """The lattice indices at which bisecting (-K, K] at (lo + hi) // 2 splits
-    in its first `depth` levels, K = |lc(s)| times the Cauchy bound."""
-    a = abs(s[-1])
-    k = a * (1 + -(-max(abs(c) for c in s[:-1]) // a))
-    level, out = [(-k, k)], set()
-    for _ in range(depth):
-        nxt = []
-        for lo, hi in level:
-            mid = (lo + hi) // 2
-            out.add(mid)
-            nxt += [(lo, mid), (mid, hi)]
-        level = nxt
-    return out
-
-
 def primitive(p):
     g = math.gcd(*p)
     return [c // g for c in p]
@@ -562,7 +546,7 @@ def test_rational_roots_match_the_rational_root_theorem():
 
     rng = random.Random(1313)
     cases = [planted_square_free(rng, big=i % 3 == 0) for i in range(60)]
-    # A root at 0, the first bisection midpoint.
+    # A root at 0.
     cases += [(int_poly_mul([0, 1], [-3, 7], [2, 0, 1]), [F(0), F(3, 7)])]
     # A root exactly at +-Cauchy's bound (the positive root of
     # |a_n| x^n - sum |a_k| x^k), and next to the ends of (-aB, aB].
@@ -573,21 +557,17 @@ def test_rational_roots_match_the_rational_root_theorem():
         ([-10**6 + 1, 1], [F(10**6 - 1)]),
         ([999983, 10**6], [F(-999983, 10**6)]),
     ]
-    # Roots on the integer midpoints of the first levels of a bisection of
-    # the rational-root lattice, with leading coefficients 1 and up to 10^6:
-    # the candidates are the midpoints for the root 1/a, kept where planting
-    # u/a leaves them midpoints.
-    for a in (1, 7, 997, 10**6 - 1):
-        on_midpoints = [
-            (s, [F(u, a)])
-            for rest in ([1, 0, 1], [-2, 0, 1], [5, 1, 2])
-            for u in lattice_midpoints(primitive(int_poly_mul([-1, a], rest)), 6)
-            if math.gcd(u, a) == 1
-            for s in [primitive(int_poly_mul([-u, a], rest))]
-            if u in lattice_midpoints(s, 6)
-        ]
-        assert len(on_midpoints) >= 3, a
-        cases += on_midpoints
+    # Two roots u/a and (u + P)/a, P the product of the primes up to p, meet
+    # modulo each of those primes, where s then has a double root: the lift
+    # skips them all and starts at the next prime that does not divide a.
+    primorial = 1
+    for p in (2, 3, 5, 7, 11, 13):
+        primorial *= p
+        for a in (1, 7, 10**6 - 1):  # 10^6 - 1 = 3^3 7 11 13 37
+            for u in (-1, 4, a + 2):
+                if math.gcd(u, a) == math.gcd(u + primorial, a) == 1:
+                    s = primitive(int_poly_mul([-u, a], [-u - primorial, a]))
+                    cases.append((s, [F(u, a), F(u + primorial, a)]))
     # h(mu) of rational rotations: several negative rational roots -w^2.
     for ws in ([F(1), F(2), F(3)], [F(1, 2), F(3, 5), F(7, 3)], [F(1, 123457), F(5, 3)]):
         h = primitive(int_poly_mul(*[[w.numerator ** 2, w.denominator ** 2] for w in ws]))
@@ -610,39 +590,19 @@ def test_rational_roots_match_the_rational_root_theorem():
         assert _rational_roots(s) == expected, s
 
 
-def sign_refinement_midpoints(s, u):
-    """The lattice indices at which halving (-K, K] by the sign of s tests a
-    point, K = |lc(s)| times the Cauchy bound, when the one real root of s
-    is u / |lc(s)|."""
-    a = abs(s[-1])
-    hi = a * (1 + -(-max(abs(c) for c in s[:-1]) // a))
-    lo, out = -hi, []
-    while hi - lo > 1 and u not in out:
-        mid = (lo + hi) // 2
-        out.append(mid)
-        lo, hi = (lo, mid) if u <= mid else (mid, hi)
-    return out
-
-
-def test_sign_refinement_finds_a_root_at_a_midpoint():
-    # One real root u/a, met as a midpoint, not as an interval's end, when
-    # the sign of s alone halves the lattice interval that holds it.
+def test_rational_roots_need_every_lifting_round():
+    # (a x - k)(x^2 + x + 1), a odd, has one simple root mod 2, so the lift
+    # runs at q = 2 through 2, 4, 16, ..., 2^512, then the least power of 2
+    # above 2(a + max|s_i|). Each k here has 997 to 1001 bits, so its root
+    # is read only in that last, capped round.
     from lieflow.spectral import _rational_roots
 
-    found = 0
-    for a in (1, 7, 997):
-        for u in range(-40 * a, 40 * a + 1, 1 + 3 * a):
-            if math.gcd(u, a) != 1:
-                continue
-            s = primitive(int_poly_mul([-u, a], [1, 0, 1]))
-            mids = sign_refinement_midpoints(s, u)
-            if mids[-1] == u and len(mids) > 2:
-                assert _rational_roots(s) == [F(u, a)], s
-                found += 1
-    assert found >= 10
-    # x^3 - 3x^2 + x - 3 = (x - 3)(x^2 + 1): (-4, 4] halves at 0, 2, then 3.
-    assert sign_refinement_midpoints([-3, 1, -3, 1], 3) == [0, 2, 3]
-    assert _rational_roots([-3, 1, -3, 1]) == [F(3)]
+    sympy = pytest.importorskip("sympy")
+    for a, k in ((1, 2**997), (3, 2**997), (3, -5**429), (7, 5**429 * 2**3), (1, -2**1000)):
+        s = int_poly_mul([-k, a], [1, 1, 1])
+        expected = rational_roots_oracle(s, divisors=sympy.divisors)
+        assert expected == [F(k, a)], (a, k)
+        assert _rational_roots(s) == expected, (a, k)
 
 
 def fraction_horner(f, m):
