@@ -98,8 +98,8 @@ def _norm1(arr: np.ndarray):
         return abs(arr).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def _check_norm(arr: np.ndarray, t: float) -> None:
-    norm = t * float(_norm1(arr))  # Python floats: an overflow is inf, not a warning
+def _check_norm(norm: float, t: float) -> None:
+    norm *= t  # ||tM||_1 in Python floats: an overflow is inf, not a warning
     if norm > EXPM_NORM_GUARD:
         raise ExpmOverflowError(
             f"||tM|| = {norm:.3g} exceeds the guard {EXPM_NORM_GUARD:.3g}"
@@ -156,14 +156,14 @@ def expm(mat, t: float | np.ndarray = 1.0) -> np.ndarray:
     t_max = float(np.max(np.abs(ts), initial=0.0))  # NaN if any t is NaN
     if not math.isfinite(t_max):
         raise ValueError("times must be finite")
-    _check_norm(arr, t_max)
+    _check_norm(float(_norm1(arr)), t_max)
     scaled = ts[..., None, None] * arr
     return _pade13_expm(scaled.reshape((ts.size,) + arr.shape)).reshape(scaled.shape)
 
 
-def _safe_horizon(arr: np.ndarray, wanted: float) -> float:
-    """`wanted` capped by EXPM_NORM_GUARD / (2 ||D||_1); Python floats reach inf silently."""
-    norm = float(_norm1(arr))
+def _safe_horizon(norm: float, wanted: float) -> float:
+    """`wanted` capped by EXPM_NORM_GUARD / (2 norm), norm = ||D||_1 a Python
+    float; Python floats reach inf silently."""
     return min(wanted, 0.5 * EXPM_NORM_GUARD / norm) if norm else wanted
 
 
@@ -213,16 +213,18 @@ def _max_residuals(gaps: np.ndarray, flows: np.ndarray) -> np.ndarray:
     return np.concatenate(peaks)
 
 
-def _period_residuals(arr: np.ndarray, periods: Sequence[float], samples: int) -> np.ndarray:
+def _period_residuals(arr: np.ndarray, norm: float, periods: Sequence[float],
+                      samples: int) -> np.ndarray:
     """Per trial period T_j, max over t in linspace(0, horizon, samples) of
     ||e^{(t+T_j)D} - e^{tD}||_F, from one expm call, on the window of a check at
     T = periods[0]: 4T capped by the safe horizon and by (float max - T) / 2, so
-    horizon + T, the literal form's largest exponent, is finite and guarded."""
+    horizon + T, the literal form's largest exponent, is finite and guarded;
+    `norm` is ||D||_1."""
     import numpy as np
 
     period = float(periods[0])
-    horizon = min(_safe_horizon(arr, 4.0 * period), (sys.float_info.max - period) / 2)
-    _check_norm(arr, horizon + period)
+    horizon = min(_safe_horizon(norm, 4.0 * period), (sys.float_info.max - period) / 2)
+    _check_norm(norm, horizon + period)
     eye = np.eye(arr.shape[0])
     exps = expm(arr, [*periods, *_steps(samples, horizon)])
     return _max_residuals(exps[:len(periods)] - eye, _ladder(eye, exps[len(periods):], samples))
@@ -237,7 +239,8 @@ def flow_period_residual(
         raise ValueError("period must be positive and finite")
     if cfg.samples < 2:
         raise ValueError("need at least two samples")
-    (worst,) = _period_residuals(_as_float_matrix(mat), [period], cfg.samples)
+    arr = _as_float_matrix(mat)
+    (worst,) = _period_residuals(arr, float(_norm1(arr)), [period], cfg.samples)
     return ResidualReport(float(worst))
 
 
@@ -322,25 +325,27 @@ def verify_verdict(
 
     cfg = cfg or DEFAULT_CONFIG
     arr = _as_float_matrix(mat)
-    horizon = _safe_horizon(arr, cfg.horizon)
+    norm = float(_norm1(arr))
     eye = np.eye(arr.shape[0])
     if verdict.tag == "PeriodicFlow":
         assert verdict.period is not None
         period = verdict.period
         trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
-        residuals = _period_residuals(arr, [period, *trials.values()], cfg.samples)
+        residuals = _period_residuals(arr, norm, [period, *trials.values()], cfg.samples)
         subperiods = dict(zip(trials, map(float, residuals[1:])))
         passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
         inconclusive = False
         details = {"closure_residual": float(residuals[0]),
                    "subperiod_residuals": subperiods}
     elif verdict.tag == "IdentityFlow":
+        horizon = _safe_horizon(norm, cfg.horizon)
         trials = _ladder(eye, expm(arr, _steps(cfg.samples, horizon)), cfg.samples)
         residuals = _max_residuals(trials - eye, np.eye(arr.shape[0])[None])
         passed, inconclusive = residuals.max() <= cfg.period_tol, False
         details = {"identity_residual": float(residuals.max()), "horizon": horizon}
     elif verdict.tag == "NoPeriodicOrbits":
         note = "falsification evidence over a finite horizon, not proof"
+        horizon = _safe_horizon(norm, cfg.horizon)
         if horizon < EVIDENCE_MIN_PERIOD:
             note += "; the safe horizon is shorter than the smallest trial period"
             return VerdictEvidence(False, True, {"horizon": horizon, "note": note})

@@ -2,11 +2,11 @@
 
 Two-tier arithmetic: the characteristic polynomial is always exact
 (Berkowitz's recursion in integers; float entries are converted losslessly).
-Yun's square-free decomposition splits it into coprime factors s_k^k, so
+The chain of radicals splits it into coprime square-free factors s_k^k, so
 algebraic multiplicities are exact and each factor has simple roots. One
 exact rule gives every geometric multiplicity: for k > 1, D restricted to
-ker s(D) is semisimple, and the Yun decomposition of its characteristic
-polynomial splits s into pieces whose roots share one geometric
+ker s_k(D) is semisimple, and the same split of its characteristic
+polynomial cuts s_k into pieces whose roots share one geometric
 multiplicity. Roots of a piece are extracted exactly wherever the
 factorization stays rational or quadratic (every rational root, by Hensel
 lifting of the roots modulo a small prime; irreducible quadratic factors;
@@ -19,6 +19,8 @@ merged cluster is the one kind of ill-conditioning spectrum() flags, and
 spectrum() serves display only: flow verdicts and the catalog cross-check
 read only the exact characteristic polynomial, the verdicts through one
 remainder sequence, which gives the square map and its Sturm sequence.
+Every square-free part is the head of one such sequence, _sturm, the one
+polynomial remainder loop here.
 """
 
 from __future__ import annotations
@@ -176,34 +178,23 @@ def _quo(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive greatest common divisor with a positive leading coefficient."""
-    while b:
-        a, b = b, _rem(a, b)
-    return _primitive([-c for c in a] if a[-1] < 0 else list(a))
-
-
 def _square_free(p: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's square-free decomposition p = prod s_k^k, up to a constant.
+    """The square-free factors s_k of p = prod s_k^k, up to a constant, by the
+    chain of radicals: r_1 = rad(p), the head of _sturm(p), then r_{k+1} =
+    rad(p / (r_1 ... r_k)) until the quotient is constant; r_k is the product
+    of the s_j with j >= k, so s_k = r_k / r_{k+1} (K. O. Geddes, S. R. Czapor
+    & G. Labahn, Algorithms for Computer Algebra, 1992, ch. 8).
 
-    Returns the nonconstant s_k with their k; they are square-free and
-    pairwise coprime (D. Y. Y. Yun, SYMSAC '76).
+    Returns the nonconstant s_k with their k, ascending; for a primitive p with
+    a positive leading coefficient they are primitive with positive leading
+    coefficients, square-free and pairwise coprime.
     """
-    dp = _deriv(p)
-    g = _gcd(p, dp)
-    b, c = _quo(p, g), _quo(dp, g)
-    factors = []
-    k = 1
-    while len(b) > 1:
-        db = _deriv(b)
-        d = _trim([(c[i] if i < len(c) else 0) - (db[i] if i < len(db) else 0)
-                   for i in range(max(len(c), len(db)))])
-        s = _gcd(b, d)
-        if len(s) > 1:
-            factors.append((s, k))
-        b, c = _quo(b, s), _quo(d, s)
-        k += 1
-    return factors
+    radicals = []
+    while len(p) > 1:
+        radicals.append(_sturm(p)[0])
+        p = _quo(p, radicals[-1])
+    return [(s, k) for k, s in enumerate(map(_quo, radicals, radicals[1:] + [[1]]), 1)
+            if len(s) > 1]
 
 
 def _squares(s: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -342,12 +333,13 @@ def _sqrt(x: Fraction) -> float:
 
 def _geometric_pieces(s: list[int], k: int,
                       der: DerivationMatrix) -> list[tuple[list[int], int]]:
-    """The Yun factor s of multiplicity k split into pieces (t, geom) by the
-    exact geometric multiplicity geom of the roots of t. s is square-free, so
-    R = D|K on K = ker s(D) is semisimple, and its char_poly is
-    prod (x - lambda)^geom(lambda) over the roots of s: its Yun decomposition
-    is the split. Each nullspace basis vector v_i is 1 in its free column f_i,
-    its last nonzero, where the others are 0, so R[i][j] is (D v_j)[f_i]."""
+    """The square-free factor s = s_k of multiplicity k split into pieces
+    (t, geom) by the exact geometric multiplicity geom of the roots of t. s is
+    square-free, so R = D|K on K = ker s(D) is semisimple, and its char_poly
+    is prod (x - lambda)^geom(lambda) over the roots of s: its square-free
+    factors are the split. Each nullspace basis vector v_i is 1 in its free
+    column f_i, its last nonzero, where the others are 0, so R[i][j] is
+    (D v_j)[f_i]."""
     if k == 1:
         return [(s, 1)]
     rows = [{c: v for c, v in enumerate(row) if v} for row in _poly_at(s, *der.scaled)[0]]
@@ -436,7 +428,7 @@ def _numeric_classes(
 def spectrum(mat) -> Spectrum:
     """All eigenvalues with algebraic/geometric multiplicity and flags.
 
-    Each Yun factor s_k splits into pieces t of one exact geometric
+    Each square-free factor s_k splits into pieces t of one exact geometric
     multiplicity. Each piece gives up its rational roots; then, if it is of
     degree above 2, a pair +-sqrt(mu) for each rational root mu of
     _squares(t): t has no rational root left, so lambda^2 - mu is irreducible

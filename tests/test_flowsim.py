@@ -514,9 +514,9 @@ def test_period_window_guards_the_end_of_the_grid():
     # h = horizon / 63, so the window guards its end, 350 + T at ||D||_1 = 1;
     # a negative time trips the batch's own guard on the largest |t|.
     m = np.eye(2)
-    flowsim._period_residuals(m, [350.0], 64)
+    flowsim._period_residuals(m, 1.0, [350.0], 64)
     with pytest.raises(ExpmOverflowError):
-        flowsim._period_residuals(m, [350.5], 64)
+        flowsim._period_residuals(m, 1.0, [350.5], 64)
     with pytest.raises(ExpmOverflowError):
         expm(m, np.array([-700.5, 700.5 / 63]))
 
@@ -606,10 +606,10 @@ def test_kernel_matches_literal_residual_on_verdict_table():
         m = np.array([[float(v) for v in r] for r in row.matrix])
         if row.verdict.tag == "PeriodicFlow":
             period = row.verdict.period
-            horizon = flowsim._safe_horizon(m, 4 * period)
+            horizon = flowsim._safe_horizon(float(flowsim._norm1(m)), 4 * period)
             periods = [period, period / 2, period / 3, period * 2 / 3]
         else:
-            horizon = flowsim._safe_horizon(m, cfg.horizon)
+            horizon = flowsim._safe_horizon(float(flowsim._norm1(m)), cfg.horizon)
             periods = np.linspace(flowsim.EVIDENCE_MIN_PERIOD, horizon, cfg.samples)[::21]
         got = closure_residuals(m, periods, horizon, 9)
         for period, residual in zip(periods, got):
@@ -744,6 +744,26 @@ def test_evidence_exponentiates_one_batch_per_check(expm_batches):
         expm_batches.clear()
         verify_verdict(sc, mat, classify_linear_flow(sc, mat))
         assert expm_batches == sizes
+
+
+def test_evidence_norms_the_matrix_once_per_check_and_once_in_expm(monkeypatch):
+    # ||D||_1 once for the check's horizon and guard, once in expm's own guard.
+    calls = []
+    inner = flowsim._norm1
+
+    def counting(arr):
+        calls.append(arr.shape)
+        return inner(arr)
+
+    monkeypatch.setattr(flowsim, "_norm1", counting)
+    for name, mat in EVIDENCE_CASES:
+        sc = get_entry(name).structure
+        calls.clear()
+        verify_verdict(sc, mat, classify_linear_flow(sc, mat))
+        assert len(calls) == 2, (name, mat)
+    calls.clear()
+    flow_period_residual(((0, -1), (1, 0)), 2 * math.pi)
+    assert len(calls) == 2
 
 
 # The documents with ToleranceConfig(samples=1), recorded before the one-batch

@@ -26,9 +26,9 @@ from lieflow.cli import main
 from lieflow.dersolve import coerce_matrix
 from lieflow.liealg import algebra_from_dict
 from lieflow.periodicity import classify_flow, classify_linear_flow
-from lieflow.spectral import _deriv, _gcd, _poly_at, _primitive, _quo, _rem, _trim, char_poly
+from lieflow.spectral import _deriv, _poly_at, _primitive, _rem, _trim, char_poly
 
-from test_spectral import rand_matrix, rational_roots_oracle
+from test_spectral import rand_matrix, rational_roots_oracle, sympy_gcd, sympy_rad
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -106,7 +106,7 @@ def imaginary_axis_gcd(s) -> list:
     turned = [c if j % 4 < 2 else -c for j, c in enumerate(s)]
     re = _trim([0 if j % 2 else c for j, c in enumerate(turned)])
     im = _trim([c if j % 2 else 0 for j, c in enumerate(turned)])
-    return _gcd(re, im)
+    return sympy_gcd(re, im)
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -125,7 +125,7 @@ def reference_verdict(mat, divisors) -> tuple:
     is rational, since every alpha_j T must lie in 2*pi*Z, and None when they
     are surds."""
     p = list(char_poly(mat).ints)
-    rad = _quo(p, _gcd(p, _deriv(p)))
+    rad = sympy_rad(p)
     zero = rad[0] == 0
     real = real_root_count(rad)
     if real + real_root_count(imaginary_axis_gcd(rad)) - zero < len(rad) - 1:

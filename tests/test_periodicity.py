@@ -573,17 +573,17 @@ def test_square_map_of_p_keeps_every_verdict():
     reference rule's, which reads every reason off rad(p)."""
     divisors = pytest.importorskip("sympy").divisors
     from test_perfbench_oracle import reference_verdict
-    from test_spectral import fraction_horner, mat_mul
+    from test_spectral import fraction_horner, mat_mul, sympy_rad
 
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _deriv, _gcd, _poly_at, _quo, _squares
+    from lieflow.spectral import _poly_at, _squares
 
     seen, zero_semisimple = set(), 0
     for name, mat in square_map_cases():
         p = list(char_poly(mat).ints)
         m = next(k for k, c in enumerate(p) if c)
         h = _squares(p[m:])[0]
-        rad = _quo(p, _gcd(p, _deriv(p)))
+        rad = sympy_rad(p)
         old = _squares(rad[1:] if rad[0] == 0 else rad)[0]
         assert h in (old, [-c for c in old]), name
         mq = coerce_matrix(mat).entries
@@ -605,7 +605,7 @@ def test_one_classification_scales_once_and_runs_one_remainder_sequence(monkeypa
     from lieflow.dersolve import DerivationMatrix
 
     calls = []
-    for module, name in ((spectral, "_gcd"), (spectral, "_sturm"), (_linalg, "scaled"),
+    for module, name in ((spectral, "_sturm"), (_linalg, "scaled"),
                          (DerivationMatrix, "__post_init__")):
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
@@ -628,7 +628,7 @@ def test_one_classification_scales_once_and_runs_one_remainder_sequence(monkeypa
         calls.clear()
         v = classify_linear_flow(sc, mat)
         tags.add(v.reason or v.tag)
-        assert calls.count("_sturm") == 1 and "_gcd" not in calls, (v, calls)
+        assert calls.count("_sturm") == 1, (v, calls)
         assert calls.count("scaled") == 1 and calls.count("__post_init__") == 1, (v, calls)
     assert tags == {"PeriodicFlow", "IdentityFlow", "NonzeroRealPart", "RealNonzeroEigenvalue",
                     "NonSemisimpleEigenvalue", "IrrationalRatio"}

@@ -7,8 +7,10 @@ a top-level class, and not starting with `_` must be referenced by name from
 a module in `src/lieflow` other than `__init__.py`, its own included, from
 the acceptance gate `tests/test_acceptance.py`, or from the benchmark
 `perfbench/*.py`, including the function names that `perfbench/spans.py`
-traces as strings in `TARGETS`. Code that only the unit tests call is not
-kept in the library.
+traces as strings in `TARGETS`. A private function, one defined by `def`
+at the top of a module in `src/lieflow` with a name starting with `_`, must
+be referenced by name from some module in `src/lieflow`. Code that only the
+unit tests call is not kept in the library.
 """
 
 import ast
@@ -62,3 +64,12 @@ def test_every_public_definition_has_a_caller():
     unused = [label for label, node in defined
               if not node.name.startswith("_") and node.name not in known]
     assert not unused, f"public definitions that only the unit tests call: {unused}"
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    modules = {p.name: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    known = set().union(*map(referenced_names, modules.values()))
+    unused = [f"{name}:{node.name}" for name, tree in modules.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+              and node.name not in known]
+    assert not unused, f"private functions that only the unit tests call: {unused}"

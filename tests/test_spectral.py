@@ -525,6 +525,30 @@ def primitive(p):
     return [c // g for c in p]
 
 
+def sympy_ints(poly, sign=1):
+    """A nonzero SymPy Poly as a primitive integer list, lowest degree first,
+    whose leading coefficient has the sign of `sign`."""
+    q = [int(c) for c in reversed(poly.primitive()[1].all_coeffs())]
+    return [-c for c in q] if (q[-1] < 0) != (sign < 0) else q
+
+
+def sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(p[::-1], sympy.Symbol("x"))
+
+
+def sympy_rad(p):
+    """rad(p), the product of the distinct irreducible factors of p, by SymPy:
+    primitive, with the sign of p's leading coefficient."""
+    return sympy_ints(sympy_poly(p).sqf_part(), p[-1])
+
+
+def sympy_gcd(a, b):
+    """gcd(a, b) of integer polynomials, not both zero, by SymPy: primitive,
+    with a positive leading coefficient."""
+    return sympy_ints(sympy_poly(a).gcd(sympy_poly(b)))
+
+
 def planted_square_free(rng, big):
     """A primitive square-free integer polynomial with planted rational roots
     (one of them with a denominator up to 10^6 when `big`) and irreducible
@@ -618,7 +642,7 @@ def fraction_horner(f, m):
 def test_integer_kernels_match_fraction_references():
     from lieflow import classify_flow
     from lieflow.dersolve import coerce_matrix
-    from lieflow.spectral import _deriv, _gcd, _poly_at, _quo
+    from lieflow.spectral import _poly_at
 
     rng = random.Random(1414)
     mats = [rand_matrix(rng, n, den=7) for n in range(1, 7) for _ in range(6)]
@@ -641,16 +665,14 @@ def test_integer_kernels_match_fraction_references():
         den = math.lcm(*[c.denominator for c in ref])
         assert list(char_poly(m).ints) == primitive([int(c * den) for c in ref])
         assert char_poly(m).coeffs == ref
-        p = char_poly(m).ints
-        rad = _quo(p, _gcd(p, _deriv(p)))
+        rad = sympy_rad(char_poly(m).ints)
         value, scale = _poly_at(rad, *coerce_matrix(m).scaled)
         f_of_m = fraction_horner(rad, mq)
         assert value == [[v * scale for v in row] for row in f_of_m]
     for expected, m in planted:
         verdict = classify_flow(m)
         assert expected in (verdict.tag, verdict.reason)
-        p = char_poly(m).ints
-        rad = _quo(p, _gcd(p, _deriv(p)))
+        rad = sympy_rad(char_poly(m).ints)
         at_m = _poly_at(rad, *coerce_matrix(m).scaled)[0]
         assert any(map(any, at_m)) == (verdict.tag != "PeriodicFlow")
 
@@ -661,6 +683,30 @@ def test_square_free_decomposition_of_planted_powers():
     quad, lin, cub = [1, 1, 1], [-1, 3], [-2, 0, 0, 1]
     p = int_poly_mul(quad, quad, quad, lin, cub, cub, cub, cub)
     assert _square_free(p) == [(lin, 1), (quad, 3), (cub, 4)]
+
+
+def test_square_free_matches_sympy_sqf_list():
+    # Seeded products of planted factors, each to a power 1-5: the root 0,
+    # rational roots, +-lambda pairs (rational and surd), irreducible
+    # quadratics, a cubic, and leading coefficients above 1.
+    from lieflow.spectral import _square_free
+
+    pool = [[0, 1], [-1, 1], [2, 1], [-3, 2], [5, 7], [-4, 0, 1], [-9, 0, 4], [-2, 0, 1],
+            [1, 0, 1], [9, 0, 4], [1, 1, 1], [3, -2, 1], [-2, 0, 0, 1]]
+    rng = random.Random(3535)
+    cases = [int_poly_mul([0, 1], [1, 0, 1], [1, 0, 1], [-9, 0, 4], [-9, 0, 4], [-9, 0, 4])]
+    for _ in range(150):
+        factors = rng.sample(pool, rng.randint(1, 4))
+        cases.append(int_poly_mul(*[f for f in factors for _ in range(rng.randint(1, 5))]))
+    seen = set()
+    for p in map(primitive, cases):
+        got = _square_free(p)
+        want = [(sympy_ints(f), k) for f, k in sympy_poly(p).sqf_list()[1]]
+        assert got == sorted(want, key=lambda fk: fk[1]), p
+        assert all(s == primitive(s) and s[-1] > 0 and len(s) > 1 for s, _ in got), p
+        assert int_poly_mul(*[s for s, k in got for _ in range(k)]) == p, p
+        seen.update(k for _, k in got)
+    assert seen >= {1, 2, 3, 4, 5}
 
 
 def test_tiny_rational_rotations_are_exact():
@@ -747,7 +793,7 @@ def test_weakly_coupled_cubic_is_not_semisimple():
 
 
 def test_one_yun_factor_with_two_geometric_multiplicities():
-    # (l^3 - 2)^2 (l^3 - 3)^2: one Yun factor s of multiplicity 2, whose
+    # (l^3 - 2)^2 (l^3 - 3)^2: one square-free factor s of multiplicity 2, whose
     # roots of l^3 - 2 are coupled and those of l^3 - 3 semisimple.
     for eps in EPS:
         m = coupled(eps, CUBE2, CUBE2, CUBE3, CUBE3)
@@ -888,7 +934,7 @@ def test_sturm_sequence_of_any_polynomial_counts_its_distinct_roots():
 
 
 def test_squares_head_the_one_remainder_sequence_of_h():
-    from lieflow.spectral import _deriv, _gcd, _primitive, _quo, _squares, _sturm
+    from lieflow.spectral import _primitive, _squares, _sturm
 
     rng = random.Random(3131)
     for _ in range(80):
@@ -898,13 +944,13 @@ def test_squares_head_the_one_remainder_sequence_of_h():
             big = int_poly_mul(s, [-c if k % 2 else c for k, c in enumerate(s)])
         big = big[0::2]
         h, seq = _squares(s)
-        assert h == _primitive(_quo(big, _gcd(big, _deriv(big)))), s
+        assert h == sympy_rad(big), s
         assert seq == _sturm(_primitive(big)) and seq[0] is h, s
     assert _squares([-3]) == ([-1], [[-1]])
 
 
 def planted_pieces(*blocks):
-    """A unimodular conjugate of block_diag(*blocks): one Yun factor with no
+    """A unimodular conjugate of block_diag(*blocks): one square-free factor with no
     rational roots, made of the blocks' characteristic polynomials."""
     return unimodular_conjugate(random.Random(1919), block_diag(*blocks))
 
