@@ -14,11 +14,11 @@ The 3D families share the bracket scheme
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import _linalg
+from ._record import Record
 from .dersolve import derivation_space, flatten
 from .liealg import Matrix, Scalar, StructureConstants, as_scalar
 from .periodicity import FlowVerdict, classify_linear_flow
@@ -39,8 +39,7 @@ class ParamOutOfRangeError(Exception):
 # --- symbolic derivation patterns --------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearPattern:
+class LinearPattern(Record):
     """Matrix whose cells are linear combinations of named free parameters."""
 
     rows: tuple[tuple[Mapping[str, Fraction], ...], ...]
@@ -98,15 +97,13 @@ def _pattern(cells: Sequence[Sequence[Mapping[str, int] | Mapping[str, Fraction]
 # --- entries ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     location: str
     published_value: str
     recomputed_value: str
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     display_name: str
     structure: StructureConstants
@@ -122,18 +119,17 @@ class CatalogEntry:
     # side_sampler(t, periodic_side) for t = 0, 1, 2, ...
     side_sampler: Callable[[Fraction, bool], Matrix] | None = None
     representation: tuple[Matrix, ...] | None = None
-    known_print_issues: tuple[Discrepancy, ...] = field(default_factory=tuple)
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    known_print_issues: tuple[Discrepancy, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     name: str
     derivation_space_match: bool
     eigenvalue_formula_match: bool
     discrepancies: tuple[Discrepancy, ...]
-    known_print_issues: tuple[Discrepancy, ...] = field(default_factory=tuple)
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    known_print_issues: tuple[Discrepancy, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def flagged_locations(self) -> tuple[str, ...]:
         return tuple(
@@ -682,8 +678,7 @@ def cross_check_all() -> list[CrossCheckReport]:
 # --- verdict table ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(Record):
     entry: str
     param: Fraction | None
     label: str

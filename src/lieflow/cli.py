@@ -3,7 +3,7 @@
 Subcommands: classify, derivations, catalog (list / export / cross-check /
 verdict-table), simulate. Output is JSON by default, or text with --format
 text. A JSON document holds the library's own objects, written by one rule
-(`_json_value`): a dataclass as its fields in declaration order, a Fraction
+(`_json_value`): a record as its fields in declaration order, a Fraction
 as its 'p/q' text, and NaN or Infinity refused. Only simulate, the numerical
 evidence layer, takes --tol-period, --tol-separation, --horizon and
 --samples, each stored under the name of the flowsim.ToleranceConfig field
@@ -25,11 +25,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from . import catalog as cat
 from . import flowsim
+from ._record import Record, replace
 from .dersolve import (DerivationMatrix, NotADerivationError, derivation, derivation_space,
                        inner_derivation)
 from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
@@ -107,8 +107,8 @@ def parse_period(text: str) -> float:
 
 
 def _config_from_args(args) -> flowsim.ToleranceConfig:
-    overrides = {f.name: getattr(args, f.name) for f in fields(flowsim.ToleranceConfig)
-                 if getattr(args, f.name) is not None}
+    overrides = {n: getattr(args, n) for n in flowsim.ToleranceConfig._fields
+                 if getattr(args, n) is not None}
     if not all(0 < v < math.inf for v in overrides.values()):
         raise CliError("tolerances, horizon and samples must be positive and finite")
     if not 2 <= overrides.get("samples", 2) <= MAX_SAMPLES:
@@ -373,7 +373,7 @@ _JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 def _json_value(value):
     """The JSON value of a document part: a Fraction as its 'p/q' text, a
-    dataclass as its instance dict (its fields in declaration order), a tuple
+    record as its instance dict (its fields in declaration order), a tuple
     or list as a list, a dict walked, anything else as it is, for json.dumps
     to refuse with TypeError if it is no JSON value. Types are compared
     exactly and leaves are not walked: a failing isinstance(x, Fraction) is
@@ -385,7 +385,7 @@ def _json_value(value):
         return [v if type(v) in _JSON_LEAVES else _json_value(v) for v in value]
     if kind is dict:
         return {k: v if type(v) in _JSON_LEAVES else _json_value(v) for k, v in value.items()}
-    if is_dataclass(kind):
+    if isinstance(value, Record):
         return _json_value(vars(value))
     return value
 

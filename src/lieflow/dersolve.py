@@ -15,13 +15,13 @@ coordinates of D(E_j).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Sequence
 
 from . import _linalg
+from ._record import Record
 from .liealg import (
     Matrix,
     Scalar,
@@ -31,8 +31,7 @@ from .liealg import (
 )
 
 
-@dataclass(frozen=True)
-class DerivationMatrix:
+class DerivationMatrix(Record):
     """The one exact matrix that crosses a module boundary: checked square once,
     when built, then only read. Nothing checks that it is a derivation."""
 
@@ -54,8 +53,7 @@ class DerivationMatrix:
         return _linalg.scaled(self.entries)
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Record):
     basis: tuple[DerivationMatrix, ...]
     dim: int
 

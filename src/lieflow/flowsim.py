@@ -6,20 +6,19 @@ sweeps over a finite horizon falsify closure, each check from one batched
 `expm` call and doubling ladders. Non-periodicity is only ever "evidence",
 never proof; the proof lives in the exact spectral classification.
 
-NumPy is imported inside the functions, not at module level: importing this
-module, as the CLI and the package do, must not load NumPy for the exact
-commands, which never call into it.
+NumPy (and `csv`) are imported inside the functions, not at module level:
+importing this module, as the CLI and the package do, must not load them for
+the exact commands, which never call into it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .dersolve import DerivationMatrix
 from .periodicity import FlowVerdict
 
@@ -40,8 +39,7 @@ class ExpmOverflowError(Exception):
     """The requested exponential exceeds the norm guard EXPM_NORM_GUARD."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(Record):
     """The evidence checks' settings; `simulate` sets each with a flag."""
 
     period_tol: float = 1e-8  # flow-closure residual bound for periods
@@ -53,19 +51,16 @@ class ToleranceConfig:
 DEFAULT_CONFIG = ToleranceConfig()
 
 
-@dataclass(frozen=True)
-class FlowSample:
+class FlowSample(Record):
     t: float
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     max_residual: float
 
 
-@dataclass(frozen=True)
-class VerdictEvidence:
+class VerdictEvidence(Record):
     passed: bool
     inconclusive: bool
     details: dict
@@ -290,6 +285,8 @@ def orbit_closure_residual(samples: list[FlowSample], period: float) -> float:
 
 def write_orbit_csv(samples: list[FlowSample], path: str) -> None:
     """CSV rows (t, row-major matrix entries) for external plotting."""
+    import csv
+
     if not samples:
         raise ValueError("no samples to write")
     n = samples[0].matrix.shape[0]

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
+
+from ._record import Record
 
 Scalar = Union[Fraction, int, str]
 Vector = tuple[Fraction, ...]
@@ -108,8 +109,7 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, basis={list(self.basis_labels)})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     jacobi_ok: bool
     worst_triple: tuple[int, int, int] | None
     residual: Fraction

@@ -35,10 +35,10 @@ Verdicts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record, replace
 from .dersolve import coerce_matrix, derivation, inner_derivation
 from .liealg import Scalar, StructureConstants
 from .spectral import (
@@ -73,8 +73,7 @@ class PeriodTooLargeError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class RationalProfile:
+class RationalProfile(Record):
     """Rational structure of the positive imaginary parts, base first."""
 
     base_alpha: float
@@ -82,14 +81,13 @@ class RationalProfile:
     ratios: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class FlowVerdict:
+class FlowVerdict(Record):
     tag: str  # IdentityFlow | PeriodicFlow | NoPeriodicOrbits | SpectralPeriodicInconclusive
     period: float | None = None
     period_over_pi: Fraction | None = None
     reason: str | None = None
     profile: RationalProfile | None = None
-    caveats: tuple[str, ...] = field(default_factory=tuple)
+    caveats: tuple[str, ...] = ()
     note: str | None = None
 
 

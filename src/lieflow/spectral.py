@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .dersolve import DerivationMatrix, coerce_matrix
 from .liealg import Matrix
 
@@ -41,8 +41,7 @@ CLUSTER_GUARD = 1e-6
 RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Characteristic polynomial in primitive integer form: ints[k] multiplies
     lambda^k and the leading coefficient is positive. coeffs[k] is the
     coefficient of the monic polynomial over Q."""
@@ -54,8 +53,7 @@ class CharPoly:
         return tuple([Fraction(c, self.ints[-1]) for c in self.ints])
 
 
-@dataclass(frozen=True)
-class EigenClass:
+class EigenClass(Record):
     """One eigenvalue with multiplicities; conjugates appear as two classes.
 
     exact_re / exact_im_sq, when present, certify the value as
@@ -77,12 +75,11 @@ class EigenClass:
         return self.exact_re is not None and self.exact_im_sq is not None
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     classes: tuple[EigenClass, ...]
     dim: int
     ill_conditioned: bool = False
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def char_poly(mat) -> CharPoly:

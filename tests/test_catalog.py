@@ -3,7 +3,6 @@
 import json
 import pathlib
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +17,7 @@ from lieflow import (
     validate_algebra,
 )
 from lieflow._linalg import spans_equal
+from lieflow._record import replace
 from lieflow.catalog import (
     CATALOG_NAMES,
     PARAMETRIC_NAMES,

@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -24,6 +23,7 @@ from lieflow import (
     write_orbit_csv,
 )
 from lieflow import flowsim
+from lieflow._record import replace
 from lieflow.catalog import get_entry, verdict_table
 from lieflow.dersolve import coerce_matrix
 from lieflow.flowsim import FlowSample, orbit_closure_residual, rep_matrix
