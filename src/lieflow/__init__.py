@@ -39,7 +39,6 @@ from .spectral import (
 )
 from .periodicity import (
     FlowVerdict,
-    PeriodTooLargeError,
     RationalProfile,
     classify_flow,
     classify_invariant_flow,

@@ -9,12 +9,11 @@ evidence layer, takes --tol-period, --tol-separation, --horizon and
 --samples, each stored under the name of the flowsim.ToleranceConfig field
 it sets; the exact commands read no tolerance. Exit codes: 0 = document
 produced (or simulate check passed), 1 = simulate check failed or runtime
-guard tripped (a period or matrix entry beyond the float range, an
-exponential above flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix,
-failed Jacobi, non-derivation, a --param that no entry takes). Verdicts are
-exact and read no tolerance, so no input is refused. A closed stdout (as in
-`lieflow catalog verdict-table | head -1`) ends the run with exit 1 and no
-traceback.
+guard tripped (a matrix entry beyond the float range, an exponential above
+flowsim.EXPM_NORM_GUARD), 2 = invalid input (bad matrix, failed Jacobi,
+non-derivation, a --param that no entry takes). Verdicts are exact and read
+no tolerance, so no input is refused. A closed stdout (as in `lieflow
+catalog verdict-table | head -1`) ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ._record import Record, replace
 from .dersolve import (DerivationMatrix, NotADerivationError, derivation, derivation_space,
                        inner_derivation)
 from .liealg import StructureConstants, algebra_to_dict, load_algebra, validate_algebra
-from .periodicity import PeriodTooLargeError, classify_flow, classify_invariant_flow
+from .periodicity import classify_flow, classify_invariant_flow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -191,7 +190,8 @@ def _render_verdict_text(doc: dict) -> str:
     lines = [f"algebra: {doc['algebra']}   flow: {doc['flow']}"]
     if v.tag == "PeriodicFlow":
         symbolic = f" (= {v.period_over_pi} * pi)" if v.period_over_pi else ""
-        lines.append(f"verdict: PeriodicFlow, minimal period T = {v.period:.12g}{symbolic}")
+        shown = "outside the float range" if v.period is None else f"{v.period:.12g}"
+        lines.append(f"verdict: PeriodicFlow, minimal period T = {shown}{symbolic}")
         if v.profile:
             ratios = ", ".join(f"{p}/{q}" for p, q in v.profile.ratios)
             lines.append(f"frequency ratios vs base: {ratios}")
@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotADerivationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (PeriodTooLargeError, flowsim.ExpmOverflowError, OverflowError) as exc:
+    except (flowsim.ExpmOverflowError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except BrokenPipeError:

@@ -315,8 +315,9 @@ def verify_verdict(
     inconclusive, not the verdict wrong, and so does a safe horizon shorter
     than the smallest trial period. Each check makes one expm call, [T, T/2, T/3,
     2T/3, h], [h] or [0.5, h_trial, h_time], each h a grid step (none on one point).
-    A non-finite residual makes any check inconclusive. `sc` is not read; the
-    acceptance gate and perfbench pass it.
+    A non-finite residual makes any check inconclusive, and so does, with a note, a
+    PeriodicFlow whose period is None or whose window trips the norm guard, T ||D||_1
+    > 350. `sc` is not read; the acceptance gate and perfbench pass it.
     """
     import numpy as np
 
@@ -325,10 +326,14 @@ def verify_verdict(
     norm = float(_norm1(arr))
     eye = np.eye(arr.shape[0])
     if verdict.tag == "PeriodicFlow":
-        assert verdict.period is not None
         period = verdict.period
+        if period is None:
+            return VerdictEvidence(False, True, {"note": "no closure check: T has no float"})
         trials = {"1T/2": period / 2, "1T/3": period / 3, "2T/3": period * 2 / 3}
-        residuals = _period_residuals(arr, norm, [period, *trials.values()], cfg.samples)
+        try:
+            residuals = _period_residuals(arr, norm, [period, *trials.values()], cfg.samples)
+        except ExpmOverflowError as exc:  # the window's guard: T ||D||_1 > 350
+            return VerdictEvidence(False, True, {"note": f"no closure check: {exc}"})
         subperiods = dict(zip(trials, map(float, residuals[1:])))
         passed = residuals[0] <= cfg.period_tol and min(residuals[1:]) >= cfg.separation
         inconclusive = False

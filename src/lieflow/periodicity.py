@@ -65,23 +65,18 @@ INVARIANT_FLOW_CAVEAT = (
 )
 
 
-class PeriodTooLargeError(Exception):
-    """The minimal period T is not a positive finite float."""
-
-    def __init__(self, lcm_value: int, message: str):
-        self.lcm = lcm_value
-        super().__init__(message)
-
-
 class RationalProfile(Record):
     """Rational structure of the positive imaginary parts, base first."""
 
-    base_alpha: float
+    base_alpha: float | None
     base_alpha_exact: Fraction | None
     ratios: tuple[tuple[int, int], ...]
 
 
 class FlowVerdict(Record):
+    """period and profile.base_alpha only display the exact period_over_pi and
+    base_alpha_exact; each is None when its value has no positive finite float."""
+
     tag: str  # IdentityFlow | PeriodicFlow | NoPeriodicOrbits | SpectralPeriodicInconclusive
     period: float | None = None
     period_over_pi: Fraction | None = None
@@ -142,14 +137,10 @@ def classify_flow(mat) -> FlowVerdict:
         return FlowVerdict("NoPeriodicOrbits", reason=REASON_IRRATIONAL_RATIO)
     lcm = math.lcm(*[r.denominator for r in ratios])
     alpha, alpha_exact = _sqrt(-mus[-1]), _is_rational_square(-mus[-1])
-    try:
-        period = 2.0 * math.pi * lcm / alpha if alpha > 0 else math.inf
-    except OverflowError:  # lcm beyond the float range
-        period = math.inf
-    if not 0 < period < math.inf:
-        raise PeriodTooLargeError(
-            lcm, f"minimal period 2*pi*{lcm}/{alpha!r} is not a positive finite float"
-        )
+    period = 2.0 * math.pi * lcm / alpha if alpha and lcm.bit_length() < 1024 else 0.0
+    if not 0 < period < math.inf:  # no float for 2*pi*lcm, 1 / alpha or T itself
+        period = math.pi * _sqrt(4 * lcm * lcm / -mus[-1])
+    period, alpha = (x if 0 < x < math.inf else None for x in (period, alpha))
     return FlowVerdict(
         tag="PeriodicFlow",
         period=period,

@@ -319,10 +319,15 @@ def _sqrt(x: Fraction) -> float:
     k = max(0, (d.bit_length() - n.bit_length() + 112) // 2)
     q = math.isqrt((n << 2 * k) // d)
     q |= q * q * d != n << 2 * k
+    return _float(Fraction(q, 1 << k))
+
+
+def _float(x: Fraction) -> float:
+    """x correctly rounded, or +-math.inf beyond the float range, where float(x) raises."""
     try:
-        return q / (1 << k)
+        return x.numerator / x.denominator
     except OverflowError:
-        return math.inf
+        return math.inf if x > 0 else -math.inf
 
 
 # --- public spectrum ---------------------------------------------------------
@@ -354,10 +359,9 @@ def _pair_classes(f: list[int], k: int, geom: int) -> list[EigenClass]:
     re, disc = -b / 2, b * b - 4 * c
     if disc < 0:
         im = _sqrt(-disc / 4)
-        return [EigenClass(complex(float(re), s * im), k, geom, re, -disc / 4)
-                for s in (+1, -1)]
+        return [EigenClass(complex(_float(re), s * im), k, geom, re, -disc / 4) for s in (+1, -1)]
     sq = _sqrt(disc)
-    return [EigenClass(complex(float(re) + s * sq / 2), k, geom, None, Fraction(0))
+    return [EigenClass(complex(_float(re) + s * sq / 2), k, geom, None, Fraction(0))
             for s in (+1, -1)]
 
 
@@ -443,7 +447,7 @@ def spectrum(mat) -> Spectrum:
         for t, geom in _geometric_pieces(s, k, der):
             for r in _rational_roots(t):
                 t = _quo(t, [-r.numerator, r.denominator])
-                classes.append(EigenClass(complex(float(r)), k, geom, r, Fraction(0)))
+                classes.append(EigenClass(complex(_float(r)), k, geom, r, Fraction(0)))
             if len(t) > 3:
                 for mu in _rational_roots(_squares(t)[0]):
                     pair = [-mu.numerator, 0, mu.denominator]

@@ -521,6 +521,50 @@ def test_classify_extreme_rotation_period_matches_its_exact_form(capsys, beta):
     assert abs(verdict["period"] - want) <= 4 * math.ulp(want)
 
 
+BEYOND = "--matrix=0,1e-400,-1e-400,0"  # a rotation with T/pi = 2*10^400
+
+
+def test_classify_period_beyond_the_float_range_is_exact(capsys):
+    code, out, err = run_cli(capsys, "classify", "--catalog", "abelian2", BEYOND)
+    assert code == 0, err
+    verdict = strict_json(out)["verdict"]
+    assert verdict["period"] is None and verdict["profile"]["base_alpha"] is None
+    assert verdict["period_over_pi"] == "2" + "0" * 400
+    code, out, _ = run_cli(capsys, "classify", "--catalog", "abelian2", BEYOND, "--format=text")
+    assert out.splitlines()[1] == ("verdict: PeriodicFlow, minimal period T = outside the float "
+                                   f"range (= 2{'0' * 400} * pi)")
+    # A surd base frequency as well: neither form of T is shown.
+    code, out, _ = run_cli(capsys, "classify", "--catalog", "abelian2",
+                           "--matrix=0,-1e-400,2e-400,0", "--format=text")
+    assert out.splitlines()[1] == "verdict: PeriodicFlow, minimal period T = outside the float range"
+
+
+@pytest.mark.parametrize("matrix, note", [
+    (BEYOND, "no closure check: T has no float"),
+    ("--matrix=0,-56,1/56,0", "no closure check: ||tM|| = 702 exceeds the guard 700"),
+], ids=["no-float-period", "past-the-guard"])
+def test_simulate_without_a_closure_check_is_inconclusive(capsys, matrix, note):
+    code, out, err = run_cli(capsys, "simulate", "--catalog", "abelian2", matrix)
+    assert code == 1 and "error:" not in err, err
+    doc = strict_json(out)
+    assert doc["verdict"]["tag"] == "PeriodicFlow"
+    assert doc["evidence"] == {"passed": False, "inconclusive": True, "details": {"note": note}}
+
+
+@pytest.mark.parametrize("matrix, shown", [
+    ("0,-1,1,0", "6.28318530718 (= 2 * pi)"),
+    ("0,-1,2,0", "4.44288293816"),
+    ("0,-1/3,3,0", "6.28318530718 (= 2 * pi)"),
+    ("0,1e-300,-1e-300,0", f"6.28318530718e+300 (= 2{'0' * 300} * pi)"),
+    ("0,-1e300,2e300,0", "4.44288293816e-300"),
+], ids=["rational", "surd", "skew", "huge", "tiny-surd"])
+def test_finite_period_text_lines_are_unchanged(capsys, matrix, shown):
+    code, out, _ = run_cli(capsys, "classify", "--catalog", "abelian2", f"--matrix={matrix}",
+                           "--format=text")
+    assert code == 0
+    assert out.splitlines()[1] == f"verdict: PeriodicFlow, minimal period T = {shown}"
+
+
 def test_nulled_replaces_nonfinite_floats():
     assert _nulled(1.5) == (1.5, False)
     assert _nulled(math.inf) == (None, True)
@@ -751,7 +795,7 @@ def test_simulate_column_sum_past_the_float_max_warns_nothing(capsys):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
 @pytest.mark.parametrize("argv", [
     ["classify", "--catalog", "abelian2", "--matrix=1e-5000,0,0,0"],
-    ["classify", "--catalog", "abelian2", "--matrix=0,1e-5000,-1e-5000,0"],
+    ["simulate", "--catalog", "abelian2", "--matrix=0,1e-5000,-1e-5000,0"],
     ["classify", "--catalog", "nosuch", "--inner=1,0"],
     ["classify", "--bogus"],
 ], ids=["ok", "exit-1", "exit-2", "usage"])

@@ -217,7 +217,8 @@ def test_extreme_magnitudes_end_in_a_documented_exit_code_without_warnings(args)
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(args)
-    assert code in (0, 1, 2), (args, err.getvalue())
+    # Every rational D has a verdict, so only simulate's evidence or guard exits 1.
+    assert code in ((0, 1, 2) if args[0] == "simulate" else (0, 2)), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:  # after any decimal-input notices
         assert err.getvalue().splitlines()[-1].startswith("error: "), (args, err.getvalue())

@@ -14,6 +14,7 @@ import scipy.linalg
 from lieflow import (
     DEFAULT_CONFIG,
     ExpmOverflowError,
+    classify_flow,
     classify_linear_flow,
     expm,
     flow_period_residual,
@@ -710,8 +711,19 @@ def test_periodic_evidence_guard_trips_above_t_norm_350():
     below, above = ((0, -55), (F(1, 55), 0)), ((0, -56), (F(1, 56), 0))
     evidence = verify_verdict(sc, below, classify_linear_flow(sc, below))
     assert evidence.passed
-    with pytest.raises(ExpmOverflowError):
-        verify_verdict(sc, above, classify_linear_flow(sc, above))
+    # Past it no check runs: the evidence is inconclusive, with the guard's words.
+    evidence = verify_verdict(sc, above, classify_linear_flow(sc, above))
+    assert (evidence.passed, evidence.inconclusive) == (False, True)
+    assert evidence.details == {"note": "no closure check: ||tM|| = 702 exceeds the guard 700"}
+
+
+def test_periodic_evidence_without_a_float_period_is_inconclusive():
+    b = F(1, 10**400)  # T = 2*pi*10^400
+    verdict = classify_flow([[0, -b], [b, 0]])
+    evidence = verify_verdict(None, [[0, -b], [b, 0]], verdict)
+    assert verdict.period is None
+    assert (evidence.passed, evidence.inconclusive) == (False, True)
+    assert evidence.details == {"note": "no closure check: T has no float"}
 
 
 @pytest.fixture

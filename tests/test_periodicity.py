@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import random
+import sys
 from decimal import Context
 from fractions import Fraction as F
 
@@ -13,7 +14,6 @@ import pytest
 from lieflow import (
     FlowVerdict,
     NotADerivationError,
-    PeriodTooLargeError,
     RationalProfile,
     StructureConstants,
     char_poly,
@@ -282,7 +282,7 @@ def test_minimal_period_over_pi_symbolic():
     assert v.period == float(v.period_over_pi) * math.pi
 
 
-def test_period_too_large_guard():
+def test_huge_lcm_is_an_exact_period():
     # No bound on the lcm: frequencies 1, 100004/100003 and 100020/100019
     # give lcm(100003, 100019) = 100003 * 100019 > 10**9, an exact period
     # like any other.
@@ -292,11 +292,22 @@ def test_period_too_large_guard():
     assert v.period_over_pi == 2 * lcm
     assert v.period == 2 * math.pi * lcm
     assert v.profile.ratios == ((1, 1), (100020, 100019), (100004, 100003))  # ascending
-    # Only a T outside the float range is refused, with its lcm.
+    # A T outside the float range keeps its exact T/pi, with no float shown.
     q = 10**400
-    with pytest.raises(PeriodTooLargeError) as err:
-        classify_flow(blkdiag(rot_block(1), rot_block(F(q + 1, q))))
-    assert err.value.lcm == q
+    v = classify_flow(blkdiag(rot_block(1), rot_block(F(q + 1, q))))
+    assert v.tag == "PeriodicFlow" and v.period is None and v.period_over_pi == 2 * q
+    assert v.profile.base_alpha == 1.0 and v.profile.ratios[1] == (q + 1, q)
+
+
+def test_a_period_in_the_float_range_shows_when_its_parts_do_not():
+    # lcm = alpha = 10^400 both pass the float max, yet T = 2*pi.
+    q = 10**400
+    v = classify_flow(blkdiag(rot_block(q), rot_block(q + 1)))
+    assert v.period == 2 * math.pi and v.period_over_pi == 2 and v.profile.base_alpha is None
+    # A base frequency past the float max still gives a subnormal T.
+    v = classify_flow(rot_block(17 * 10**308))
+    assert v.profile.base_alpha is None and 0 < v.period < sys.float_info.min
+    assert v.period == math.pi * float(v.period_over_pi)
 
 
 def test_base_frequency_is_the_correctly_rounded_root():
@@ -320,9 +331,12 @@ def test_extreme_rational_rotation_periods(beta):
 
 
 @pytest.mark.parametrize("beta", [F(1, 10**400), F(10**400)], ids=["1/10^400", "10^400"])
-def test_period_beyond_the_float_range_is_too_large(beta):
-    with pytest.raises(PeriodTooLargeError):
-        classify_flow(rot_block(beta))
+def test_period_beyond_the_float_range_shows_none(beta):
+    # T = 2*pi*10^400 and 2*pi*10^-400: the exact answer, and no float for it
+    # or for the base frequency.
+    v = classify_flow(rot_block(beta))
+    assert v.tag == "PeriodicFlow" and v.period_over_pi == 2 / beta and v.period is None
+    assert v.profile == RationalProfile(None, beta, ((1, 1),))
 
 
 def test_huge_irrational_ratio_is_a_verdict():
@@ -641,8 +655,8 @@ def test_a_linear_square_map_is_read_without_bisection(monkeypatch):
     monkeypatch.setattr(spectral, "_sign_at",
                         lambda *args, real=spectral._sign_at: calls.append(args) or real(*args))
     b = F(1, 10**5000)
-    with pytest.raises(PeriodTooLargeError):  # T = 2*pi*10^5000
-        classify_flow([[0, -b], [b, 0]])
+    v = classify_flow([[0, -b], [b, 0]])
+    assert v.period is None and v.period_over_pi == 2 * 10**5000
     v = classify_invariant_flow(get_entry("sl2").structure, (-10**300, b, 10**300))
     assert v.tag == "PeriodicFlow"
     assert calls == []
@@ -686,10 +700,7 @@ def test_long_rotation_sums_lift_each_root_once(monkeypatch, exponent):
                         lambda *args, real=spectral._sign_at: calls.append(args) or real(*args))
     b = F(1, 10**exponent)
     mat = blkdiag(rot_block(b), rot_block(2 * b), rot_block(3 * b))
-    if exponent == 300:
-        v = classify_flow(mat)
-        assert v.tag == "PeriodicFlow" and v.period_over_pi == 2 * 10**300
-    else:
-        with pytest.raises(PeriodTooLargeError):  # T = 2*pi*10^1000
-            classify_flow(mat)
+    v = classify_flow(mat)
+    assert v.tag == "PeriodicFlow" and v.period_over_pi == 2 * 10**exponent
+    assert (v.period is None) == (exponent == 1000)  # T = 2*pi*10^1000 has no float
     assert 1 <= len(calls) <= 3

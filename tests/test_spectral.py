@@ -729,6 +729,23 @@ def test_extreme_pairs_are_correctly_rounded(b):
     assert sorted(c.value.real for c in s.classes) == [-want, want]
 
 
+BIG = 10**400  # past the float max, about 1.8e308
+
+
+@pytest.mark.parametrize("mat, values, certificates", [
+    ([[BIG]], [complex(math.inf)], [(BIG, 0)]),
+    ([[BIG, 1], [-1, BIG]], [complex(math.inf, -1), complex(math.inf, 1)], [(BIG, 1)] * 2),
+    ([[BIG, 2], [1, BIG]], [complex(math.inf)] * 2, [(None, 0)] * 2),
+], ids=["rational", "complex-pair", "real-surd-pair"])
+def test_exact_eigenvalues_past_the_float_range_display_as_infinite(mat, values, certificates):
+    # Each part of a display value saturates to +-inf, as _sqrt's imaginary
+    # part does; exact_re and exact_im_sq keep the exact values.
+    s = spectrum(mat)
+    assert [c.value for c in s.classes] == values
+    assert [(c.exact_re, c.exact_im_sq) for c in s.classes] == certificates
+    assert spectrum([[-v for v in row] for row in mat]).classes[0].value.real == -math.inf
+
+
 def test_float_rotations_have_exact_binary_mu_roots():
     s = spectrum(block_diag(rot(0.1), rot(0.2), rot(0.4)))
     positives = sorted((c for c in s.classes if c.value.imag > 0), key=lambda c: c.value.imag)
