@@ -264,18 +264,16 @@ def _cmd_catalog(args) -> tuple[int, object, str]:
             pairs = [(args.name, args.param)]
         reports = [cat.cross_check(_catalog_entry(name, a)) for name, a in pairs]
         return EXIT_OK, reports, "\n".join(_render_report_text(r) for r in reports)
-    if action == "verdict-table":
-        rows = cat.verdict_table()
-        lines = []
-        for r in rows:
-            mark = "ok " if r.agrees_with_published else "XX "
-            tag = r.verdict.tag
-            if r.verdict.reason:
-                tag += f"({r.verdict.reason})"
-            param = f" a={r.param}" if r.param is not None else ""
-            lines.append(f"{mark}{r.entry}{param:8s} {r.label:22s} {tag}")
-        return EXIT_OK, rows, "\n".join(lines)
-    raise CliError(f"unknown catalog action {action!r}")
+    rows = cat.verdict_table()  # verdict-table, argparse's last choice
+    lines = []
+    for r in rows:
+        mark = "ok " if r.agrees_with_published else "XX "
+        tag = r.verdict.tag
+        if r.verdict.reason:
+            tag += f"({r.verdict.reason})"
+        param = f" a={r.param}" if r.param is not None else ""
+        lines.append(f"{mark}{r.entry}{param:8s} {r.label:22s} {tag}")
+    return EXIT_OK, rows, "\n".join(lines)
 
 
 def _render_report_text(r: cat.CrossCheckReport) -> str:
@@ -358,10 +356,10 @@ def _cmd_simulate(args) -> tuple[int, dict, str]:
         if nonfinite:
             doc["evidence"]["nonfinite"] = True
         lines.append(f"verdict: {verdict.tag}")
-        lines.append(
-            f"evidence: {'pass' if evidence.passed else 'fail'}"
-            + (" (inconclusive grid)" if evidence.inconclusive else "")
-        )
+        lines.append(f"evidence: {'pass' if evidence.passed else 'fail'}"
+                     + (" (inconclusive)" if evidence.inconclusive else ""))
+        if evidence.inconclusive and "note" in evidence.details:
+            lines.append(f"note: {evidence.details['note']}")
         code = EXIT_OK if evidence.passed else EXIT_FAIL
     doc["notes"] = notes
     lines += [f"note: {note}" for note in notes]

@@ -7,8 +7,8 @@ that constraint system, generated generically from the structure constants
 flattened row-major; W. de Graaf, Lie Algebras: Theory and Algorithms,
 2000). The work is in integers from the structure constants on: the rows are
 sparse integer rows built from the integer bracket table, the elimination is
-fraction-free, and one Leibniz sweep checks a whole basis, each matrix scaled
-to integers by its own denominators. Column j of every matrix holds the
+fraction-free, and one Leibniz sweep checks a whole basis, scaled to integers
+by the one rule `_linalg.scaled`. Column j of every matrix holds the
 coordinates of D(E_j).
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from . import _linalg
@@ -47,7 +46,7 @@ class DerivationMatrix(Record):
 
     @cached_property
     def scaled(self) -> tuple[list[list[int]], int]:
-        """(dD, d), d the lcm of the denominators: the one integer form of
+        """(dD, d), d the least common denominator: the one integer form of
         the matrix, built on first use and read, never changed, by the
         Leibniz gate, `char_poly`, the semisimplicity test and `spectrum`."""
         return _linalg.scaled(self.entries)
@@ -79,6 +78,8 @@ def coerce_matrix(mat, dim: int | None = None) -> DerivationMatrix:
     """`mat` itself when it is a DerivationMatrix, else one built from its
     rows (nested sequences or a NumPy array of any dtype), each entry
     converted by the one rule of `_exact`; of size `dim` when given."""
+    # tuple([...]) here and in derivation_space: tuple(<generator>) resizes a
+    # tuple, which fills CPython's per-size free lists for good (peak RSS).
     der = mat if isinstance(mat, DerivationMatrix) else DerivationMatrix(
         tuple([tuple([_exact(v) for v in row]) for row in mat]))
     if dim is not None and der.dim != dim:
@@ -96,18 +97,16 @@ def _leibniz_sweep(
 ) -> tuple[int, tuple[int, int] | None]:
     """The worst integer Leibniz difference and its pair, from one sweep over
     the basis pairs for the generic member sum_k x_k B_k of the row-major
-    matrices `vecs`. The identity is linear in each x_k, so each B_k is scaled
-    to integers by the lcm s_k of its own denominators, read off its nonzero
-    entries only, and `_sweep` keeps the differences apart by k."""
+    matrices `vecs`. The identity is linear in each x_k, so one call of
+    `_linalg.scaled` on the nonzero entries of all B_k scales them to
+    integers together, and `_sweep` keeps the differences apart by k."""
     n, nk = sc.dim, len(vecs)
     cols: list[list] = [[] for _ in range(n)]
-    for k, vec in enumerate(vecs):
-        nonzero = [(t, v) for t, v in enumerate(vec) if v]
-        # From a list: see the lcm(*[...]) note in StructureConstants.
-        s = lcm(*[v.denominator for _, v in nonzero])
-        for t, v in nonzero:
-            r, c = divmod(t, n)
-            cols[c].append((r * nk + k, r, k, v.numerator * (s // v.denominator)))
+    nonzero = [(t, k, v) for k, vec in enumerate(vecs) for t, v in enumerate(vec) if v]
+    (ints,), _ = _linalg.scaled([[v for _, _, v in nonzero]])
+    for (t, k, _), v in zip(nonzero, ints):
+        r, c = divmod(t, n)
+        cols[c].append((r * nk + k, r, k, v))
     return _sweep(sc, cols, nk)
 
 
@@ -224,7 +223,6 @@ def derivation_space(sc: StructureConstants) -> DerivationSpace:
     vecs = _linalg.nullspace(constraint_rows(sc), n * n)
     if _leibniz_sweep(sc, vecs)[0]:
         raise AssertionError("nullspace member violates Leibniz; solver bug")
-    # From lists: see the lcm(*[...]) note in StructureConstants.
     basis = tuple([DerivationMatrix(tuple([vec[r * n : r * n + n] for r in range(n)]))
                    for vec in vecs])
     return DerivationSpace(basis=basis, dim=len(basis))

@@ -2,11 +2,11 @@
 
 An algebra of dimension n is given by the strict-lower-triangle tensor
 c[i][j][k] (0-based, i < j) with [E_i, E_j] = sum_k c_{ij}^k E_k; antisymmetry
-is a representation invariant, never data. For computing, the constants are
-stored once more as integers: a bracket table of den * c_{ij}^k over ordered
-pairs, where den is the lcm of their denominators, so the kernels here and
-in dersolve work in integers and divide by den once. Vectors are plain
-tuples of scalars in the fixed basis. All arithmetic in this module is exact.
+is a representation invariant, never data. The constants are kept once, as
+integers: a table of den * c_{ij}^k over ordered pairs, den their least
+common denominator, so the kernels here and in dersolve divide by den once;
+`entries` reads them back. Vectors are plain tuples of scalars in the fixed
+basis. All arithmetic in this module is exact.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import numbers
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import _linalg
 from ._record import Record
 
 Scalar = Union[Fraction, int, str]
@@ -84,26 +84,22 @@ class StructureConstants:
             value = as_scalar(c)
             if value != 0:
                 entries[(i, j, k)] = value
-        self._entries = entries
-        # Sparse integer bracket table over ordered pairs: (i, j) ->
-        # ((k, den * c_ij^k), ...) for every i != j with [E_i, E_j] != 0,
-        # antisymmetry spelled out. The object is immutable, so the table
-        # never goes stale.
-        # lcm(*[...]), not lcm(*(...)): CPython builds a tuple (here the
-        # argument tuple) from a generator by resizing one of a guessed
-        # length, which moves tuples between its per-size free lists; over
-        # many calls those fill up and stay resident.
-        self.den = den = lcm(*[c.denominator for c in entries.values()])
+        # The constants' only copy, a sparse integer table over ordered pairs:
+        # (i, j) -> ((k, den * c_ij^k), ...) for every i != j with [E_i, E_j]
+        # != 0, antisymmetry spelled out. The object is immutable.
+        keys = sorted(entries)
+        (ints,), self.den = _linalg.scaled([[entries[key] for key in keys]])
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for (i, j, k), c in sorted(entries.items()):
-            v = c.numerator * (den // c.denominator)
+        for (i, j, k), v in zip(keys, ints):
             table[(i, j)] = table.get((i, j), ()) + ((k, v),)
             table[(j, i)] = table.get((j, i), ()) + ((k, -v),)
         self._table = table
 
     @property
     def entries(self) -> dict[tuple[int, int, int], Fraction]:
-        return dict(self._entries)
+        """The nonzero c_ij^k (i < j), read back off the integer table."""
+        return {(i, j, k): Fraction(v, self.den)
+                for (i, j), row in self._table.items() if i < j for k, v in row}
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim}, basis={list(self.basis_labels)})"

@@ -310,16 +310,20 @@ def _is_rational_square(x: Fraction) -> Fraction | None:
 
 
 def _sqrt(x: Fraction) -> float:
-    """sqrt(x) for a rational x > 0, correctly rounded, or math.inf beyond the
-    float range. q = isqrt(floor(x * 4^k)) has 56 or more bits, and its last
-    bit is set when the root is inexact (round to odd), so the one rounding,
-    in the correctly rounded int division q / 2^k, lands where sqrt(x) would;
+    """sqrt(x) for a rational x > 0, correctly rounded (inf past the float max)."""
+    return _float(_root(x, 56))
+
+
+def _root(x: Fraction, bits: int) -> Fraction:
+    """sqrt(x) for a rational x > 0 as q / 2^k, q = isqrt(floor(x * 4^k)) of
+    `bits` or more bits with its last bit set when the root is inexact (round
+    to odd): for bits >= 55 its one rounding lands where sqrt(x)'s would.
     float(x) would round first, and underflow or overflow at extreme x."""
     n, d = x.numerator, x.denominator
-    k = max(0, (d.bit_length() - n.bit_length() + 112) // 2)
+    k = max(0, (d.bit_length() - n.bit_length() + 2 * bits) // 2)
     q = math.isqrt((n << 2 * k) // d)
     q |= q * q * d != n << 2 * k
-    return _float(Fraction(q, 1 << k))
+    return Fraction(q, 1 << k)
 
 
 def _float(x: Fraction) -> float:
@@ -360,17 +364,18 @@ def _pair_classes(f: list[int], k: int, geom: int) -> list[EigenClass]:
     if disc < 0:
         im = _sqrt(-disc / 4)
         return [EigenClass(complex(_float(re), s * im), k, geom, re, -disc / 4) for s in (+1, -1)]
-    sq = _sqrt(disc)
-    return [EigenClass(complex(_float(re) + s * sq / 2), k, geom, None, Fraction(0))
-            for s in (+1, -1)]
+    # The far root re + s sqrt(disc)/2, s the sign of re, first, then the near
+    # one by Vieta, c / far, so that neither subtracts two large numbers; with
+    # 120 bits of root, c / far is correctly rounded unless 2^-118 off a tie.
+    sq, s = _root(disc, 120), -1 if re < 0 else 1
+    return [EigenClass(complex(x), k, geom, None, Fraction(0))
+            for x in (_float(re) + s * _float(sq) / 2, _float(c / (re + s * sq / 2)))]
 
 
 def _numeric_rank(a: np.ndarray) -> int:
     import numpy as np
 
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 

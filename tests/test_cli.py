@@ -47,16 +47,21 @@ SL2_MATRIX = ["--catalog", "sl2", "--matrix", "0,-2,0,0,0,1,0,-4,0"]
 @pytest.mark.parametrize("argv", [["classify", *SL2_MATRIX], ["simulate", *SL2_MATRIX]],
                          ids=["classify", "simulate"])
 def test_a_matrix_field_is_coerced_and_scaled_once(capsys, monkeypatch, argv):
+    # The catalog's structure constants are scaled too, so only the calls
+    # on the 3x3 field itself, told apart by value, are counted.
+    field = [[0, -2, 0], [0, 0, 1], [0, -4, 0]]
     calls = []
     for module, name in ((lieflow.dersolve, "_exact"), (lieflow._linalg, "scaled")):
         def counted(*args, real=getattr(module, name), name=name):
-            calls.append(name)
+            calls.append((name, args))
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
     code, doc, _ = run_json(capsys, *argv)
     assert code == 0 and doc["verdict"]["tag"] == "PeriodicFlow"
-    assert (calls.count("_exact"), calls.count("scaled")) == (9, 1)
+    scaled = [args[0] for name, args in calls if name == "scaled"]
+    on_field = sum(1 for rows in scaled if [list(row) for row in rows] == field)
+    assert (sum(name == "_exact" for name, _ in calls), on_field) == (9, 1)
 
 
 def test_classify_inner_coerces_each_coefficient_once(capsys, monkeypatch):
@@ -594,6 +599,18 @@ def test_simulate_short_horizon_evidence_is_inconclusive(capsys):
     assert code == 1
     assert doc["evidence"]["inconclusive"] and not doc["evidence"]["passed"]
     assert "min_residual" not in doc["evidence"]["details"]
+
+
+def test_simulate_text_gives_the_note_of_inconclusive_evidence(capsys):
+    # No closure check ran: T = 2 pi and ||D||_1 = 56 trip the window's norm guard.
+    argv = ["simulate", "--catalog", "abelian2", "--matrix=0,-56,1/56,0"]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1 and doc["evidence"]["inconclusive"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "evidence: fail (inconclusive)", f"note: {doc['evidence']['details']['note']}"]
+    assert doc["evidence"]["details"]["note"].startswith("no closure check")
 
 
 @pytest.mark.parametrize("argv, algebra", [

@@ -161,6 +161,11 @@ def test_expm_rejects_nonfinite():
                 expm(m, t)
 
 
+def test_expm_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        expm([[0, 1, 0], [0, 0, 1]], 1.0)
+
+
 def test_exact_entries_round_as_float_does():
     # A Fraction of Python ints is converted by num / den: the same correctly
     # rounded division as float(), subnormals and the float max's rounding
@@ -276,6 +281,13 @@ def test_conjugation_orbit_heisenberg_never_closes():
         assert orbit_closure_residual(orbit, period) >= 0.4 * period
 
 
+def test_orbit_closure_residual_needs_a_sample_pair_one_period_apart():
+    orbit = [FlowSample(t, np.eye(2)) for t in (0.0, 1.0, 2.0)]
+    assert orbit_closure_residual(orbit, 1.0) == 0.0
+    with pytest.raises(ValueError, match="no sample pairs separated by the requested period"):
+        orbit_closure_residual(orbit, 1.5)
+
+
 def test_invariant_orbit_rejects_singular_start():
     entry = get_entry("sl2")
     with pytest.raises(ValueError, match="g0 must be invertible"):
@@ -388,6 +400,13 @@ def test_orbit_csv_roundtrip(tmp_path):
     cells = lines[2].split(",")
     assert float(cells[0]) == 0.5
     assert float(cells[2]) == 0.25
+
+
+def test_orbit_csv_needs_a_sample(tmp_path):
+    path = tmp_path / "orbit.csv"
+    with pytest.raises(ValueError, match="no samples to write"):
+        write_orbit_csv([], str(path))
+    assert not path.exists()
 
 
 # --- batched exponential grid --------------------------------------------------------

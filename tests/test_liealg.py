@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,9 @@ from lieflow import (
     load_algebra,
     validate_algebra,
 )
+from lieflow import catalog, liealg
 from lieflow.catalog import CATALOG_NAMES, PARAMETRIC_NAMES, get_entry
+from lieflow.cli import main
 from lieflow.liealg import MAX_DIM, as_scalar
 
 
@@ -211,6 +214,34 @@ def test_structure_constants_reject_bad_indices():
         StructureConstants(0)
 
 
+def test_structure_constants_need_one_label_per_dimension():
+    with pytest.raises(ValueError, match="need one basis label per dimension"):
+        StructureConstants(2, basis_labels=("A",))
+
+
+def test_entries_are_exactly_the_given_nonzero_constants(monkeypatch, tmp_path):
+    # The integer table is the constants' only copy; `entries` reads them back.
+    given, built, init = [], [], StructureConstants.__init__
+
+    def recording(self, dim, brackets=None, basis_labels=None):
+        init(self, dim, brackets, basis_labels)
+        given.append({key: as_scalar(c) for key, c in (brackets or {}).items() if c != 0})
+        built.append(self)
+
+    monkeypatch.setattr(liealg.StructureConstants, "__init__", recording)
+    sampled = catalog._sampled_entries()
+    assert len(sampled) == 15 and {id(e.structure) for e in sampled} <= set(map(id, built))
+    for sc, want in zip(built, given):
+        assert sc.entries == want and all(type(c) is F for c in sc.entries.values())
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "k": 3, "c": "-3/4"}, {"i": 1, "j": 3, "k": 1, "c": "0"},
+        {"i": 2, "j": 3, "k": 2, "c": "5/6"}, {"i": 2, "j": 3, "k": 3, "c": 2}]}))
+    sc = load_algebra(str(path))
+    assert sc.entries == {(0, 1, 2): F(-3, 4), (1, 2, 1): F(5, 6), (1, 2, 2): F(2)}
+    assert sc.den == 12
+
+
 # --- file format ---------------------------------------------------------------
 
 
@@ -238,6 +269,22 @@ def test_algebra_dict_rejects_lower_triangle():
         algebra_from_dict(
             {"dim": 2, "brackets": [{"i": 1, "j": 1, "k": 1, "c": "1"}]}
         )
+
+
+@pytest.mark.parametrize("brackets, message", [
+    ([{"i": 1, "j": 3, "k": 1, "c": "1"}], "bracket entry (1,3,1) out of range for dim 2"),
+    ([{"i": 1, "j": 2, "k": 2, "c": "1"}, {"i": 1, "j": 2, "k": 2, "c": "2"}],
+     "duplicate bracket entry for (i=1, j=2, k=2)"),
+], ids=["index-past-dim", "duplicate"])
+def test_algebra_dict_rejects_an_index_past_dim_and_a_duplicate(brackets, message,
+                                                                tmp_path, capsys):
+    data = {"dim": 2, "brackets": brackets}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra_from_dict(data)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert main(["derivations", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load algebra from {path}: {message}\n"
 
 
 def test_algebra_dict_rejects_decimal_scalars():

@@ -356,6 +356,12 @@ def test_rank_counts_pivots_without_building_a_fraction(monkeypatch):
     assert rank([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]]) == 1
 
 
+def test_spans_of_different_rank_differ():
+    line, plane = [[F(1), F(0), F(0)]], [[F(1), F(0), F(0)], [F(0), F(1, 2), F(0)]]
+    assert not spans_equal(line, plane) and not spans_equal(plane, line)
+    assert spans_equal(plane, [[F(2), F(1), F(0)], [F(0), F(3), F(0)]])
+
+
 def test_rank_decides_derivation_span_membership():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(99)

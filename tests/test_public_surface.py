@@ -10,7 +10,9 @@ the acceptance gate `tests/test_acceptance.py`, or from the benchmark
 traces as strings in `TARGETS`. A private function, one defined by `def`
 at the top of a module in `src/lieflow` with a name starting with `_`, must
 be referenced by name from some module in `src/lieflow`. Code that only the
-unit tests call is not kept in the library.
+unit tests call is not kept in the library. And every name that a module in
+`src/lieflow` (`__init__.py` aside) imports at its top level is read in that
+module, so no import outlives the code that needed it.
 """
 
 import ast
@@ -73,3 +75,19 @@ def test_every_private_function_has_a_caller_in_the_package():
               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
               and node.name not in known]
     assert not unused, f"private functions that only the unit tests call: {unused}"
+
+
+def test_every_top_level_import_is_read_in_its_module():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                stale += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert not stale, f"imported but never read: {stale}"

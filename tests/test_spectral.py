@@ -736,7 +736,9 @@ BIG = 10**400  # past the float max, about 1.8e308
     ([[BIG]], [complex(math.inf)], [(BIG, 0)]),
     ([[BIG, 1], [-1, BIG]], [complex(math.inf, -1), complex(math.inf, 1)], [(BIG, 1)] * 2),
     ([[BIG, 2], [1, BIG]], [complex(math.inf)] * 2, [(None, 0)] * 2),
-], ids=["rational", "complex-pair", "real-surd-pair"])
+    # (1 +- sqrt 2) BIG: the roots of re +- sqrt(disc)/2 have opposite signs.
+    ([[BIG, 2 * BIG**2], [1, BIG]], [complex(-math.inf), complex(math.inf)], [(None, 0)] * 2),
+], ids=["rational", "complex-pair", "real-surd-pair", "real-surd-pair-of-both-signs"])
 def test_exact_eigenvalues_past_the_float_range_display_as_infinite(mat, values, certificates):
     # Each part of a display value saturates to +-inf, as _sqrt's imaginary
     # part does; exact_re and exact_im_sq keep the exact values.
@@ -744,6 +746,19 @@ def test_exact_eigenvalues_past_the_float_range_display_as_infinite(mat, values,
     assert [c.value for c in s.classes] == values
     assert [(c.exact_re, c.exact_im_sq) for c in s.classes] == certificates
     assert spectrum([[-v for v in row] for row in mat]).classes[0].value.real == -math.inf
+
+
+@pytest.mark.parametrize("b, c", [(-2 * 10**8, 1), (3, -1), (-7, 5), (10**20, -10**30)])
+def test_real_surd_pair_near_root_is_read_by_vieta(b, c):
+    # lambda^2 + b lambda + c: the far root re + sign(re) sqrt(disc)/2 first,
+    # the near one as c / far, correctly rounded; re - sqrt(disc)/2 in floats
+    # cancels (1e8 - 1e8 = 0 for the first pair, whose near root is 5e-9).
+    root = Context(prec=80).sqrt(Decimal(b * b - 4 * c)) / 2
+    far = Decimal(-b) / 2 + (root if b <= 0 else -root)
+    near = Context(prec=80).divide(Decimal(c), far)
+    values = [c.value.real for c in spectrum([[0, -c], [1, -b]]).classes]
+    assert float(near) in values
+    assert math.prod(values) == pytest.approx(c, rel=1e-15)
 
 
 def test_float_rotations_have_exact_binary_mu_roots():
